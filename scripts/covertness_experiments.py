@@ -22,16 +22,16 @@ from covertsim import harness, model  # noqa: E402
 
 def build_scenarios():
     awgn = model.Scenario(
-        slots=model.SlotStructure(n=1000, M=1, T=2, p=0.5),
+        slots=model.SlotStructure(n=1000, M=1, p=0.5),
         jammer=model.JammerStrategy(kind=model.UNIFORM_PER_SLOT, power=1.0),
     )
     fading = model.Scenario(
-        slots=model.SlotStructure(n=400, M=1, T=2, p=0.5),
+        slots=model.SlotStructure(n=400, M=1, p=0.5),
         channels=model.Channels(aw="awgn", ab="awgn", jw="fading", jb="awgn"),
         jammer=model.JammerStrategy(kind=model.CONSTANT_POWER, power=1.0),
     )
     multi = model.Scenario(
-        slots=model.SlotStructure(n=400, M=4, T=2, p=0.5),
+        slots=model.SlotStructure(n=400, M=4, p=0.5),
         channels=model.Channels(aw="awgn", ab="awgn", jw="fading", jb="awgn"),
         jammer=model.JammerStrategy(kind=model.CONSTANT_POWER, power=1.0),
     )

@@ -108,9 +108,7 @@ def cmd_roc(args):
         grid = pooled[idx]
     else:
         grid = pooled
-    rates = harness.sweep_thresholds(
-        scenario, cfg, grid, args.trials, args.seed, workers=args.workers
-    )
+    rates = harness.sweep_thresholds(ss, grid)
     out_csv = os.path.join(args.out, "roc.csv")
     harness.write_roc_csv(out_csv, rates)
     _manifest(args.out, "roc", scenario, args.seed, digest, [out_csv],

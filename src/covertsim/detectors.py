@@ -30,9 +30,6 @@ AWGN_UNIFORM = "awgn_uniform"
 M1_EXPONENTIAL = "m1_exponential"
 MBLOCK_PRODUCT = "mblock_product"
 
-H0 = "H0"
-H1 = "H1"
-
 
 @dataclass(frozen=True)
 class LrtConfig:
@@ -218,11 +215,6 @@ def log_lrt_mblock(Z, cfg, sigma_a2=None):
         log_integral_block(zm, k, cfg.sigma_w2, cfg.zeta, cfg.spec) for zm in Z
     ]))
     return (prefactor + top) - bottom
-
-
-def decide(stat, threshold):
-    """H1 iff the statistic strictly exceeds the threshold (ties go to H0)."""
-    return H1 if stat > threshold else H0
 
 
 class BlockLrtTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,24 +80,18 @@ def _gather_range(scenario, hypothesis, seed, start, count, need_haw):
     z = np.empty(count)
     blocks = np.empty((count, M))
     haw2 = np.empty((count, M)) if need_haw else None
-    centers = np.empty(count)
-    gain_jw = model.path_gain(scenario.geometry.d_jw, scenario.geometry.alpha)
     for j in range(count):
         rng = synth.TrialRng(seed, start + j)
         obs = synth.synthesize_willie_slot(scenario, hypothesis, rng)
         bp = detectors.block_powers(obs, M)
         blocks[j] = bp
         z[j] = detectors._ltr_sum(bp)
-        if obs.latents.sigma_j2 is not None:
-            centers[j] = scenario.noise.sigma_w2 + float(np.mean(obs.latents.sigma_j2))
-        else:
-            centers[j] = scenario.noise.sigma_w2 + obs.latents.jam_power * gain_jw
         if need_haw:
             h = obs.latents.fading.get("aw")
             if h is None:
                 raise ConfigError("genie statistics need a faded transmitter-to-warden link")
             haw2[j] = np.abs(h) ** 2
-    return z, blocks, haw2, centers
+    return z, blocks, haw2
 
 
 def _gather(scenario, hypothesis, trials, seed, trial0, need_haw, workers):
@@ -109,7 +103,6 @@ def _gather(scenario, hypothesis, trials, seed, trial0, need_haw, workers):
     z = np.empty(trials)
     blocks = np.empty((trials, M))
     haw2 = np.empty((trials, M)) if need_haw else None
-    centers = np.empty(trials)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {
             pool.submit(
@@ -120,14 +113,13 @@ def _gather(scenario, hypothesis, trials, seed, trial0, need_haw, workers):
         }
         for fut in concurrent.futures.as_completed(futures):
             s = futures[fut]
-            zc, bc, hc, cc = fut.result()
+            zc, bc, hc = fut.result()
             sl = slice(s, s + len(zc))
             z[sl] = zc
             blocks[sl] = bc
-            centers[sl] = cc
             if need_haw:
                 haw2[sl] = hc
-    return z, blocks, haw2, centers
+    return z, blocks, haw2
 
 
 @dataclass
@@ -138,7 +130,6 @@ class SampleSet:
     stats_h1: np.ndarray
     kind: str  # "power" (z/n) or "loglr"
     lrt_gamma_threshold: float
-    centers_h0: np.ndarray = field(default=None, repr=False)
 
 
 def _check_match(scenario, cfg):
@@ -211,8 +202,8 @@ def collect_statistics(scenario, cfg, trials, seed, workers=1):
     H1 trials, deterministic in (seed, trial index)."""
     _check_match(scenario, cfg)
     need_haw = cfg.genie
-    z0, b0, h0, c0 = _gather(scenario, synth.H0, trials, seed, 0, need_haw, workers)
-    z1, b1, h1, _ = _gather(
+    z0, b0, h0 = _gather(scenario, synth.H0, trials, seed, 0, need_haw, workers)
+    z1, b1, h1 = _gather(
         scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET, need_haw, workers
     )
     table = None
@@ -235,10 +226,7 @@ def collect_statistics(scenario, cfg, trials, seed, workers=1):
         gamma_thr = lrt_power_threshold(cfg, lo, hi)
         if math.isfinite(gamma_thr):
             gamma_thr /= cfg.n
-    return SampleSet(
-        stats_h0=s0, stats_h1=s1, kind=kind,
-        lrt_gamma_threshold=gamma_thr, centers_h0=c0,
-    )
+    return SampleSet(stats_h0=s0, stats_h1=s1, kind=kind, lrt_gamma_threshold=gamma_thr)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +245,7 @@ def _rates_at(stats_h0, stats_h1, threshold, confidence=0.95):
     )
 
 
-def estimate_error_rates(scenario, cfg, threshold, trials, seed, workers=1,
-                         confidence=0.95):
-    """P_FA and P_MD of `decide(stat, threshold)` over fresh trials."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ss = collect_statistics(scenario, cfg, trials, seed, workers)
-    return _rates_at(ss.stats_h0, ss.stats_h1, threshold, confidence)
-
-
-def sweep_thresholds(scenario, cfg, grid, trials, seed, workers=1, confidence=0.95):
+def sweep_thresholds(samples, grid, confidence=0.95):
     """ErrorRates per threshold on one shared sample set.
 
     With a common sample set the false-alarm counts are exactly nonincreasing
@@ -277,21 +256,7 @@ def sweep_thresholds(scenario, cfg, grid, trials, seed, workers=1, confidence=0.
         raise ValueError("threshold grid is empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("threshold grid must be sorted ascending")
-    ss = collect_statistics(scenario, cfg, trials, seed, workers)
-    s0 = np.sort(ss.stats_h0)
-    s1 = np.sort(ss.stats_h1)
-    n0, n1 = len(s0), len(s1)
-    out = []
-    for thr in grid:
-        fa = n0 - int(np.searchsorted(s0, thr, side="right"))
-        md = int(np.searchsorted(s1, thr, side="right"))
-        out.append(ErrorRates(
-            p_fa=fa / n0, p_md=md / n1,
-            ci_fa=wilson_interval(fa, n0, confidence),
-            ci_md=wilson_interval(md, n1, confidence),
-            trials_h0=n0, trials_h1=n1, threshold=float(thr),
-        ))
-    return out
+    return [_rates_at(samples.stats_h0, samples.stats_h1, thr, confidence) for thr in grid]
 
 
 def _best_threshold(s0, s1, extra_candidates):
@@ -351,21 +316,6 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed, workers=1,
             ci_lo=lo, ci_hi=hi,
         ))
     return CovertnessCurve(epsilon=epsilon, scenario=base.to_dict(), rows=tuple(rows))
-
-
-def concentration_sample_size(scenario, delta, epsilon, n_grid, trials, seed,
-                              workers=1):
-    """Smallest slot length in the grid where the average power per sample
-    concentrates within delta of its conditional center on at least a
-    1 - epsilon/2 fraction of H0 trials; None when no grid entry qualifies.
-    """
-    for n in sorted(int(v) for v in n_grid):
-        sc = model.with_updates(scenario, n=n)
-        z, _, _, centers = _gather(sc, synth.H0, trials, seed, 0, False, workers)
-        freq = float(np.mean(np.abs(z / n - centers) < delta))
-        if freq >= 1.0 - epsilon / 2.0:
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,10 @@ class Geometry:
 
 @dataclass(frozen=True)
 class SlotStructure:
-    """Samples per slot, fading blocks per slot, slot count, transmit prior."""
+    """Samples per slot, fading blocks per slot, transmit prior."""
 
     n: int = 1000
     M: int = 1
-    T: int = 2
     p: float = 0.5
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class SlotStructure:
             raise ConfigError("n must be a positive integer")
         if self.M < 1 or self.n % self.M != 0:
             raise ConfigError(f"M={self.M} must divide n={self.n}")
-        if self.T < 2 or self.T % 2 != 0:
-            raise ConfigError("T must be a positive even integer >= 2")
         if not 0.0 < self.p < 1.0:
             raise ConfigError("p must lie strictly inside (0, 1)")
 
@@ -158,7 +155,7 @@ class Scenario:
         return {
             "d_aw": g.d_aw, "d_ab": g.d_ab, "d_jw": g.d_jw, "d_jb": g.d_jb,
             "alpha": g.alpha,
-            "n": s.n, "M": s.M, "T": s.T, "p": s.p,
+            "n": s.n, "M": s.M, "p": s.p,
             "sigma_w2": nz.sigma_w2, "sigma_b2": nz.sigma_b2,
             "jammer": {"kind": j.kind, "power": j.power},
             "channels": {"aw": c.aw, "ab": c.ab, "jw": c.jw, "jb": c.jb},
@@ -173,9 +170,8 @@ class Scenario:
                 d_jw=float(data["d_jw"]), d_jb=float(data["d_jb"]),
                 alpha=float(data["alpha"]),
             )
-            slots = SlotStructure(
-                n=int(data["n"]), M=int(data["M"]), T=int(data["T"]), p=float(data["p"]),
-            )
+            # older configs carry a slot count "T"; it is ignored so they still load
+            slots = SlotStructure(n=int(data["n"]), M=int(data["M"]), p=float(data["p"]))
             noise = NoiseLevels(sigma_w2=float(data["sigma_w2"]), sigma_b2=float(data["sigma_b2"]))
             jam = data["jammer"]
             jammer = JammerStrategy(kind=str(jam["kind"]), power=float(jam["power"]))
@@ -299,7 +295,7 @@ def with_updates(scenario, n=None, M=None, P_f=None):
         slots = SlotStructure(
             n=slots.n if n is None else int(n),
             M=slots.M if M is None else int(M),
-            T=slots.T, p=slots.p,
+            p=slots.p,
         )
     return replace(
         scenario,

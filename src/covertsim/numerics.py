@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -394,8 +394,3 @@ def wilson_interval(successes, trials, confidence):
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
-
-
-def with_doubled_panels(spec):
-    """Spec with twice the initial panel density (for convergence checks)."""
-    return replace(spec, initial_panels=2 * spec.initial_panels)

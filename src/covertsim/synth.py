@@ -1,17 +1,13 @@
 """Random generation of codewords, jamming signals, fading coefficients, and
-receiver observations under both hypotheses.
+the warden's observation of the slot of interest under both hypotheses.
 
-Randomness is counter-based: every (trial, slot, purpose) triple owns a
-Philox substream derived from the run seed, so serial and parallel runs
-produce bit-identical observations, and the transmitter/jammer waveforms seen
-by the warden and by the intended receiver within one trial are physically
-the same signals.
+Randomness is counter-based: every (trial, purpose) pair owns a Philox
+substream derived from the run seed, so serial and parallel runs produce
+bit-identical observations.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,31 +19,29 @@ from .model import CONSTANT_POWER, FADING, UNIFORM_PER_SLOT, ConfigError, path_g
 H0 = "H0"
 H1 = "H1"
 
-# Substream purposes.  The codeword and jammer streams are shared between the
-# warden-side and receiver-side synthesis of the same trial.
+# Substream purposes.  The values are part of the reproducibility contract,
+# so they keep the gaps left by retired purposes rather than being renumbered.
 CODEWORD = 0
 JAMMER = 1
 FADE_AW = 2
-FADE_AB = 3
 FADE_JW = 4
-FADE_JB = 5
 NOISE_W = 6
-NOISE_B = 7
 
-_FADE_PURPOSE = {"aw": FADE_AW, "ab": FADE_AB, "jw": FADE_JW, "jb": FADE_JB}
 _KEY_SALT = 0x9E3779B97F4A7C15
 _U64 = np.uint64
 
 
-def substream(seed, trial, slot, purpose):
-    """Independent Generator for one (trial, slot, purpose) triple.
+def substream(seed, trial, purpose):
+    """Independent Generator for one (trial, purpose) pair.
 
-    The triple goes into the high words of the 256-bit Philox counter; the
-    generator itself only ever advances the low word, so substreams cannot
-    overlap and any partition of trials across workers draws the same values.
+    The pair goes into the high words of the 256-bit Philox counter, with
+    the word between them held at 0 so that every stream keeps its values
+    across releases; the generator itself only ever advances the low word,
+    so substreams cannot overlap and any partition of trials across workers
+    draws the same values.
     """
     bitgen = np.random.Philox(
-        counter=[_U64(0), _U64(int(trial) % 2**64), _U64(int(slot) % 2**64), _U64(purpose)],
+        counter=[_U64(0), _U64(int(trial) % 2**64), _U64(0), _U64(purpose)],
         key=[_U64(int(seed) % 2**64), _U64(_KEY_SALT)],
     )
     return np.random.Generator(bitgen)
@@ -55,13 +49,13 @@ def substream(seed, trial, slot, purpose):
 
 @dataclass(frozen=True)
 class TrialRng:
-    """Hands out the per-(slot, purpose) substreams of one Monte Carlo trial."""
+    """Hands out the per-purpose substreams of one Monte Carlo trial."""
 
     seed: int
     trial: int
 
-    def stream(self, slot, purpose):
-        return substream(self.seed, self.trial, slot, purpose)
+    def stream(self, purpose):
+        return substream(self.seed, self.trial, purpose)
 
 
 def _complex_normal(rng, variance, size):
@@ -127,11 +121,8 @@ class Latents:
 
 @dataclass
 class Observation:
-    """One slot of complex samples at a receiver plus generation metadata."""
+    """The warden's complex samples of one slot plus its hidden channel state."""
 
-    receiver: str
-    slot: int
-    hypothesis: str
     samples: np.ndarray
     M: int
     latents: Latents
@@ -142,96 +133,40 @@ def _expand_blocks(h, n, M):
     return np.repeat(h, n // M)
 
 
-def _synthesize_slot(scenario, hypothesis, rng, receiver, slot):
+def synthesize_willie_slot(scenario, hypothesis, rng):
+    """Warden-side observation of the slot of interest."""
     if hypothesis not in (H0, H1):
         raise ValueError(f"hypothesis must be {H0} or {H1}")
     n = scenario.slots.n
     M = scenario.slots.M
     g = scenario.geometry
-    if receiver == "willie":
-        tx_link, jam_link = "aw", "jw"
-        d_tx, d_jam = g.d_aw, g.d_jw
-        noise_var = scenario.noise.sigma_w2
-        noise_purpose = NOISE_W
-    else:
-        tx_link, jam_link = "ab", "jb"
-        d_tx, d_jam = g.d_ab, g.d_jb
-        noise_var = scenario.noise.sigma_b2
-        noise_purpose = NOISE_B
 
     latents = Latents()
-    samples = _complex_normal(rng.stream(slot, noise_purpose), noise_var, n)
+    samples = _complex_normal(rng.stream(NOISE_W), scenario.noise.sigma_w2, n)
 
-    p_t, jam = generate_jammer_slot(scenario.jammer, n, rng.stream(slot, JAMMER))
+    p_t, jam = generate_jammer_slot(scenario.jammer, n, rng.stream(JAMMER))
     latents.jam_power = p_t
-    jam_amp = math.sqrt(path_gain(d_jam, g.alpha))
-    if scenario.channels.kind(jam_link) == FADING:
-        h_jam = sample_fading(M, rng.stream(slot, _FADE_PURPOSE[jam_link]))
-        latents.fading[jam_link] = h_jam
+    jam_amp = math.sqrt(path_gain(g.d_jw, g.alpha))
+    if scenario.channels.jw == FADING:
+        h_jam = sample_fading(M, rng.stream(FADE_JW))
+        latents.fading["jw"] = h_jam
         samples += jam_amp * _expand_blocks(h_jam, n, M) * jam
-        if receiver == "willie":
-            latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * path_gain(d_jam, g.alpha)
+        latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * path_gain(g.d_jw, g.alpha)
     else:
         samples += jam_amp * jam
 
-    if hypothesis == H1 and slot == 0:
-        f = generate_codeword(n, scenario.P_f, rng.stream(slot, CODEWORD))
-        tx_amp = math.sqrt(path_gain(d_tx, g.alpha))
-        if scenario.channels.kind(tx_link) == FADING:
-            h_tx = sample_fading(M, rng.stream(slot, _FADE_PURPOSE[tx_link]))
-            latents.fading[tx_link] = h_tx
+    if hypothesis == H1:
+        f = generate_codeword(n, scenario.P_f, rng.stream(CODEWORD))
+        tx_amp = math.sqrt(path_gain(g.d_aw, g.alpha))
+        if scenario.channels.aw == FADING:
+            h_tx = sample_fading(M, rng.stream(FADE_AW))
+            latents.fading["aw"] = h_tx
             samples += tx_amp * _expand_blocks(h_tx, n, M) * f
         else:
             samples += tx_amp * f
-    elif scenario.channels.kind(tx_link) == FADING:
+    elif scenario.channels.aw == FADING:
         # the channel fades whether or not it carries a signal; record it so
         # genie-style checks can condition on the same draw under H0
-        latents.fading[tx_link] = sample_fading(M, rng.stream(slot, _FADE_PURPOSE[tx_link]))
+        latents.fading["aw"] = sample_fading(M, rng.stream(FADE_AW))
 
-    return Observation(
-        receiver=receiver, slot=slot, hypothesis=hypothesis,
-        samples=samples, M=M, latents=latents,
-    )
-
-
-def synthesize_willie_slot(scenario, hypothesis, rng, slot=0):
-    """Warden-side observation of one slot (slot 0 unless asked otherwise)."""
-    return _synthesize_slot(scenario, hypothesis, rng, "willie", slot)
-
-
-def synthesize_bob_slot(scenario, hypothesis, rng, slot=0):
-    """Receiver-side observation of one slot."""
-    return _synthesize_slot(scenario, hypothesis, rng, "bob", slot)
-
-
-def dump_observations(csv_path, sidecar_path, scenario, hypothesis, trials, seed,
-                      receiver="willie", slots=(0,)):
-    """Write observations as CSV rows (trial, slot, i, re, im) plus a JSON
-    sidecar holding the latents of every dumped slot."""
-    sidecar = []
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "slot", "i", "re", "im"])
-        for trial in range(trials):
-            rng = TrialRng(seed, trial)
-            for slot in slots:
-                if receiver == "willie":
-                    obs = synthesize_willie_slot(scenario, hypothesis, rng, slot=slot)
-                else:
-                    obs = synthesize_bob_slot(scenario, hypothesis, rng, slot=slot)
-                for i, val in enumerate(obs.samples, start=1):
-                    writer.writerow([trial, slot, i, repr(float(val.real)), repr(float(val.imag))])
-                sidecar.append({
-                    "trial": trial,
-                    "slot": slot,
-                    "hypothesis": obs.hypothesis,
-                    "jam_power": obs.latents.jam_power,
-                    "fading": {
-                        link: [[float(c.real), float(c.imag)] for c in coeffs]
-                        for link, coeffs in obs.latents.fading.items()
-                    },
-                    "sigma_j2": None if obs.latents.sigma_j2 is None
-                    else [float(x) for x in obs.latents.sigma_j2],
-                })
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+    return Observation(samples=samples, M=M, latents=latents)

@@ -293,7 +293,6 @@ class BoundaryRegion:
     spot_checks: int
     spot_mismatches: int
     boundary_points: list = field(default_factory=list)
-    table_range: tuple = (0.0, 0.0)
     draw_x: Optional[np.ndarray] = None
     draw_in_region: Optional[np.ndarray] = None
 
@@ -395,7 +394,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
         failures=failures, mass=mass, ci=ci,
         analytic_bound=2.0 * M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,
-        boundary_points=points, table_range=(table.z_lo, table.z_hi),
+        boundary_points=points,
     )
     if keep_draws:
         region.draw_x = x

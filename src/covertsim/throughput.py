@@ -8,8 +8,6 @@ the slot length, so any positive outage rate scales the bit count linearly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,52 +16,13 @@ from .model import FADING, path_gain
 _SINR_RNG_SALT = 0x51A7
 
 
-@dataclass(frozen=True)
-class SinrSample:
-    gamma: float
-    h_ab: Optional[complex] = None
-    h_jb: Optional[complex] = None
+def sinr_samples(scenario, samples, seed):
+    """Vector of SINR draws over the receiver-side fading.
 
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
-
-
-def bob_sinr(scenario, fades=None):
-    """Receiver SINR for one fading draw.
-
-    ``fades`` maps link names ("ab", "jb") to complex coefficients; missing
-    or AWGN links count as |h|^2 = 1.  The jammer contributes at its strategy
+    AWGN links count as |h|^2 = 1.  The jammer contributes at its strategy
     power (the per-slot maximum for the uniform strategy, which lower-bounds
     the SINR).
     """
-    fades = fades or {}
-    g = scenario.geometry
-    h_ab = fades.get("ab")
-    h_jb = fades.get("jb")
-    gain_ab = 1.0 if h_ab is None else abs(h_ab) ** 2
-    gain_jb = 1.0 if h_jb is None else abs(h_jb) ** 2
-    signal = gain_ab * scenario.P_f * path_gain(g.d_ab, g.alpha)
-    interference = gain_jb * scenario.jammer.power * path_gain(g.d_jb, g.alpha)
-    return signal / (interference + scenario.noise.sigma_b2)
-
-
-def draw_sinr(scenario, rng):
-    """One SINR draw with its fading realization attached."""
-    fades = {}
-    for link in ("ab", "jb"):
-        if scenario.channels.kind(link) == FADING:
-            re, im = rng.standard_normal(2)
-            fades[link] = complex(re, im) * math.sqrt(0.5)
-    return SinrSample(
-        gamma=bob_sinr(scenario, fades),
-        h_ab=fades.get("ab"),
-        h_jb=fades.get("jb"),
-    )
-
-
-def sinr_samples(scenario, samples, seed):
-    """Vector of SINR draws over the receiver-side fading."""
     rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
     g = scenario.geometry
 

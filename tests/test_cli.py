@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from covertsim import cli, model
+from covertsim import cli, harness, model
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -115,6 +115,22 @@ class TestCovertness:
 
 
 class TestRoc:
+    def test_collects_statistics_once(self, tmp_path, monkeypatch):
+        # the sweep reuses the sample set the grid was built from
+        calls = []
+        original = harness.collect_statistics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "collect_statistics", counting)
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
+        code = run_cli(["roc", cfgp, "--trials", "40", "--grid-points", "11",
+                        "--seed", "5", "--out", str(tmp_path / "roc")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_multi_block_statistic_sweep(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=4, P_f=0.0125))
         out = tmp_path / "roc4"

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from covertsim import detectors, model, synth
 from covertsim.detectors import (
@@ -12,7 +11,6 @@ from covertsim.detectors import (
     LrtConfig,
     block_powers,
     config_for_scenario,
-    decide,
     log_lrt_awgn,
     log_lrt_block_term,
     log_lrt_m1,
@@ -20,17 +18,14 @@ from covertsim.detectors import (
     total_power,
 )
 from covertsim.model import ConfigError
-from covertsim.synth import H0, H1, Latents, Observation, TrialRng
+from covertsim.synth import H0, Latents, Observation, TrialRng
 
 from conftest import awgn_scenario, fading_scenario
 
 
 def make_obs(samples, M=1):
     samples = np.asarray(samples, dtype=np.complex128)
-    return Observation(
-        receiver="willie", slot=0, hypothesis=H0, samples=samples, M=M,
-        latents=Latents(),
-    )
+    return Observation(samples=samples, M=M, latents=Latents())
 
 
 def awgn_cfg(n=100, sigma_a2=0.025, zeta=1.0, sigma_w2=1.0, log_gamma=0.0):
@@ -195,24 +190,6 @@ class TestMBlockLrt:
     def test_shape_guard(self):
         with pytest.raises(ConfigError):
             log_lrt_mblock([1.0, 2.0, 3.0], mblock_cfg(n=200, M=2))
-
-
-class TestDecide:
-    def test_tie_goes_to_null(self):
-        assert decide(1.0, 1.0) == H0
-
-    def test_infinite_statistic(self):
-        assert decide(math.inf, 100.0) == H1
-        assert decide(5.0, math.inf) == H0
-
-    @given(stat=st.floats(-100, 100), thresholds=st.lists(
-        st.floats(-150, 150), min_size=2, max_size=30, unique=True))
-    def test_single_flip_across_thresholds(self, stat, thresholds):
-        decisions = [decide(stat, t) for t in sorted(thresholds)]
-        flips = sum(1 for a, b in zip(decisions, decisions[1:]) if a != b)
-        assert flips <= 1
-        if flips == 1:
-            assert decisions[0] == H1 and decisions[-1] == H0
 
 
 class TestThresholdInversion:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covertsim import detectors, harness, model
+from covertsim import detectors, model
 from covertsim.harness import (
+    SampleSet,
+    _rates_at,
     collect_statistics,
     covertness_curve,
-    estimate_error_rates,
     sweep_thresholds,
     willie_min_error,
     write_csv,
@@ -18,18 +19,20 @@ from covertsim.model import ConfigError
 from conftest import awgn_scenario, fading_scenario
 
 
+def sample_set(sc, trials, seed):
+    return collect_statistics(sc, detectors.config_for_scenario(sc), trials, seed)
+
+
 class TestErrorRates:
     def test_blind_detector_floor(self):
-        sc = awgn_scenario(n=64, P_f=0.0)
-        cfg = detectors.config_for_scenario(sc)
-        rates = estimate_error_rates(sc, cfg, math.inf, trials=200, seed=1)
+        ss = sample_set(awgn_scenario(n=64, P_f=0.0), trials=200, seed=1)
+        (rates,) = sweep_thresholds(ss, [math.inf])
         assert rates.p_fa == 0.0 and rates.p_md == 1.0
         assert rates.sum == 1.0
 
     def test_null_signal_sum_is_one(self):
-        sc = awgn_scenario(n=64, P_f=0.0)
-        cfg = detectors.config_for_scenario(sc)
-        rates = estimate_error_rates(sc, cfg, 1.3, trials=2000, seed=2)
+        ss = sample_set(awgn_scenario(n=64, P_f=0.0), trials=2000, seed=2)
+        (rates,) = sweep_thresholds(ss, [1.3])
         assert abs(rates.sum - 1.0) < 0.06
         assert rates.ci_fa[0] <= rates.p_fa <= rates.ci_fa[1]
         assert rates.ci_md[0] <= rates.p_md <= rates.ci_md[1]
@@ -37,48 +40,74 @@ class TestErrorRates:
     def test_deterministic_and_worker_invariant(self):
         sc = awgn_scenario(n=128, P_f=0.025)
         cfg = detectors.config_for_scenario(sc)
-        a = estimate_error_rates(sc, cfg, 1.2, trials=300, seed=7, workers=1)
-        b = estimate_error_rates(sc, cfg, 1.2, trials=300, seed=7, workers=3)
-        assert a == b
+        a = collect_statistics(sc, cfg, trials=300, seed=7, workers=1)
+        b = collect_statistics(sc, cfg, trials=300, seed=7, workers=3)
+        assert np.array_equal(a.stats_h0, b.stats_h0)
+        assert np.array_equal(a.stats_h1, b.stats_h1)
+        assert a.lrt_gamma_threshold == b.lrt_gamma_threshold
+        assert sweep_thresholds(a, [1.2]) == sweep_thresholds(b, [1.2])
 
     def test_scenario_detector_mismatch(self):
         sc = awgn_scenario(n=64, P_f=0.025)
         other = detectors.config_for_scenario(awgn_scenario(n=128, P_f=0.025))
         with pytest.raises(ConfigError):
-            estimate_error_rates(sc, other, 1.0, trials=10, seed=1)
+            collect_statistics(sc, other, trials=10, seed=1)
 
     def test_mismatched_signal_power(self):
         sc = awgn_scenario(n=64, P_f=0.025)
         cfg = detectors.config_for_scenario(model.with_updates(sc, P_f=0.5))
         with pytest.raises(ConfigError):
-            estimate_error_rates(sc, cfg, 1.0, trials=10, seed=1)
+            collect_statistics(sc, cfg, trials=10, seed=1)
 
 
 class TestSweep:
     def test_extreme_thresholds(self):
-        sc = awgn_scenario(n=64)
-        cfg = detectors.config_for_scenario(sc)
-        rates = sweep_thresholds(sc, cfg, [-math.inf, math.inf], trials=100, seed=3)
+        ss = sample_set(awgn_scenario(n=64), trials=100, seed=3)
+        rates = sweep_thresholds(ss, [-math.inf, math.inf])
         assert rates[0].p_fa == 1.0 and rates[0].p_md == 0.0
         assert rates[1].p_fa == 0.0 and rates[1].p_md == 1.0
 
     def test_monotone_staircase_exact(self):
-        sc = awgn_scenario(n=64)
-        cfg = detectors.config_for_scenario(sc)
-        grid = np.linspace(0.3, 3.5, 41)
-        rates = sweep_thresholds(sc, cfg, grid, trials=400, seed=4)
+        ss = sample_set(awgn_scenario(n=64), trials=400, seed=4)
+        rates = sweep_thresholds(ss, np.linspace(0.3, 3.5, 41))
         fa = [r.p_fa for r in rates]
         md = [r.p_md for r in rates]
         assert all(a >= b for a, b in zip(fa, fa[1:]))
         assert all(a <= b for a, b in zip(md, md[1:]))
 
     def test_grid_validation(self):
-        sc = awgn_scenario(n=64)
-        cfg = detectors.config_for_scenario(sc)
+        ss = sample_set(awgn_scenario(n=64), trials=10, seed=1)
         with pytest.raises(ValueError):
-            sweep_thresholds(sc, cfg, [], trials=10, seed=1)
+            sweep_thresholds(ss, [])
         with pytest.raises(ValueError):
-            sweep_thresholds(sc, cfg, [2.0, 1.0], trials=10, seed=1)
+            sweep_thresholds(ss, [2.0, 1.0])
+
+    def test_tie_goes_to_null(self):
+        # a statistic equal to the threshold decides H0: no false alarm
+        # under H0, a miss under H1
+        rates = _rates_at(np.array([1.0, 2.0]), np.array([1.0, 3.0]), 1.0)
+        assert rates.p_fa == 0.5 and rates.p_md == 0.5
+        ss = SampleSet(stats_h0=np.array([2.0, 1.0]), stats_h1=np.array([3.0, 1.0]),
+                       kind="power", lrt_gamma_threshold=math.inf)
+        assert sweep_thresholds(ss, [1.0]) == [rates]
+
+    @given(stat=st.floats(-100, 100), thresholds=st.lists(
+        st.floats(-150, 150), min_size=2, max_size=30, unique=True))
+    def test_single_flip_across_thresholds(self, stat, thresholds):
+        # one trial decides H1 below its statistic and H0 from it upward
+        ss = SampleSet(stats_h0=np.array([stat]), stats_h1=np.array([stat]),
+                       kind="power", lrt_gamma_threshold=math.inf)
+        decides_h1 = [r.p_fa == 1.0 for r in sweep_thresholds(ss, sorted(thresholds))]
+        flips = sum(1 for a, b in zip(decides_h1, decides_h1[1:]) if a != b)
+        assert flips <= 1
+        if flips == 1:
+            assert decides_h1[0] and not decides_h1[-1]
+
+    def test_infinite_statistic(self):
+        rates = _rates_at(np.array([math.inf]), np.array([5.0]), 100.0)
+        assert rates.p_fa == 1.0 and rates.p_md == 1.0
+        rates = _rates_at(np.array([5.0]), np.array([5.0]), math.inf)
+        assert rates.p_fa == 0.0 and rates.p_md == 1.0
 
 
 class TestMinError:
@@ -136,28 +165,6 @@ class TestCovertnessCurve:
     def test_unsorted_n_list_rejected(self):
         with pytest.raises(ValueError):
             covertness_curve(awgn_scenario(), 0.1, [128, 64], trials=10, seed=1)
-
-
-class TestConcentration:
-    def test_reports_first_concentrating_slot_length(self):
-        sc = awgn_scenario(P_f=0.025)
-        params = model.select_covert_params_awgn(0.1, sc.zeta, 1.0, 2.0)
-        n0 = harness.concentration_sample_size(
-            sc, params.delta, 0.1, [200, 1600, 12800, 102400], trials=400, seed=13
-        )
-        assert n0 is not None
-        # re-check the reported slot length against fresh trials
-        sc0 = model.with_updates(sc, n=n0)
-        z, _, _, centers = harness._gather(sc0, "H0", 400, 14, 0, False, 1)
-        freq = np.mean(np.abs(z / n0 - centers) < params.delta)
-        assert freq >= 1.0 - 0.1 / 2.0 - 0.04
-
-    def test_none_when_grid_too_small(self):
-        sc = awgn_scenario()
-        n0 = harness.concentration_sample_size(
-            sc, 1e-4, 0.1, [64, 128], trials=100, seed=15
-        )
-        assert n0 is None
 
 
 class TestStatisticsCollection:

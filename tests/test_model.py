@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -114,7 +115,7 @@ class TestScenario:
     def test_field_names(self):
         data = json.loads(awgn_scenario().to_json())
         assert set(data) == {
-            "d_aw", "d_ab", "d_jw", "d_jb", "alpha", "n", "M", "T", "p",
+            "d_aw", "d_ab", "d_jw", "d_jb", "alpha", "n", "M", "p",
             "sigma_w2", "sigma_b2", "jammer", "channels", "P_f",
         }
         assert set(data["jammer"]) == {"kind", "power"}
@@ -144,8 +145,8 @@ class TestScenario:
 
     @pytest.mark.parametrize("mutant", [
         {"n": 10, "M": 3},          # M does not divide n
-        {"T": 3},                   # odd slot count
-        {"T": 0},
+        {"n": 0},
+        {"M": 0},
         {"p": 0.0},
         {"p": 1.0},
         {"alpha": 1.0},
@@ -160,6 +161,19 @@ class TestScenario:
         data.update(mutant)
         with pytest.raises(ConfigError):
             model.Scenario.from_dict(data)
+
+    def test_stray_slot_count_ignored(self):
+        # configs written before the slot count was retired still load
+        data = awgn_scenario().to_dict()
+        data["T"] = 2
+        assert model.Scenario.from_dict(data) == awgn_scenario()
+
+    @pytest.mark.parametrize("name", ["awgn", "bob_fading", "fading_m1", "fading_m2", "fading_m4"])
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        sc = model.load_scenario(path)
+        assert "T" not in json.loads(path.read_text())
+        assert model.Scenario.from_json(sc.to_json()) == sc
 
     def test_missing_field_rejected(self):
         data = awgn_scenario().to_dict()
