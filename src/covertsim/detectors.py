@@ -15,16 +15,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .model import AWGN, FADING, UNIFORM_PER_SLOT, ConfigError, Scenario
-from .numerics import (
-    DEFAULT_SPEC,
-    NumericalError,
-    QuadratureSpec,
-    log_integral_block,
-    log_mixture_density_uniform,
-)
+from .numerics import log_integral_block, log_mixture_density_uniform
 
 AWGN_UNIFORM = "awgn_uniform"
 M1_EXPONENTIAL = "m1_exponential"
@@ -48,7 +41,6 @@ class LrtConfig:
     sigma_a2: Union[float, np.ndarray]
     log_gamma: float
     genie: bool = False
-    spec: QuadratureSpec = DEFAULT_SPEC
 
     def __post_init__(self):
         if self.variant not in (AWGN_UNIFORM, M1_EXPONENTIAL, MBLOCK_PRODUCT):
@@ -69,7 +61,7 @@ class LrtConfig:
         return self.n // self.M
 
 
-def config_for_scenario(scenario: Scenario, genie=None, spec=DEFAULT_SPEC):
+def config_for_scenario(scenario: Scenario, genie=None):
     """Build the matching detector configuration for a scenario.
 
     ``genie=None`` resolves automatically: a faded transmitter-to-warden link
@@ -106,7 +98,6 @@ def config_for_scenario(scenario: Scenario, genie=None, spec=DEFAULT_SPEC):
         sigma_a2=scenario.sigma_a2,
         log_gamma=math.log((1.0 - p) / p),
         genie=genie,
-        spec=spec,
     )
 
 
@@ -115,10 +106,13 @@ def _sample_powers(samples):
 
 
 def _ltr_sum(values):
-    # left-to-right summation; np.add.accumulate is sequential by definition
-    if len(values) == 0:
+    # left-to-right summation along the last axis; np.add.accumulate is
+    # sequential by definition, so a row sums alike alone or in a batch
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         return 0.0
-    return float(np.add.accumulate(values)[-1])
+    out = np.add.accumulate(values, axis=-1)[..., -1]
+    return float(out) if out.ndim == 0 else out
 
 
 def block_powers(obs, M):
@@ -146,16 +140,18 @@ def total_power(obs):
     return _ltr_sum(block_powers(obs, obs.M))
 
 
-def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta, spec=DEFAULT_SPEC):
+def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):
     """Per-block log likelihood ratio under the exponential jam-power prior.
 
     sigma_a2/zeta + log int_{sigma_w2+sigma_a2}^inf v^-k e^{-z/v} e^{-v/zeta} dv
                   - log int_{sigma_w2}^inf            v^-k e^{-z/v} e^{-v/zeta} dv
+
+    Vectorized over z; sigma_a2 broadcasts against z.
     """
     return (
         sigma_a2 / zeta
-        + log_integral_block(z, k, sigma_w2 + sigma_a2, zeta, spec)
-        - log_integral_block(z, k, sigma_w2, zeta, spec)
+        + log_integral_block(z, k, sigma_w2 + sigma_a2, zeta)
+        - log_integral_block(z, k, sigma_w2, zeta)
     )
 
 
@@ -164,17 +160,13 @@ def log_lrt_awgn(z, cfg):
 
     Both hypothesis densities are uniform mixtures of Gamma(n, sigma_w2 +
     theta) laws for the total power; the signal shifts the mixing window from
-    [0, zeta] to [sigma_a2, sigma_a2 + zeta].
+    [0, zeta] to [sigma_a2, sigma_a2 + zeta].  Vectorized over z.
     """
     if cfg.variant != AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected {AWGN_UNIFORM}")
     sa = float(np.asarray(cfg.sigma_a2))
-    num = log_mixture_density_uniform(
-        z, cfg.n, cfg.sigma_w2, sa, sa + cfg.zeta, cfg.zeta, cfg.spec
-    )
-    den = log_mixture_density_uniform(
-        z, cfg.n, cfg.sigma_w2, 0.0, cfg.zeta, cfg.zeta, cfg.spec
-    )
+    num = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, sa, sa + cfg.zeta, cfg.zeta)
+    den = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, 0.0, cfg.zeta, cfg.zeta)
     return num - den
 
 
@@ -182,12 +174,12 @@ def log_lrt_m1(z, cfg, sigma_a2=None):
     """Log LRT for the one-block faded jammer link (exponential power prior).
 
     ``sigma_a2`` overrides the configured signal power; the genie
-    configuration passes |h|^2 * sigma_a2 here.
+    configuration passes |h|^2 * sigma_a2 here, one per z.  Vectorized over z.
     """
     if cfg.variant != M1_EXPONENTIAL:
         raise ConfigError(f"config variant is {cfg.variant}, expected {M1_EXPONENTIAL}")
-    sa = float(np.asarray(cfg.sigma_a2)) if sigma_a2 is None else float(sigma_a2)
-    return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, sa, cfg.zeta, cfg.spec)
+    sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
+    return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, sa, cfg.zeta)
 
 
 def log_lrt_mblock(Z, cfg, sigma_a2=None):
@@ -195,99 +187,20 @@ def log_lrt_mblock(Z, cfg, sigma_a2=None):
 
     The joint likelihoods factor over blocks, so the log ratio is the
     prefactor sum(sigma_a2_m)/zeta plus the difference of the per-block
-    integral sums, each block with shape n/M.
+    integral sums, each block with shape n/M.  ``Z`` is one length-M block
+    power vector or a (trials, M) array of them, with one statistic per row;
+    ``sigma_a2`` broadcasts against ``Z``.
     """
     if cfg.variant != MBLOCK_PRODUCT:
         raise ConfigError(f"config variant is {cfg.variant}, expected {MBLOCK_PRODUCT}")
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != (cfg.M,):
-        raise ConfigError(f"expected a length-{cfg.M} block power vector, got shape {Z.shape}")
+    if Z.ndim not in (1, 2) or Z.shape[-1] != cfg.M:
+        raise ConfigError(f"expected length-{cfg.M} block power vectors, got shape {Z.shape}")
     sa = np.broadcast_to(
-        np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float), (cfg.M,)
+        np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float), Z.shape
     )
     k = cfg.block_size
-    prefactor = float(np.sum(sa / cfg.zeta))
-    top = float(np.sum([
-        log_integral_block(zm, k, cfg.sigma_w2 + sam, cfg.zeta, cfg.spec)
-        for zm, sam in zip(Z, sa)
-    ]))
-    bottom = float(np.sum([
-        log_integral_block(zm, k, cfg.sigma_w2, cfg.zeta, cfg.spec) for zm in Z
-    ]))
+    prefactor = _ltr_sum(sa / cfg.zeta)
+    top = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2 + sa, cfg.zeta))
+    bottom = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2, cfg.zeta))
     return (prefactor + top) - bottom
-
-
-class BlockLrtTable:
-    """Monotone interpolant of the per-block log LRT term on a power range.
-
-    Built for batch evaluation in Monte Carlo runs: exact quadrature at a
-    dense geometric grid of block powers, monotonicity-preserving cubic
-    interpolation in between, and a build-time self check against the direct
-    quadrature path.  Queries outside the table range fall back to direct
-    quadrature.
-    """
-
-    def __init__(self, k, sigma_w2, sigma_a2, zeta, z_lo, z_hi, nodes=2000,
-                 spec=DEFAULT_SPEC, check_points=8, check_tol=1e-6):
-        if z_hi <= z_lo:
-            raise ValueError("need z_hi > z_lo")
-        self.k = k
-        self.sigma_w2 = sigma_w2
-        self.sigma_a2 = sigma_a2
-        self.zeta = zeta
-        self.spec = spec
-        lo = max(z_lo, 1e-9 * k * sigma_w2) / 1.001
-        hi = z_hi * 1.001
-        grid = np.geomspace(lo, hi, nodes)
-        vals = np.array([
-            log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta, spec) for z in grid
-        ])
-        diffs = np.diff(vals)
-        scale = np.maximum(1.0, np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])))
-        worst = float(np.min(diffs / scale)) if sigma_a2 > 0 else 0.0
-        if worst < -1e-9:
-            raise NumericalError(
-                f"block LRT table is not monotone (worst relative step {worst:.2e})"
-            )
-        self.z_lo = grid[0]
-        self.z_hi = grid[-1]
-        self._interp = PchipInterpolator(np.log(grid), vals, extrapolate=False)
-        self._self_check(check_points, check_tol)
-
-    def _self_check(self, points, tol):
-        rng = np.random.Generator(np.random.Philox(key=[2024, 7]))
-        zs = np.exp(rng.uniform(math.log(self.z_lo), math.log(self.z_hi), size=points))
-        for z in zs:
-            direct = log_lrt_block_term(z, self.k, self.sigma_w2, self.sigma_a2,
-                                        self.zeta, self.spec)
-            interp = float(self._interp(math.log(z)))
-            if abs(direct - interp) > tol * max(1.0, abs(direct)):
-                raise NumericalError(
-                    f"block LRT table self check failed at z={z:g}: "
-                    f"table {interp!r} vs direct {direct!r}"
-                )
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.empty(z.shape)
-        inside = (z >= self.z_lo) & (z <= self.z_hi)
-        if np.any(inside):
-            out[inside] = self._interp(np.log(z[inside]))
-        for idx in np.nonzero(~inside)[0]:
-            out[idx] = log_lrt_block_term(
-                z[idx], self.k, self.sigma_w2, self.sigma_a2, self.zeta, self.spec
-            )
-        return float(out[0]) if scalar else out
-
-
-def table_for_config(cfg, z_lo, z_hi, nodes=2000):
-    """Block-term table matching an MBLOCK_PRODUCT configuration."""
-    sa = np.asarray(cfg.sigma_a2)
-    if sa.ndim != 0:
-        raise ConfigError("per-block sigma_a2 cannot be tabulated; use the direct path")
-    return BlockLrtTable(
-        cfg.block_size, cfg.sigma_w2, float(sa), cfg.zeta, z_lo, z_hi,
-        nodes=nodes, spec=cfg.spec,
-    )

@@ -149,26 +149,14 @@ def _check_match(scenario, cfg):
         raise ConfigError(f"detector does not match scenario: {', '.join(mismatches)} differ")
 
 
-def _statistics_from_raw(cfg, z, blocks, haw2, table=None):
+def _statistics_from_raw(cfg, z, blocks, haw2):
     """Reduce gathered trial data to the detector's scalar statistic."""
-    if cfg.variant == detectors.AWGN_UNIFORM:
+    if not (cfg.genie or cfg.variant == detectors.MBLOCK_PRODUCT):
         return z / cfg.n
+    sa = haw2 * float(np.asarray(cfg.sigma_a2)) if cfg.genie else None
     if cfg.variant == detectors.M1_EXPONENTIAL:
-        if not cfg.genie:
-            return z / cfg.n
-        out = np.empty(len(z))
-        sa = float(np.asarray(cfg.sigma_a2))
-        for i in range(len(z)):
-            out[i] = detectors.log_lrt_m1(z[i], cfg, sigma_a2=haw2[i, 0] * sa)
-        return out
-    if not cfg.genie:
-        # the tabulated block terms each carry their sigma_a2/zeta offset
-        return np.sum(table(blocks.ravel()).reshape(blocks.shape), axis=1)
-    out = np.empty(len(z))
-    sa = float(np.asarray(cfg.sigma_a2))
-    for i in range(len(z)):
-        out[i] = detectors.log_lrt_mblock(blocks[i], cfg, sigma_a2=haw2[i] * sa)
-    return out
+        return detectors.log_lrt_m1(z, cfg, sigma_a2=sa[:, 0])
+    return detectors.log_lrt_mblock(blocks, cfg, sigma_a2=sa)
 
 
 def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
@@ -191,10 +179,7 @@ def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
         return -math.inf
     if f_hi < cfg.log_gamma:
         return math.inf
-    root = bisect_monotone(f, cfg.log_gamma, (lo, hi), tol=tol)
-    if root is None:
-        return math.inf if f_hi < cfg.log_gamma else -math.inf
-    return root
+    return bisect_monotone(f, cfg.log_gamma, (lo, hi), tol=tol)
 
 
 def collect_statistics(scenario, cfg, trials, seed, workers=1):
@@ -206,15 +191,8 @@ def collect_statistics(scenario, cfg, trials, seed, workers=1):
     z1, b1, h1 = _gather(
         scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET, need_haw, workers
     )
-    table = None
-    if cfg.variant == detectors.MBLOCK_PRODUCT and not cfg.genie:
-        # one shared interpolant so both hypotheses see the same statistic map
-        all_blocks = np.concatenate([b0, b1])
-        positive = all_blocks[all_blocks > 0]
-        z_lo = float(positive.min()) if positive.size else 1e-12
-        table = detectors.table_for_config(cfg, z_lo, float(all_blocks.max()))
-    s0 = _statistics_from_raw(cfg, z0, b0, h0, table)
-    s1 = _statistics_from_raw(cfg, z1, b1, h1, table)
+    s0 = _statistics_from_raw(cfg, z0, b0, h0)
+    s1 = _statistics_from_raw(cfg, z1, b1, h1)
     if cfg.variant == detectors.MBLOCK_PRODUCT or cfg.genie:
         kind = "loglr"
         gamma_thr = cfg.log_gamma

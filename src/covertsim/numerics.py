@@ -1,5 +1,6 @@
-"""Log-domain density evaluation, adaptive quadrature for the mixture
-likelihoods, monotone root finding, and binomial confidence intervals.
+"""Log-domain density evaluation, one batched quadrature kernel for the
+mixture likelihoods, monotone root finding, and binomial confidence
+intervals.
 
 Everything here works on logarithms of positive quantities.  The likelihood
 ratios downstream span hundreds of orders of magnitude once the slot length
@@ -9,14 +10,12 @@ an unshifted exponent.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, ndtri, xlogy
 
 
 class NumericalError(RuntimeError):
@@ -29,34 +28,6 @@ class QuadratureError(NumericalError):
 
 class BisectionError(NumericalError):
     pass
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the adaptive Gauss-Legendre integrator.
-
-    ``rel_tol`` bounds the estimated relative error of the integral.
-    ``max_subdivisions`` caps the number of panel splits before the
-    integrator gives up.  ``initial_panels`` sets the uniform panel count
-    overlaid on the peak-centred seeds.  ``tail_log_drop`` is the truncation
-    rule for improper integrals: the seeded panels stop once the log
-    integrand has fallen this many nats below its peak, and the remaining
-    tail is covered by a single closing panel.
-    """
-
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 4000
-    initial_panels: int = 8
-    tail_log_drop: float = 60.0
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_subdivisions < 1 or self.initial_panels < 1:
-            raise ValueError("panel counts must be positive")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -104,216 +75,128 @@ def log_gamma_density(z, k, s):
     return out if np.ndim(out) else float(out)
 
 
-# 15-point Gauss-Legendre rule, the workhorse panel rule.
+# Gauss-Legendre panels in t = log v.  A row's coarse estimate uses _PANELS
+# panels and its value twice as many; a row whose two estimates differ by
+# more than _REL_TOL is redone once on four times as many, and raises if that
+# does not settle it.  The window closes where the exponent has fallen
+# _TAIL_DROP nats below its peak.  Rows go through in chunks of _CHUNK, which
+# bounds the memory of the node arrays.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_LOGW = np.log(_GL_W)
+_PANELS = 24
+_REL_TOL = 1e-10
+_TAIL_DROP = 60.0
+_CHUNK = 512
+_WINDOW_STEPS = 2.0 ** np.arange(1, 65) - 1.0  # edge offsets w, 3w, 7w, ...
 
 
-def _panel_estimate(log_f, a, b):
-    """log of the 15-point Gauss-Legendre estimate of int_a^b exp(log_f)."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GL_X
-    vals = log_f(x) + _GL_LOGW
-    m = np.max(vals)
-    if not np.isfinite(m):
-        return -math.inf
-    return float(m + math.log(np.sum(np.exp(vals - m))) + math.log(half))
+def _exponent_drop(s, k, p, q):
+    """phi(t0 + s) - phi(t0) for phi(t) = (1-k) t - z e^-t - r e^t, where
+    p = z e^-t0 and q = r e^t0; cancellation-free near the peak."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (1.0 - k) * s - p * np.expm1(-s) - q * np.expm1(s)
 
 
-def _log_abs_diff(la, lb):
-    """log |exp(la) - exp(lb)| without leaving the log domain."""
-    if la == lb:
-        return -math.inf
-    hi, lo = max(la, lb), min(la, lb)
-    if hi == -math.inf:
-        return -math.inf
-    if lo == -math.inf:
-        return hi
-    return hi + math.log(-math.expm1(lo - hi))
+def _window_edge(k, p, q, width, limit, side):
+    """The first of the offsets side*width*(1, 3, 7, ...) where the exponent
+    has dropped _TAIL_DROP nats below the peak, or the integration limit if
+    that comes first.  By concavity the exponent only falls further out."""
+    s = side * width[:, None] * _WINDOW_STEPS
+    s = np.maximum(s, limit[:, None]) if side < 0 else np.minimum(s, limit[:, None])
+    done = (s == limit[:, None]) | (_exponent_drop(s, k, p[:, None], q[:, None]) <= -_TAIL_DROP)
+    if not np.all(done.any(axis=1)):
+        raise QuadratureError("quadrature window did not close")
+    return s[np.arange(len(s)), done.argmax(axis=1)]
 
 
-def adaptive_log_quad(log_f, breakpoints, spec=DEFAULT_SPEC, what=""):
-    """log of int exp(log_f(u)) du over the union of [b_i, b_{i+1}] panels.
+def _panel_rule(panels, lo, hi, k, p, q):
+    """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
+    per row, each row summed on its own."""
+    h = (hi - lo) / panels
+    centres = lo[:, None] + h[:, None] * (np.arange(panels) + 0.5)
+    s = (centres[:, :, None] + 0.5 * h[:, None, None] * _GL_X).reshape(len(h), -1)
+    vals = _exponent_drop(s, k, p[:, None], q[:, None]) + np.tile(_GL_LOGW, panels)
+    top = vals.max(axis=1)
+    return np.log(0.5 * h) + top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
 
-    Panels are refined by bisection, worst estimated error first, until the
-    summed panel error drops below rel_tol times the integral.  log_f must
-    accept a numpy array and may return -inf where the integrand underflows.
+
+def _log_power_integral_rows(z, k, a, b, r):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
+        peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
+    v0 = np.clip(peak, a, b)
+    p, q = z / v0, r * v0
+    # the limits in t relative to the peak, exact for narrow windows
+    lo_limit, hi_limit = np.log1p((a - v0) / v0), np.log1p((b - v0) / v0)
+    with np.errstate(divide="ignore"):
+        width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
+    width = np.minimum(width, hi_limit - lo_limit)
+    lo = _window_edge(k, p, q, width, lo_limit, -1.0)
+    hi = _window_edge(k, p, q, width, hi_limit, 1.0)
+    coarse = _panel_rule(_PANELS, lo, hi, k, p, q)
+    fine = _panel_rule(2 * _PANELS, lo, hi, k, p, q)
+    # written so that NaN counts as unresolved
+    bad = ~(np.abs(np.expm1(coarse - fine)) <= _REL_TOL)
+    if np.any(bad):
+        idx = np.nonzero(bad)[0]
+        finer = _panel_rule(4 * _PANELS, lo[idx], hi[idx], k, p[idx], q[idx])
+        still = ~(np.abs(np.expm1(fine[idx] - finer)) <= _REL_TOL)
+        if np.any(still):
+            i = idx[np.argmax(still)]
+            raise QuadratureError(
+                f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
+                f" a={a[i]:g}, b={b:g}, r={r:g})"
+            )
+        fine[idx] = finer
+    return (1.0 - k) * np.log(v0) - p - q + fine
+
+
+def _log_power_integral(z, k, a, b, r):
+    """log of int_a^b v**-k * exp(-z/v - r*v) dv, elementwise over z and a.
+
+    z >= 0, k >= 1, 0 < a < b, r >= 0, and b is finite when r = 0.  The
+    substitution v = e^t makes the exponent strictly concave; panels sit on
+    a window around its analytic peak.  Each row is computed on its own, so
+    a z gives the same bytes alone or inside any batch.
     """
-    pts = np.asarray(breakpoints, dtype=float)
-    if pts.size < 2 or np.any(np.diff(pts) <= 0):
-        raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
-
-    # Panel record: (a, b, log_whole, log_left, log_right).  The refined
-    # value is logaddexp(left, right); whole is the single-panel estimate
-    # used for the error measure.
-    heap = []
-    tag = itertools.count()
-    shift = None
-    total_val = 0.0
-    total_err = 0.0
-
-    def make_panel(a, b, log_whole):
-        mid = 0.5 * (a + b)
-        left = _panel_estimate(log_f, a, mid)
-        right = _panel_estimate(log_f, mid, b)
-        refined = np.logaddexp(left, right)
-        err = _log_abs_diff(refined, log_whole)
-        return (a, b, float(refined), left, right, err)
-
-    panels = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        panels.append(make_panel(a, b, _panel_estimate(log_f, a, b)))
-
-    finite = [p[2] for p in panels if p[2] > -math.inf]
-    if not finite:
-        return -math.inf
-    shift = max(finite)
-
-    for p in panels:
-        total_val += math.exp(p[2] - shift)
-        total_err += math.exp(p[5] - shift) if p[5] > -math.inf else 0.0
-        heapq.heappush(heap, (-p[5], next(tag), p))
-
-    splits = 0
-    while total_err > spec.rel_tol * total_val:
-        if splits >= spec.max_subdivisions:
-            raise QuadratureError(
-                f"quadrature did not converge after {splits} subdivisions"
-                f" (relative error ~{total_err / max(total_val, 1e-300):.2e},"
-                f" target {spec.rel_tol:.1e}){' in ' + what if what else ''}"
-            )
-        neg_err, _, (a, b, refined, left, right, err) = heapq.heappop(heap)
-        if err == -math.inf or (b - a) < 1e-14 * max(1.0, abs(a)):
-            # Nothing refinable is left but the budget is unmet.
-            raise QuadratureError(
-                f"quadrature stalled on panel [{a}, {b}]"
-                f"{' in ' + what if what else ''}"
-            )
-        total_val -= math.exp(refined - shift)
-        total_err -= math.exp(err - shift)
-        mid = 0.5 * (a + b)
-        for child in (make_panel(a, mid, left), make_panel(mid, b, right)):
-            total_val += math.exp(child[2] - shift)
-            total_err += math.exp(child[5] - shift) if child[5] > -math.inf else 0.0
-            heapq.heappush(heap, (-child[5], next(tag), child))
-        splits += 2
-        if not math.isfinite(total_val):
-            # a refined panel dwarfing every seeded panel means the peak
-            # seeding failed; better to stop than to return garbage
-            raise QuadratureError(
-                f"panel bookkeeping overflowed on [{a}, {b}]"
-                f"{' in ' + what if what else ''}"
-            )
-
-    if total_val <= 0.0:
-        return -math.inf
-    return shift + math.log(total_val)
+    z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
+    out = np.empty(z.shape)
+    flat_z, flat_a, flat_out = z.ravel(), a.ravel(), out.reshape(-1)
+    for start in range(0, flat_z.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        flat_out[part] = _log_power_integral_rows(
+            flat_z[part], float(k), flat_a[part], float(b), float(r)
+        )
+    return out
 
 
-def _merge_breakpoints(lo, hi, seeds, uniform_panels):
-    pts = set(float(np.clip(s, lo, hi)) for s in seeds)
-    pts.update(np.linspace(lo, hi, uniform_panels + 1).tolist())
-    out = sorted(pts)
-    merged = [out[0]]
-    scale = max(abs(lo), abs(hi), 1e-30)
-    for p in out[1:]:
-        if p - merged[-1] > 1e-13 * scale:
-            merged.append(p)
-    if merged[-1] < hi:
-        merged.append(hi)
-    return merged
-
-
-def log_integral_block(z, k, v0, zeta, spec=DEFAULT_SPEC):
+def log_integral_block(z, k, v0, zeta):
     """log of int_{v0}^inf v**(-k) * exp(-z/v) * exp(-v/zeta) dv.
 
     This is the building block of the fading-jammer likelihoods: the scale
     variable v is the per-sample received power, averaged over an exponential
-    jam-power prior with mean zeta, above the floor v0.
-
-    The improper upper limit is removed by the substitution
-    v = v0 + zeta*u/(1-u), which maps [v0, inf) onto [0, 1) and makes the
-    exponential tail polynomially flat in u.  The integrand exponent is
-    evaluated in shifted log form, so k up to 1e6 is fine.
+    jam-power prior with mean zeta, above the floor v0.  Vectorized over z;
+    v0 broadcasts against z.  k up to 1e6 is fine.
     """
-    if z < 0:
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0):
         raise ValueError(f"z must be nonnegative, got {z}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if v0 <= 0 or zeta <= 0:
+    if np.any(np.asarray(v0) <= 0) or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
-    z = float(z)
-    k = float(k)
-    v0 = float(v0)
-    zeta = float(zeta)
-
-    def log_phi(v):
-        # exponent of the integrand in the original variable
-        if z == 0.0:
-            return -k * np.log(v) - v / zeta
-        return -k * np.log(v) - z / v - v / zeta
-
-    # Interior maximum of the exponent: v*^2/zeta + k*v* - z = 0
-    # (from d/dv of the exponent), clamped to the lower limit.
-    disc = (k * zeta) ** 2 + 4.0 * zeta * z
-    v_star = 0.5 * (-k * zeta + math.sqrt(disc))
-    v_star = max(v_star, v0)
-    curv = k / v_star**2 - 2.0 * z / v_star**3
-    if curv < 0.0:
-        width = 1.0 / math.sqrt(-curv)
-    else:
-        slope = -k / v_star + z / v_star**2 - 1.0 / zeta
-        width = 1.0 / max(abs(slope), 1.0 / zeta)
-    width = min(width, 10.0 * zeta + v_star)
-
-    # Map scale tracking the peak location keeps the transformed integrand
-    # well conditioned even when z puts the peak far above v0.
-    scale = max(zeta, v_star - v0 + width)
-
-    def log_f(u):
-        t = 1.0 - u
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            v = v0 + scale * u / t
-            out = log_phi(v) + math.log(scale) - 2.0 * np.log(t)
-        out = np.where(t <= 0.0, -np.inf, out)
-        return out
-
-    peak_log = float(log_phi(np.asarray(v_star)))
-    seeds_v = [v0, v_star]
-    step = width
-    v = v_star
-    while v - step > v0 * (1 + 1e-12):
-        v -= step
-        seeds_v.append(v)
-        step *= 2.0
-    v = v_star
-    step = width
-    while True:
-        v += step
-        seeds_v.append(v)
-        step *= 2.0
-        if float(log_phi(np.asarray(v))) < peak_log - spec.tail_log_drop or len(seeds_v) > 80:
-            break
-
-    def u_of(vv):
-        return (vv - v0) / (vv - v0 + scale)
-
-    seeds_u = [u_of(vv) for vv in seeds_v if vv >= v0]
-    pts = _merge_breakpoints(0.0, 1.0, seeds_u, spec.initial_panels)
-    return adaptive_log_quad(
-        log_f, pts, spec, what=f"block integral (z={z:g}, k={k:g}, v0={v0:g}, zeta={zeta:g})"
-    )
+    out = _log_power_integral(z_arr, k, v0, math.inf, 1.0 / zeta)
+    return out if out.ndim else float(out)
 
 
-def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width,
-                                spec=DEFAULT_SPEC):
+def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     """log mixture density of the total power z under a uniform power prior.
 
     Computes log[(1/zeta_width) * int_{theta_lo}^{theta_hi}
     GammaPdf(z; shape n, scale sigma_w2 + theta) dtheta]: the density of a
     total-power statistic over n complex samples whose extra per-sample
     power theta is uniform on [theta_lo, theta_hi] with density
-    1/zeta_width.
+    1/zeta_width.  Vectorized over z.
     """
     if not theta_hi > theta_lo >= 0:
         raise ValueError("need theta_hi > theta_lo >= 0")
@@ -321,25 +204,15 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width,
         raise ValueError("zeta_width must be positive")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
-    if z < 0:
+    z_arr = np.asarray(z, dtype=float)
+    if np.any(z_arr < 0):
         raise ValueError("z must be nonnegative")
-    z = float(z)
-
-    def log_f(theta):
-        return log_gamma_density(z, n, sigma_w2 + theta)
-
-    # Gamma density peaks in the scale parameter at scale = z/n.
-    theta_star = min(max(z / n - sigma_w2, theta_lo), theta_hi)
-    width = (sigma_w2 + theta_star) / math.sqrt(n)
-    seeds = []
-    for j in (-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0):
-        seeds.append(theta_star + j * width)
-    pts = _merge_breakpoints(theta_lo, theta_hi, seeds, spec.initial_panels)
-    val = adaptive_log_quad(
-        log_f, pts, spec,
-        what=f"uniform mixture (z={z:g}, n={n:g}, window=[{theta_lo:g},{theta_hi:g}])",
+    # GammaPdf(z; n, v) = z**(n-1) v**-n exp(-z/v) / Gamma(n), with v = sigma_w2 + theta
+    out = (
+        xlogy(n - 1.0, z_arr) - gammaln(n) - math.log(zeta_width)
+        + _log_power_integral(z_arr, n, sigma_w2 + theta_lo, sigma_w2 + theta_hi, 0.0)
     )
-    return val - math.log(zeta_width)
+    return out if out.ndim else float(out)
 
 
 def bisect_monotone(f, target, bracket, tol, max_iter=200):

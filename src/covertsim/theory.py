@@ -164,41 +164,27 @@ def check_lrt_monotone(cfg, grid=GridSpec(), tol=1e-9):
     zeta), and one report is returned per axis.
     """
     xs = grid.values()
-    if cfg.variant == detectors.AWGN_UNIFORM:
-        zs = xs * cfg.n
-        vals = np.array([detectors.log_lrt_awgn(z, cfg) for z in zs])
-        worst, at, ok = _relative_violations(xs, vals, tol)
-        return [MonotonicityReport(0, grid.lo, grid.hi, grid.points, worst, at, tol, ok)]
-    if cfg.variant == detectors.M1_EXPONENTIAL:
-        zs = xs * cfg.n
-        vals = np.array([detectors.log_lrt_m1(z, cfg) for z in zs])
-        worst, at, ok = _relative_violations(xs, vals, tol)
+    if cfg.variant != detectors.MBLOCK_PRODUCT:
+        lrt = (detectors.log_lrt_awgn if cfg.variant == detectors.AWGN_UNIFORM
+               else detectors.log_lrt_m1)
+        worst, at, ok = _relative_violations(xs, lrt(xs * cfg.n, cfg), tol)
         return [MonotonicityReport(0, grid.lo, grid.hi, grid.points, worst, at, tol, ok)]
 
     k = cfg.block_size
     sa = np.asarray(cfg.sigma_a2)
     if sa.ndim != 0:
         raise ConfigError("monotonicity grids expect a common per-block signal power")
-    cache = {}
-
-    def term(z):
-        if z not in cache:
-            cache[z] = detectors.log_lrt_block_term(
-                z, k, cfg.sigma_w2, float(sa), cfg.zeta, cfg.spec
-            )
-        return cache[z]
-
     fixed = k * (cfg.sigma_w2 + cfg.zeta)
+    terms = detectors.log_lrt_block_term(
+        np.append(xs * k, fixed), k, cfg.sigma_w2, float(sa), cfg.zeta
+    )
     reports = []
     for axis in range(cfg.M):
-        vals = []
-        for x in xs:
-            Z = np.full(cfg.M, fixed)
-            Z[axis] = x * k
-            # each per-block term carries its own sigma_a2/zeta offset, so
-            # their plain sum is the full log LRT
-            vals.append(float(np.sum([term(z) for z in Z])))
-        worst, at, ok = _relative_violations(xs, np.asarray(vals), tol)
+        # each per-block term carries its own sigma_a2/zeta offset, so their
+        # plain sum is the full log LRT
+        grid_terms = np.full((xs.size, cfg.M), terms[-1])
+        grid_terms[:, axis] = terms[:-1]
+        worst, at, ok = _relative_violations(xs, detectors._ltr_sum(grid_terms), tol)
         reports.append(
             MonotonicityReport(axis, grid.lo, grid.hi, grid.points, worst, at, tol, ok)
         )
@@ -225,16 +211,6 @@ def delta_for_boundary_mass(epsilon, M, zeta):
     return epsilon * zeta / (2.0 * M)
 
 
-def _block_term_fn(cfg):
-    sa = float(np.asarray(cfg.sigma_a2))
-    k = cfg.block_size
-
-    def term(z):
-        return detectors.log_lrt_block_term(z, k, cfg.sigma_w2, sa, cfg.zeta, cfg.spec)
-
-    return term
-
-
 def boundary_root(cfg, x_others, axis, log_gamma, tol=1e-10, max_expand=25):
     """The normalized power on one axis putting the statistic on the decision
     boundary, with the other components fixed; None when no such point exists.
@@ -250,9 +226,13 @@ def boundary_root(cfg, x_others, axis, log_gamma, tol=1e-10, max_expand=25):
     x_others = np.asarray(x_others, dtype=float)
     if x_others.shape != (cfg.M - 1,):
         raise ConfigError(f"expected {cfg.M - 1} fixed components, got {x_others.shape}")
-    term = _block_term_fn(cfg)
     k = cfg.block_size
-    offset = float(np.sum([term(k * x) for x in x_others]))
+    sa = float(np.asarray(cfg.sigma_a2))
+
+    def term(z):
+        return detectors.log_lrt_block_term(z, k, cfg.sigma_w2, sa, cfg.zeta)
+
+    offset = detectors._ltr_sum(term(k * x_others))
 
     def f(x):
         return term(k * x) + offset
@@ -307,7 +287,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
     test: by componentwise monotonicity, the max-metric delta-cube around x
     meets the boundary iff the log LRT changes sign between the cube's
     lower and upper corners.  A subset of draws is cross-checked against
-    per-axis root finding on the exact quadrature path.
+    per-axis root finding.
     """
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         raise ConfigError("boundary mass is defined for the multi-block detector")
@@ -321,50 +301,23 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
     sigma_j2 = rng.exponential(cfg.zeta, size=(draws, M))
     x = cfg.sigma_w2 + sigma_j2
 
-    z_lo_arr = k * np.clip(x - delta, 0.0, None)
-    z_hi_arr = k * (x + delta)
-    table = detectors.table_for_config(
-        cfg, max(float(z_lo_arr.min()), 1e-12), float(z_hi_arr.max())
-    )
-
-    failures = 0
-    lo_stat = np.empty(draws)
-    hi_stat = np.empty(draws)
-    for i in range(draws):
-        try:
-            # block terms already carry their sigma_a2/zeta offsets
-            lo_stat[i] = float(np.sum(table(z_lo_arr[i])))
-            hi_stat[i] = float(np.sum(table(z_hi_arr[i])))
-        except NumericalError:
-            failures += 1
-            lo_stat[i] = np.nan
-            hi_stat[i] = np.nan
-    if failures > 0.001 * draws:
-        raise NumericalError(
-            f"boundary mass run invalid: {failures} of {draws} draws failed"
-        )
-
-    valid = ~np.isnan(lo_stat)
-    in_region = np.zeros(draws, dtype=bool)
-    in_region[valid] = (lo_stat[valid] < log_gamma) & (log_gamma < hi_stat[valid])
-    n_valid = int(np.count_nonzero(valid))
-    hits = int(np.count_nonzero(in_region[valid]))
-    mass = hits / n_valid
-    ci = wilson_interval(hits, n_valid, confidence)
+    # the statistic at the lower and upper corners of each draw's delta-cube
+    lo_stat = detectors.log_lrt_mblock(k * np.clip(x - delta, 0.0, None), cfg)
+    hi_stat = detectors.log_lrt_mblock(k * (x + delta), cfg)
+    in_region = (lo_stat < log_gamma) & (log_gamma < hi_stat)
+    hits = int(np.count_nonzero(in_region))
+    mass = hits / draws
+    ci = wilson_interval(hits, draws, confidence)
 
     # cross-check the corner test against per-axis root finding: a root
     # within delta on any single axis certifies membership, so every such
     # draw must also test positive (the converse does not hold; the cube can
     # meet the boundary diagonally without any single-axis crossing).
-    # Disagreements are re-judged on the direct quadrature path, since the
-    # tabulated corners carry interpolation error on borderline draws.
-    term = _block_term_fn(cfg)
+    failures = 0
     mismatches = 0
     points = []
     n_spot = min(spot_checks, draws)
     for i in range(n_spot):
-        if not valid[i]:
-            continue
         axis_hit = False
         for axis in range(M):
             others = np.delete(x[i], axis)
@@ -380,17 +333,14 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
                 if abs(root - x[i, axis]) < delta * (1.0 - 1e-9):
                     axis_hit = True
         if axis_hit and not in_region[i]:
-            lo_d = float(np.sum([term(v) for v in z_lo_arr[i]]))
-            hi_d = float(np.sum([term(v) for v in z_hi_arr[i]]))
-            if not lo_d < log_gamma < hi_d:
-                mismatches += 1
+            mismatches += 1
     if mismatches:
         raise NumericalError(
             f"corner sign test disagreed with per-axis roots on {mismatches} draws"
         )
 
     region = BoundaryRegion(
-        M=M, n=cfg.n, delta=delta, log_gamma=log_gamma, draws=n_valid,
+        M=M, n=cfg.n, delta=delta, log_gamma=log_gamma, draws=draws,
         failures=failures, mass=mass, ci=ci,
         analytic_bound=2.0 * M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covertsim import detectors, model, synth
+from covertsim import model, synth
 from covertsim.detectors import (
     AWGN_UNIFORM,
     M1_EXPONENTIAL,
@@ -202,35 +202,6 @@ class TestThresholdInversion:
         grid_best = zs[np.argmin(np.abs(vals - cfg.log_gamma))]
         root = lrt_power_threshold(cfg, zs[0], zs[-1])
         assert abs(root - grid_best) <= (zs[1] - zs[0])
-
-
-class TestBlockTable:
-    def test_matches_direct_path(self):
-        cfg = mblock_cfg(n=400, M=4)
-        table = detectors.table_for_config(cfg, 20.0, 2000.0)
-        rng = np.random.default_rng(3)
-        zs = np.exp(rng.uniform(math.log(25.0), math.log(1900.0), size=50))
-        direct = np.array([
-            log_lrt_block_term(z, cfg.block_size, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
-            for z in zs
-        ])
-        got = table(zs)
-        assert np.max(np.abs(got - direct)) < 1e-7
-
-    def test_out_of_range_falls_back(self):
-        cfg = mblock_cfg(n=400, M=4)
-        table = detectors.table_for_config(cfg, 50.0, 500.0)
-        z = 5000.0
-        direct = log_lrt_block_term(z, cfg.block_size, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
-        assert table(z) == direct
-
-    def test_rejects_vector_signal_power(self):
-        cfg = LrtConfig(
-            variant=MBLOCK_PRODUCT, n=200, M=2, sigma_w2=1.0, zeta=1.0,
-            sigma_a2=np.array([0.01, 0.02]), log_gamma=0.0,
-        )
-        with pytest.raises(ConfigError):
-            detectors.table_for_config(cfg, 1.0, 10.0)
 
 
 class TestConfigDispatch:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +11,6 @@ from covertsim.numerics import (
     BisectionError,
     LogDensity,
     QuadratureError,
-    QuadratureSpec,
-    adaptive_log_quad,
     bisect_monotone,
     log_gamma_density,
     log_integral_block,
@@ -134,14 +131,6 @@ class TestLogIntegralBlock:
         vals = [log_integral_block(z, 5.0, 1.0, 1.0) for z in zs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_invariant_under_panel_doubling(self):
-        spec = numerics.DEFAULT_SPEC
-        doubled = replace(spec, initial_panels=2 * spec.initial_panels)
-        for z, k in [(0.0, 1.0), (50.0, 10.0), (3e4, 1600.0), (2e6, 200.0)]:
-            a = log_integral_block(z, k, 1.0, 1.0, spec)
-            b = log_integral_block(z, k, 1.0, 1.0, doubled)
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
-
     def test_huge_exponents_stay_finite(self):
         val = log_integral_block(2e6, 1e6, 1.0, 1.0)
         assert math.isfinite(val)
@@ -182,29 +171,82 @@ class TestMixtureDensity:
             log_mixture_density_uniform(-1.0, 4, 1.0, 0.0, 1.0, 1.0)
 
 
-class TestAdaptiveQuad:
-    def test_gaussian_mass(self):
-        log_f = lambda u: -0.5 * (u - 0.3) ** 2 / 0.01**2
-        got = adaptive_log_quad(log_f, np.linspace(0.0, 1.0, 9))
-        expected = math.log(0.01 * math.sqrt(2.0 * math.pi))
-        assert got == pytest.approx(expected, rel=1e-9)
+def mp_log_quad(log_f, lo, hi, peak, scale):
+    """log of int_lo^hi exp(log_f(v)) dv by mp.quad at 50 digits, split at
+    the peak and at 1 to 60 scales either side of it."""
+    with mp.workdps(50):
+        lo, hi, peak, scale = (mp.mpf(x) for x in (lo, hi, peak, scale))
+        ref = log_f(peak)
+        pts = {lo, hi, peak}
+        for j in (1, 3, 8, 20, 60):
+            pts.update(p for p in (peak - j * scale, peak + j * scale) if lo < p < hi)
+        return float(ref + mp.log(mp.quad(lambda v: mp.exp(log_f(v) - ref), sorted(pts))))
 
-    def test_empty_integrand(self):
-        log_f = lambda u: np.full(np.shape(u), -np.inf)
-        assert adaptive_log_quad(log_f, [0.0, 1.0]) == -math.inf
 
-    def test_non_convergence_raises(self):
-        # integrable singularity; a starved subdivision budget must fail loudly
-        log_f = lambda u: -0.97 * np.log(np.abs(u - 0.317399))
-        spec = QuadratureSpec(rel_tol=1e-10, max_subdivisions=8)
+def mp_block_integral(z, k, v0, zeta):
+    with mp.workdps(50):
+        z, k, v0, zeta = (mp.mpf(x) for x in (z, k, v0, zeta))
+        peak = max((-k * zeta + mp.sqrt((k * zeta) ** 2 + 4 * zeta * z)) / 2, v0)
+        return mp_log_quad(lambda v: -k * mp.log(v) - z / v - v / zeta,
+                           v0, mp.inf, peak, min(peak / mp.sqrt(k), zeta))
+
+
+def mp_mixture_density(z, n, sw2, lo, hi, width):
+    with mp.workdps(50):
+        z, n, sw2 = mp.mpf(z), mp.mpf(n), mp.mpf(sw2)
+
+        def log_f(theta):
+            s = sw2 + theta
+            return (n - 1) * mp.log(z) - z / s - mp.loggamma(n) - n * mp.log(s)
+
+        peak = min(max(z / n - sw2, mp.mpf(lo)), mp.mpf(hi))
+        return mp_log_quad(log_f, lo, hi, peak, (sw2 + peak) / mp.sqrt(n)) - math.log(width)
+
+
+class TestPowerIntegral:
+    """The batched kernel behind both mixture integrals."""
+
+    @pytest.mark.parametrize("z, k", [
+        (0.6e4, 1e4), (2.2e4, 1e4),  # deep tails at k = 1e4
+        (0.0, 1e6), (2e6, 1e6),
+        (0.0, 1.0), (50.0, 10.0), (3e4, 1600.0), (2e6, 200.0),
+    ])
+    def test_block_integral_matches_mpmath(self, z, k):
+        got = log_integral_block(z, k, 1.0, 1.0)
+        want = mp_block_integral(z, k, 1.0, 1.0)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("z, n, lo", [
+        (0.6e4, 1e4, 0.0), (2.2e4, 1e4, 0.0), (0.6e4, 1e4, 0.025), (2.2e4, 1e4, 0.025),
+        (12.0, 10, 0.2), (0.5, 3, 0.0),
+    ])
+    def test_mixture_density_matches_mpmath(self, z, n, lo):
+        got = log_mixture_density_uniform(z, n, 1.0, lo, lo + 1.0, 1.0)
+        want = mp_mixture_density(z, n, 1.0, lo, lo + 1.0, 1.0)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_batch_matches_single_evaluation(self):
+        # a z gives the same bytes alone and inside a batch that crosses a
+        # chunk boundary, also with per-row lower limits
+        rng = np.random.default_rng(11)
+        size = numerics._CHUNK + 37
+        zs = rng.permutation(np.concatenate([rng.uniform(0.0, 3e3, size - 3), [0.0, 130.0, 2e5]]))
+        v0 = rng.uniform(1.0, 1.1, size)
+        batch = log_integral_block(zs, 100, v0, 1.0)
+        alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
+        assert batch.tobytes() == np.array(alone).tobytes()
+        mix = log_mixture_density_uniform(zs, 100, 1.0, 0.025, 1.025, 1.0)
+        alone = [log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0) for z in zs]
+        assert mix.tobytes() == np.array(alone).tobytes()
+
+    def test_unresolved_row_raises(self, monkeypatch):
+        # one coarse panel cannot resolve the peak; doubling once must not
+        # be enough, and the row fails loudly instead of returning NaN
+        monkeypatch.setattr(numerics, "_PANELS", 1)
         with pytest.raises(QuadratureError):
-            adaptive_log_quad(log_f, [0.0, 1.0], spec)
-
-    def test_bad_breakpoints(self):
-        with pytest.raises(ValueError):
-            adaptive_log_quad(lambda u: u, [0.0])
-        with pytest.raises(ValueError):
-            adaptive_log_quad(lambda u: u, [1.0, 0.0])
+            log_integral_block(np.array([0.0, 50.0]), 10.0, 1.0, 1.0)
+        with pytest.raises(QuadratureError):
+            log_mixture_density_uniform(6e3, 1e4, 1.0, 0.0, 1.0, 1.0)
 
 
 class TestBisect:
