@@ -47,15 +47,12 @@ def main():
     ap.add_argument("--eps", type=float, default=0.1)
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", default="results")
     args = ap.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
     for name, (scenario, n_list) in build_scenarios().items():
-        curve = harness.covertness_curve(
-            scenario, args.eps, n_list, args.trials, args.seed, workers=args.workers
-        )
+        curve = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
         path = os.path.join(args.out, f"curve_{name}.csv")
         harness.write_curve_csv(path, curve)
         print(f"{name} (P_f = {curve.scenario['P_f']:g}):")

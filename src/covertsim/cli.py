@@ -1,7 +1,8 @@
 """Command-line front end: parse a scenario config, run an experiment, emit
 CSV/JSON artifacts.
 
-Exit codes: 0 success, 2 usage or config problem, 3 numerical failure.
+Exit codes: 0 success, 2 usage or config problem (any ValueError, such as an
+out-of-range argument), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -78,15 +79,13 @@ def _add_common(p):
                    help="run seed (default: COVERTSIM_SEED env or 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel trial workers (does not change results)")
+                   help="accepted for compatibility; must be >= 1 and changes nothing")
 
 
 def cmd_covertness(args):
     scenario, digest = _load(args.config)
     n_list = _parse_n_list(args.n_list) if args.n_list else [scenario.slots.n]
-    curve = harness.covertness_curve(
-        scenario, args.eps, n_list, args.trials, args.seed, workers=args.workers
-    )
+    curve = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
     out_csv = os.path.join(args.out, "curve.csv")
     harness.write_curve_csv(out_csv, curve)
     _manifest(args.out, "covertness", scenario, args.seed, digest, [out_csv],
@@ -100,8 +99,7 @@ def cmd_covertness(args):
 def cmd_roc(args):
     scenario, digest = _load(args.config)
     cfg = detectors.config_for_scenario(scenario)
-    ss = harness.collect_statistics(scenario, cfg, args.trials, args.seed,
-                                    workers=args.workers)
+    ss = harness.collect_statistics(scenario, cfg, args.trials, args.seed)
     pooled = np.unique(np.concatenate([ss.stats_h0, ss.stats_h1]))
     if len(pooled) > args.grid_points:
         idx = np.linspace(0, len(pooled) - 1, args.grid_points).astype(int)
@@ -304,7 +302,7 @@ def main(argv=None):
             raise ConfigError("--workers must be >= 1")
         os.makedirs(args.out, exist_ok=True)
         return args.fn(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -1,15 +1,14 @@
 """Monte Carlo estimation of the warden's error probabilities.
 
-Trials are independent work items keyed by (seed, trial index); partitioning
-them across worker processes cannot change any result.  Threshold sweeps and
-the best-threshold search run on a shared sample set (common random numbers),
-so the reported operating curves are exactly monotone rather than monotone in
-expectation.
+Each hypothesis draws the block powers of all its trials at once from
+substreams keyed by (seed, hypothesis, purpose), row t being trial t.
+Threshold sweeps and the best-threshold search run on a shared sample set
+(common random numbers), so the reported operating curves are exactly
+monotone rather than monotone in expectation.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -75,53 +74,6 @@ class CovertnessCurve:
 # statistic gathering
 
 
-def _gather_range(scenario, hypothesis, seed, start, count, need_haw):
-    M = scenario.slots.M
-    z = np.empty(count)
-    blocks = np.empty((count, M))
-    haw2 = np.empty((count, M)) if need_haw else None
-    for j in range(count):
-        rng = synth.TrialRng(seed, start + j)
-        obs = synth.synthesize_willie_slot(scenario, hypothesis, rng)
-        bp = detectors.block_powers(obs, M)
-        blocks[j] = bp
-        z[j] = detectors._ltr_sum(bp)
-        if need_haw:
-            h = obs.latents.fading.get("aw")
-            if h is None:
-                raise ConfigError("genie statistics need a faded transmitter-to-warden link")
-            haw2[j] = np.abs(h) ** 2
-    return z, blocks, haw2
-
-
-def _gather(scenario, hypothesis, trials, seed, trial0, need_haw, workers):
-    if workers <= 1 or trials < 4:
-        return _gather_range(scenario, hypothesis, seed, trial0, trials, need_haw)
-    chunk = max(1, math.ceil(trials / (4 * workers)))
-    starts = list(range(0, trials, chunk))
-    M = scenario.slots.M
-    z = np.empty(trials)
-    blocks = np.empty((trials, M))
-    haw2 = np.empty((trials, M)) if need_haw else None
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                _gather_range, scenario, hypothesis, seed, trial0 + s,
-                min(chunk, trials - s), need_haw,
-            ): s
-            for s in starts
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            s = futures[fut]
-            zc, bc, hc = fut.result()
-            sl = slice(s, s + len(zc))
-            z[sl] = zc
-            blocks[sl] = bc
-            if need_haw:
-                haw2[sl] = hc
-    return z, blocks, haw2
-
-
 @dataclass
 class SampleSet:
     """Shared per-hypothesis statistics for one (scenario, cfg, seed)."""
@@ -150,7 +102,7 @@ def _check_match(scenario, cfg):
 
 
 def _statistics_from_raw(cfg, z, blocks, haw2):
-    """Reduce gathered trial data to the detector's scalar statistic."""
+    """Reduce sampled block powers and their row sums z to the statistic."""
     if not (cfg.genie or cfg.variant == detectors.MBLOCK_PRODUCT):
         return z / cfg.n
     sa = haw2 * float(np.asarray(cfg.sigma_a2)) if cfg.genie else None
@@ -182,15 +134,15 @@ def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
     return bisect_monotone(f, cfg.log_gamma, (lo, hi), tol=tol)
 
 
-def collect_statistics(scenario, cfg, trials, seed, workers=1):
+def collect_statistics(scenario, cfg, trials, seed):
     """Per-trial detector statistics for `trials` H0 trials and `trials`
     H1 trials, deterministic in (seed, trial index)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     _check_match(scenario, cfg)
-    need_haw = cfg.genie
-    z0, b0, h0 = _gather(scenario, synth.H0, trials, seed, 0, need_haw, workers)
-    z1, b1, h1 = _gather(
-        scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET, need_haw, workers
-    )
+    b0, h0 = synth.sample_block_powers(scenario, synth.H0, trials, seed, 0)
+    b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET)
+    z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)
     s0 = _statistics_from_raw(cfg, z0, b0, h0)
     s1 = _statistics_from_raw(cfg, z1, b1, h1)
     if cfg.variant == detectors.MBLOCK_PRODUCT or cfg.genie:
@@ -248,14 +200,12 @@ def _best_threshold(s0, s1, extra_candidates):
     return float(cands[best]), float(sums[best]), len(cands)
 
 
-def willie_min_error(scenario, cfg, trials, seed, workers=1, confidence=0.95):
+def willie_min_error(scenario, cfg, trials, seed, confidence=0.95):
     """Search every empirical threshold (plus the LRT's own gamma point) for
     the minimum P_FA + P_MD, then re-estimate at the winner on held-out
     trials to remove the selection bias of the empirical minimum.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ss = collect_statistics(scenario, cfg, trials, seed, workers)
+    ss = collect_statistics(scenario, cfg, trials, seed)
     n_search = trials - trials // 2
     s0_search, s0_hold = ss.stats_h0[:n_search], ss.stats_h0[n_search:]
     s1_search, s1_hold = ss.stats_h1[:n_search], ss.stats_h1[n_search:]
@@ -272,8 +222,8 @@ def willie_min_error(scenario, cfg, trials, seed, workers=1, confidence=0.95):
     )
 
 
-def covertness_curve(scenario, epsilon, n_list, trials, seed, workers=1,
-                     confidence=0.95, P_f=None):
+def covertness_curve(scenario, epsilon, n_list, trials, seed, confidence=0.95,
+                     P_f=None):
     """Best-threshold error sums across slot lengths at one constant covert
     power chosen by the selection recipe for this scenario (or forced with
     the P_f override)."""
@@ -287,7 +237,7 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed, workers=1,
     for n in n_list:
         sc = model.with_updates(base, n=n)
         cfg = detectors.config_for_scenario(sc)
-        res = willie_min_error(sc, cfg, trials, seed, workers, confidence)
+        res = willie_min_error(sc, cfg, trials, seed, confidence)
         lo, hi = res.rates.ci_sum
         rows.append(CovertnessRow(
             n=n, threshold=res.threshold, min_sum=res.rates.sum,

@@ -120,14 +120,15 @@ def _panel_rule(panels, lo, hi, k, p, q):
     return np.log(0.5 * h) + top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
 
 
-def _log_power_integral_rows(z, k, a, b, r):
+def _log_power_integral_rows(z, k, a, w, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
         peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
-    v0 = np.clip(peak, a, b)
+    v0 = np.clip(peak, a, a + w)
+    c = v0 - a
     p, q = z / v0, r * v0
-    # the limits in t relative to the peak, exact for narrow windows
-    lo_limit, hi_limit = np.log1p((a - v0) / v0), np.log1p((b - v0) / v0)
+    # the limits in t relative to the peak; c is exact when v0 is near a
+    lo_limit, hi_limit = np.log1p(-c / v0), np.log1p((w - c) / v0)
     with np.errstate(divide="ignore"):
         width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
     width = np.minimum(width, hi_limit - lo_limit)
@@ -145,19 +146,19 @@ def _log_power_integral_rows(z, k, a, b, r):
             i = idx[np.argmax(still)]
             raise QuadratureError(
                 f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
-                f" a={a[i]:g}, b={b:g}, r={r:g})"
+                f" a={a[i]:g}, w={w:g}, r={r:g})"
             )
         fine[idx] = finer
     return (1.0 - k) * np.log(v0) - p - q + fine
 
 
-def _log_power_integral(z, k, a, b, r):
-    """log of int_a^b v**-k * exp(-z/v - r*v) dv, elementwise over z and a.
+def _log_power_integral(z, k, a, w, r):
+    """log of int_a^(a+w) v**-k * exp(-z/v - r*v) dv, elementwise over z and a.
 
-    z >= 0, k >= 1, 0 < a < b, r >= 0, and b is finite when r = 0.  The
-    substitution v = e^t makes the exponent strictly concave; panels sit on
-    a window around its analytic peak.  Each row is computed on its own, so
-    a z gives the same bytes alone or inside any batch.
+    z >= 0, k >= 1, a > 0, w > 0 (finite when r = 0), r >= 0; a narrow range
+    keeps its accuracy as no rounded a + w enters the limits.  With v = e^t
+    the exponent is strictly concave; panels sit around its analytic peak.
+    Each row is computed alone, so a z gives the same bytes in any batch.
     """
     z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
     out = np.empty(z.shape)
@@ -165,7 +166,7 @@ def _log_power_integral(z, k, a, b, r):
     for start in range(0, flat_z.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         flat_out[part] = _log_power_integral_rows(
-            flat_z[part], float(k), flat_a[part], float(b), float(r)
+            flat_z[part], float(k), flat_a[part], float(w), float(r)
         )
     return out
 
@@ -210,7 +211,7 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     # GammaPdf(z; n, v) = z**(n-1) v**-n exp(-z/v) / Gamma(n), with v = sigma_w2 + theta
     out = (
         xlogy(n - 1.0, z_arr) - gammaln(n) - math.log(zeta_width)
-        + _log_power_integral(z_arr, n, sigma_w2 + theta_lo, sigma_w2 + theta_hi, 0.0)
+        + _log_power_integral(z_arr, n, sigma_w2 + theta_lo, theta_hi - theta_lo, 0.0)
     )
     return out if out.ndim else float(out)
 

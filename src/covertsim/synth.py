@@ -1,9 +1,9 @@
-"""Random generation of codewords, jamming signals, fading coefficients, and
-the warden's observation of the slot of interest under both hypotheses.
+"""Random generation of the warden's observation of the slot of interest.
 
-Randomness is counter-based: every (trial, purpose) pair owns a Philox
-substream derived from the run seed, so serial and parallel runs produce
-bit-identical observations.
+``sample_block_powers`` draws the per-block received powers, all that the
+detectors read, from their exact law; ``synthesize_willie_slot`` builds the
+waveform behind that law and is kept as the reference the sampler is tested
+against.  Every (trial, purpose) pair owns a Philox substream of the seed.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ def substream(seed, trial, purpose):
     The pair goes into the high words of the 256-bit Philox counter, with
     the word between them held at 0 so that every stream keeps its values
     across releases; the generator itself only ever advances the low word,
-    so substreams cannot overlap and any partition of trials across workers
-    draws the same values.
+    so substreams cannot overlap.
     """
     bitgen = np.random.Philox(
         counter=[_U64(0), _U64(int(trial) % 2**64), _U64(0), _U64(purpose)],
@@ -170,3 +169,39 @@ def synthesize_willie_slot(scenario, hypothesis, rng):
         latents.fading["aw"] = sample_fading(M, rng.stream(FADE_AW))
 
     return Observation(samples=samples, M=M, latents=latents)
+
+
+def sample_block_powers(scenario, hypothesis, trials, seed, trial0):
+    """Block powers of `trials` warden observations, shape (trials, M), and
+    |h_aw|^2 of the same shape when that link fades (drawn under H0 too, for
+    genie statistics), else None.
+
+    Given the jam power P_t and the fading, Z_m = v_m * Gamma(n/M, 1) exactly,
+    with v_m = sigma_w2 + g_jw |h_jw,m|^2 P_t + [H1] g_aw |h_aw,m|^2 P_f.  Each
+    purpose is drawn once from substream(seed, trial0, purpose); row t is
+    trial t.
+    """
+    if hypothesis not in (H0, H1):
+        raise ValueError(f"hypothesis must be {H0} or {H1}")
+    M = scenario.slots.M
+    g = scenario.geometry
+    shape = (trials, M)
+
+    def power_gains(link, purpose):
+        # |h|^2 per block: standard exponential on a faded link, 1 otherwise
+        if scenario.channels.kind(link) == FADING:
+            return substream(seed, trial0, purpose).standard_exponential(shape)
+        return np.ones(shape)
+
+    if scenario.jammer.kind == UNIFORM_PER_SLOT:
+        p_t = substream(seed, trial0, JAMMER).uniform(0.0, scenario.jammer.power, trials)
+    else:  # constant power; the scenario has validated the kind
+        p_t = np.full(trials, float(scenario.jammer.power))
+    v = scenario.noise.sigma_w2 + power_gains("jw", FADE_JW) * (
+        p_t[:, None] * path_gain(g.d_jw, g.alpha)
+    )
+    haw2 = power_gains("aw", FADE_AW)
+    if hypothesis == H1:
+        v = v + haw2 * (scenario.P_f * path_gain(g.d_aw, g.alpha))
+    blocks = substream(seed, trial0, NOISE_W).standard_gamma(scenario.slots.n // M, shape) * v
+    return blocks, haw2 if scenario.channels.aw == FADING else None

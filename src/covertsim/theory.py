@@ -163,6 +163,8 @@ def check_lrt_monotone(cfg, grid=GridSpec(), tol=1e-9):
     the other block powers pinned at their typical scale (n/M)(sigma_w2 +
     zeta), and one report is returned per axis.
     """
+    if grid.points < 2:
+        raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         lrt = (detectors.log_lrt_awgn if cfg.variant == detectors.AWGN_UNIFORM

@@ -49,6 +49,28 @@ class TestErrors:
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--workers", "0", "--trials", "10"]) == 2
 
+    @pytest.mark.parametrize("config, args", [
+        ("awgn", ["covertness", "--trials", "0"]),
+        ("awgn", ["roc", "--trials", "0"]),
+        ("awgn", ["roc", "--trials", "10", "--grid-points", "0"]),
+        ("m2", ["boundary", "--draws", "0"]),
+        ("m2", ["boundary", "--draws", "10", "--delta", "-1"]),
+        ("bob", ["capacity", "--samples", "10"]),
+        ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"]),
+        ("m2", ["check", "--grid-points", "1"]),
+    ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "boundary_draws",
+            "boundary_delta", "capacity_samples", "capacity_outage", "check_grid_points"])
+    def test_out_of_range_argument(self, tmp_path, capsys, config, args):
+        scenario = {
+            "awgn": awgn_scenario(n=64),
+            "m2": fading_scenario(n=64, M=2, P_f=0.0125),
+            "bob": fading_scenario(n=400, M=1, P_f=0.0125, ab="fading", jb="fading"),
+        }[config]
+        cfgp = write_config(tmp_path, scenario)
+        argv = [args[0], cfgp, *args[1:], "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestCovertness:
     def test_writes_curve_and_manifest(self, tmp_path):

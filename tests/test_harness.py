@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covertsim import detectors, model
+from covertsim import detectors, model, synth
 from covertsim.harness import (
+    _H1_TRIAL_OFFSET,
     SampleSet,
     _rates_at,
     collect_statistics,
@@ -37,15 +38,20 @@ class TestErrorRates:
         assert rates.ci_fa[0] <= rates.p_fa <= rates.ci_fa[1]
         assert rates.ci_md[0] <= rates.p_md <= rates.ci_md[1]
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_for_a_seed(self):
         sc = awgn_scenario(n=128, P_f=0.025)
         cfg = detectors.config_for_scenario(sc)
-        a = collect_statistics(sc, cfg, trials=300, seed=7, workers=1)
-        b = collect_statistics(sc, cfg, trials=300, seed=7, workers=3)
-        assert np.array_equal(a.stats_h0, b.stats_h0)
-        assert np.array_equal(a.stats_h1, b.stats_h1)
+        a = collect_statistics(sc, cfg, trials=300, seed=7)
+        b = collect_statistics(sc, cfg, trials=300, seed=7)
+        assert a.stats_h0.tobytes() == b.stats_h0.tobytes()
+        assert a.stats_h1.tobytes() == b.stats_h1.tobytes()
         assert a.lrt_gamma_threshold == b.lrt_gamma_threshold
         assert sweep_thresholds(a, [1.2]) == sweep_thresholds(b, [1.2])
+
+    def test_needs_a_trial(self):
+        sc = awgn_scenario(n=64, P_f=0.025)
+        with pytest.raises(ValueError):
+            collect_statistics(sc, detectors.config_for_scenario(sc), trials=0, seed=1)
 
     def test_scenario_detector_mismatch(self):
         sc = awgn_scenario(n=64, P_f=0.025)
@@ -167,48 +173,60 @@ class TestCovertnessCurve:
             covertness_curve(awgn_scenario(), 0.1, [128, 64], trials=10, seed=1)
 
 
-class TestStatisticsCollection:
-    def test_power_statistic_matches_observations(self):
-        from covertsim import synth
+def sampled(sc, hypothesis, trials, seed):
+    trial0 = 0 if hypothesis == synth.H0 else _H1_TRIAL_OFFSET
+    return synth.sample_block_powers(sc, hypothesis, trials, seed, trial0)
 
+
+class TestStatisticsCollection:
+    """The statistics are the detector evaluated on the sampler's draws."""
+
+    def test_power_statistic_matches_observations(self):
         sc = awgn_scenario(n=64, P_f=0.025)
         cfg = detectors.config_for_scenario(sc)
         ss = collect_statistics(sc, cfg, trials=5, seed=16)
-        obs = synth.synthesize_willie_slot(sc, synth.H0, synth.TrialRng(16, 0))
-        assert ss.stats_h0[0] == detectors.total_power(obs) / sc.slots.n
+        for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
+            blocks, haw2 = sampled(sc, hyp, 5, 16)
+            assert haw2 is None
+            assert np.array_equal(stats, blocks[:, 0] / sc.slots.n)
 
     def test_mblock_statistic_matches_direct_lrt(self):
         sc = fading_scenario(n=64, M=2, P_f=0.0125)
         cfg = detectors.config_for_scenario(sc)
         ss = collect_statistics(sc, cfg, trials=30, seed=17)
-        from covertsim import synth
+        for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
+            blocks, _ = sampled(sc, hyp, 30, 17)
+            assert stats[3] == detectors.log_lrt_mblock(blocks[3], cfg)
 
-        obs = synth.synthesize_willie_slot(sc, synth.H0, synth.TrialRng(17, 3))
-        direct = detectors.log_lrt_mblock(detectors.block_powers(obs, 2), cfg)
-        assert ss.stats_h0[3] == pytest.approx(direct, abs=1e-7)
-
-    def test_mblock_worker_invariance(self):
+    def test_mblock_deterministic_for_a_seed(self):
         sc = fading_scenario(n=64, M=2, P_f=0.0125)
         cfg = detectors.config_for_scenario(sc)
-        a = collect_statistics(sc, cfg, trials=60, seed=18, workers=1)
-        b = collect_statistics(sc, cfg, trials=60, seed=18, workers=2)
-        assert np.array_equal(a.stats_h0, b.stats_h0)
-        assert np.array_equal(a.stats_h1, b.stats_h1)
+        a = collect_statistics(sc, cfg, trials=60, seed=18)
+        b = collect_statistics(sc, cfg, trials=60, seed=18)
+        assert a.stats_h0.tobytes() == b.stats_h0.tobytes()
+        assert a.stats_h1.tobytes() == b.stats_h1.tobytes()
 
     def test_mblock_genie_statistic_scales_block_powers(self):
-        from covertsim import synth
-
         sc = fading_scenario(n=64, M=2, P_f=0.0125, aw="fading")
         cfg = detectors.config_for_scenario(sc)
         assert cfg.genie and cfg.variant == detectors.MBLOCK_PRODUCT
         ss = collect_statistics(sc, cfg, trials=8, seed=19)
-        obs = synth.synthesize_willie_slot(sc, synth.H0, synth.TrialRng(19, 2))
-        haw2 = np.abs(obs.latents.fading["aw"]) ** 2
-        direct = detectors.log_lrt_mblock(
-            detectors.block_powers(obs, 2), cfg,
-            sigma_a2=haw2 * float(np.asarray(cfg.sigma_a2)),
+        for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
+            blocks, haw2 = sampled(sc, hyp, 8, 19)
+            direct = detectors.log_lrt_mblock(
+                blocks[2], cfg, sigma_a2=haw2[2] * float(np.asarray(cfg.sigma_a2)),
+            )
+            assert stats[2] == direct
+
+    def test_m1_genie_statistic_scales_signal_power(self):
+        sc = fading_scenario(n=64, M=1, P_f=0.0125, aw="fading")
+        cfg = detectors.config_for_scenario(sc)
+        ss = collect_statistics(sc, cfg, trials=8, seed=20)
+        blocks, haw2 = sampled(sc, synth.H1, 8, 20)
+        direct = detectors.log_lrt_m1(
+            blocks[5, 0], cfg, sigma_a2=haw2[5, 0] * float(np.asarray(cfg.sigma_a2)),
         )
-        assert ss.stats_h0[2] == direct
+        assert ss.stats_h1[5] == direct
 
 
 class TestCsv:

@@ -216,13 +216,17 @@ class TestPowerIntegral:
         want = mp_block_integral(z, k, 1.0, 1.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-    @pytest.mark.parametrize("z, n, lo", [
-        (0.6e4, 1e4, 0.0), (2.2e4, 1e4, 0.0), (0.6e4, 1e4, 0.025), (2.2e4, 1e4, 0.025),
-        (12.0, 10, 0.2), (0.5, 3, 0.0),
+    @pytest.mark.parametrize("z, n, lo, hi", [
+        *(pytest.param(z, n, lo, lo + 1.0, id=f"{z}-{n}-{lo}") for z, n, lo in [
+            (0.6e4, 1e4, 0.0), (2.2e4, 1e4, 0.0), (0.6e4, 1e4, 0.025), (2.2e4, 1e4, 0.025),
+            (12.0, 10, 0.2), (0.5, 3, 0.0),
+        ]),
+        # windows far narrower than ulp(sigma_w2) / 1e-10
+        (0.3, 1, 0.2, 0.2 + 1e-9), (0.3, 1, 0.0, 1e-9),
     ])
-    def test_mixture_density_matches_mpmath(self, z, n, lo):
-        got = log_mixture_density_uniform(z, n, 1.0, lo, lo + 1.0, 1.0)
-        want = mp_mixture_density(z, n, 1.0, lo, lo + 1.0, 1.0)
+    def test_mixture_density_matches_mpmath(self, z, n, lo, hi):
+        got = log_mixture_density_uniform(z, n, 1.0, lo, hi, 1.0)
+        want = mp_mixture_density(z, n, 1.0, lo, hi, 1.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_batch_matches_single_evaluation(self):

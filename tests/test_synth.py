@@ -197,3 +197,63 @@ class TestDeterminism:
         }
         for purpose, value in first.items():
             assert synth.substream(5, 3, purpose).standard_normal() == float.fromhex(value)
+
+
+def _waveform_draws(sc, hypothesis, trials, seed):
+    # the reference: block powers and |h_aw|^2 read off synthesized waveforms
+    obs = [synth.synthesize_willie_slot(sc, hypothesis, TrialRng(seed, t)) for t in range(trials)]
+    blocks = np.array([detectors.block_powers(o, sc.slots.M) for o in obs])
+    if sc.channels.aw != model.FADING:
+        return blocks, None
+    return blocks, np.array([np.abs(o.latents.fading["aw"]) ** 2 for o in obs])
+
+
+class TestBlockPowerSampler:
+    @pytest.mark.parametrize("hypothesis", [H0, H1])
+    @pytest.mark.parametrize("sc", [
+        awgn_scenario(n=16, P_f=0.5),
+        fading_scenario(n=16, M=1, P_f=0.5),
+        fading_scenario(n=16, M=4, P_f=0.5),
+        fading_scenario(n=16, M=2, P_f=0.5, aw="fading"),
+    ], ids=["awgn", "fading_m1", "fading_m4", "genie_m2"])
+    def test_matches_waveform_law(self, sc, hypothesis):
+        # the two sides share substream ids, so they run on different seeds
+        from scipy.stats import ks_2samp
+
+        from covertsim.harness import _statistics_from_raw
+
+        trials = 2000
+        cfg = detectors.config_for_scenario(sc)
+        sides = []
+        for blocks, haw2 in (
+            synth.sample_block_powers(sc, hypothesis, trials, seed=41, trial0=0),
+            _waveform_draws(sc, hypothesis, trials, seed=42),
+        ):
+            assert (haw2 is None) == (sc.channels.aw != model.FADING)
+            stat = _statistics_from_raw(cfg, detectors._ltr_sum(blocks), blocks, haw2)
+            sides.append(np.column_stack([blocks, stat]))
+        for col in range(sc.slots.M + 1):
+            assert ks_2samp(sides[0][:, col], sides[1][:, col]).pvalue > 1e-3
+
+    def test_rows_are_trials(self):
+        sc = fading_scenario(n=64, M=2, P_f=0.5, aw="fading")
+        blocks, haw2 = synth.sample_block_powers(sc, H1, 10, seed=5, trial0=3)
+        again, haw2_again = synth.sample_block_powers(sc, H1, 10, seed=5, trial0=3)
+        assert blocks.tobytes() == again.tobytes() and haw2.tobytes() == haw2_again.tobytes()
+        prefix, haw2_prefix = synth.sample_block_powers(sc, H1, 4, seed=5, trial0=3)
+        assert np.array_equal(prefix, blocks[:4]) and np.array_equal(haw2_prefix, haw2[:4])
+        assert blocks.shape == haw2.shape == (10, 2)
+
+    def test_first_row_pinned(self):
+        # the first trial's draws are part of the reproducibility contract
+        blocks, haw2 = synth.sample_block_powers(awgn_scenario(n=64), H1, 3, seed=5, trial0=3)
+        assert haw2 is None
+        assert blocks[0, 0] == float.fromhex("0x1.af8665c76efc7p+6")
+        sc = fading_scenario(n=64, M=2, aw="fading")
+        blocks, haw2 = synth.sample_block_powers(sc, H1, 3, seed=5, trial0=3)
+        assert [v.hex() for v in blocks[0]] == ["0x1.08346b40a6761p+6", "0x1.cfbb136adf882p+5"]
+        assert [v.hex() for v in haw2[0]] == ["0x1.2bfefb64c358fp+1", "0x1.d22c5edf0614ep-3"]
+
+    def test_bad_hypothesis(self):
+        with pytest.raises(ValueError):
+            synth.sample_block_powers(awgn_scenario(), "H2", 3, seed=0, trial0=0)
