@@ -4,7 +4,9 @@
 Checks, in order: likelihood-ratio ordering of the mixing distributions,
 monotonicity of every log LRT variant, the per-block factorization of the
 multi-block statistic, and the Monte Carlo mass of the decision-boundary
-neighborhood against its analytic bound.
+neighborhood against its analytic bound.  Exits 1 when any ordering or
+monotonicity check fails or the boundary roots disagree with the corner test
+or fail to resolve.
 """
 
 import argparse
@@ -25,6 +27,7 @@ def main():
     ap.add_argument("--grid-points", type=int, default=400)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    ok = True
 
     zeta, sw2 = 1.0, 1.0
     sa_awgn, sa_fading = zeta * args.eps / 4.0, zeta * args.eps / 8.0
@@ -49,6 +52,7 @@ def main():
     }
     for name, (d0, d1, grid) in pairs.items():
         rep = theory.check_lr_order(d0, d1, grid)
+        ok &= rep.passed
         print(f"  {name:22s} {'PASS' if rep.passed else 'FAIL'} "
               f"(worst step {rep.worst_violation:.2e})")
 
@@ -67,6 +71,7 @@ def main():
     }
     for name, cfg in configs.items():
         for rep in theory.check_lrt_monotone(cfg, grid):
+            ok &= rep.passed
             print(f"  {name:22s} axis {rep.axis}: "
                   f"{'PASS' if rep.passed else 'FAIL'} "
                   f"(worst step {rep.worst_violation:.2e})")
@@ -81,8 +86,11 @@ def main():
     print(f"  delta = {delta:g}, mass = {region.mass:.4f} "
           f"[{region.ci[0]:.4f}, {region.ci[1]:.4f}], "
           f"analytic bound = {region.analytic_bound:g}, "
-          f"root cross-check mismatches = {region.spot_mismatches}")
+          f"root cross-check mismatches = {region.spot_mismatches}, "
+          f"failures = {region.failures}")
+    ok &= region.spot_mismatches == 0 and region.failures == 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import detectors, model, synth
 from .model import ConfigError
-from .numerics import bisect_monotone, wilson_interval
+from .numerics import BisectionError, bisect_monotone, wilson_interval
 
 DEFAULT_TRIALS = 10_000
 _H1_TRIAL_OFFSET = 1 << 32  # H0 and H1 trials use disjoint substream indices
@@ -131,7 +131,10 @@ def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
         return -math.inf
     if f_hi < cfg.log_gamma:
         return math.inf
-    return bisect_monotone(f, cfg.log_gamma, (lo, hi), tol=tol)
+    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [lo], [hi], tol=tol)
+    if broken:
+        raise BisectionError(f"bisection for the power threshold stalled on [{lo}, {hi}]")
+    return float(root)
 
 
 def collect_statistics(scenario, cfg, trials, seed):

@@ -54,10 +54,10 @@ class Geometry:
 
     def __post_init__(self):
         for name in ("d_aw", "d_ab", "d_jw", "d_jb"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.alpha < 2:
-            raise ConfigError("alpha must be >= 2")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be positive and finite")
+        if not (math.isfinite(self.alpha) and self.alpha >= 2):
+            raise ConfigError("alpha must be finite and >= 2")
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class JammerStrategy:
     def __post_init__(self):
         if self.kind not in _JAMMER_KINDS:
             raise ConfigError(f"jammer kind must be one of {_JAMMER_KINDS}")
-        if self.power < 0:
-            raise ConfigError("jammer power must be nonnegative")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ConfigError("jammer power must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ class NoiseLevels:
     sigma_b2: float = 1.0
 
     def __post_init__(self):
-        if self.sigma_w2 <= 0 or self.sigma_b2 <= 0:
-            raise ConfigError("noise variances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.sigma_w2, self.sigma_b2)):
+            raise ConfigError("noise variances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ class Scenario:
     P_f: float = 0.0
 
     def __post_init__(self):
-        if self.P_f < 0:
-            raise ConfigError("P_f must be nonnegative")
+        if not (math.isfinite(self.P_f) and self.P_f >= 0):
+            raise ConfigError("P_f must be nonnegative and finite")
 
     @property
     def zeta(self):

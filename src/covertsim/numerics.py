@@ -216,39 +216,46 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     return out if out.ndim else float(out)
 
 
-def bisect_monotone(f, target, bracket, tol, max_iter=200):
-    """Solve f(x) = target for nondecreasing f on the bracket.
+def bisect_monotone(f, target, lo, hi, tol, max_iter=200):
+    """Solve f(x) = target row by row for nondecreasing elementwise f.
 
-    Returns x with |f(x) - target| <= tol, or None when the target lies
-    outside [f(a), f(b)].  Raises BisectionError if f(a) > f(b) (broken
-    monotonicity contract) or if the residual cannot be resolved.
+    target, lo and hi broadcast to a common shape of rows.  f is called on
+    1-D arrays: the brackets' ends once each, then the midpoints of the rows
+    still live.  Each row follows the scalar iterate sequence: endpoints
+    first, then midpoints until |f(x) - target| <= tol.  Returns (roots,
+    broken): roots is NaN where the target lies outside [f(lo), f(hi)];
+    broken flags a row whose contract failed (f(lo) > f(hi), or the bracket
+    stalled before the residual resolved), and its root is NaN too.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not a < b:
-        raise ValueError("bracket must satisfy a < b")
+    target, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, lo, hi)))
+    shape = target.shape
+    target, a, b = target.ravel(), a.ravel().copy(), b.ravel().copy()
+    if not np.all(a < b):
+        raise ValueError("brackets must satisfy lo < hi")
+    root = np.full(target.shape, np.nan)
     fa, fb = f(a), f(b)
-    if fa > fb:
-        raise BisectionError(f"f is not nondecreasing on the bracket: f({a})={fa} > f({b})={fb}")
-    if target < fa or target > fb:
-        return None
-    if abs(fa - target) <= tol:
-        return a
-    if abs(fb - target) <= tol:
-        return b
+    broken = fa > fb
+    inside = ~broken & (fa <= target) & (target <= fb)
+    at_a = inside & (np.abs(fa - target) <= tol)
+    at_b = inside & ~at_a & (np.abs(fb - target) <= tol)
+    root[at_a], root[at_b] = a[at_a], b[at_b]
+    live = np.flatnonzero(inside & ~at_a & ~at_b)
     for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm - target) <= tol:
-            return mid
-        if fm < target:
-            a = mid
-        else:
-            b = mid
-        if (b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
+        if not live.size:
             break
-    raise BisectionError(
-        f"bisection stalled at [{a}, {b}] with residual {abs(f(0.5 * (a + b)) - target):.3e} > {tol:.3e}"
-    )
+        mid = 0.5 * (a[live] + b[live])
+        fm = f(mid)
+        t = target[live]
+        done = np.abs(fm - t) <= tol
+        root[live[done]] = mid[done]
+        below = fm < t
+        a[live[below]], b[live[~below]] = mid[below], mid[~below]
+        al, bl = a[live], b[live]
+        stalled = ~done & ((bl - al) <= 1e-15 * np.maximum(1.0, np.maximum(np.abs(al), np.abs(bl))))
+        broken[live[stalled]] = True
+        live = live[~done & ~stalled]
+    broken[live] = True
+    return root.reshape(shape), broken.reshape(shape)
 
 
 def wilson_interval(successes, trials, confidence):

@@ -7,20 +7,14 @@ multi-block detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import detectors
 from .model import ConfigError
-from .numerics import (
-    BisectionError,
-    LogDensity,
-    NumericalError,
-    bisect_monotone,
-    wilson_interval,
-)
+from .numerics import LogDensity, NumericalError, bisect_monotone, wilson_interval
 
 _MASS_RNG_SALT = 0xB0DDA17
 
@@ -213,50 +207,56 @@ def delta_for_boundary_mass(epsilon, M, zeta):
     return epsilon * zeta / (2.0 * M)
 
 
-def boundary_root(cfg, x_others, axis, log_gamma, tol=1e-10, max_expand=25):
-    """The normalized power on one axis putting the statistic on the decision
-    boundary, with the other components fixed; None when no such point exists.
+def boundary_root(cfg, X, log_gamma, tol=1e-10, max_expand=25):
+    """Per-axis boundary roots for a (rows, M) array of normalized block
+    powers: entry (i, m) is the power on axis m that puts the statistic on
+    the decision boundary with row i's other components fixed, NaN when no
+    such point exists.  Returns (roots, broken), broken flagging the entries
+    whose bisection broke its contract (their roots are NaN too).
 
     Componentwise monotonicity makes the root unique when it exists.  The
     per-block term climbs to its supremum sigma_a2/zeta as the block power
     grows, so a target at or above offset + sigma_a2/zeta is unattainable
     (with a small margin: near the supremum the root location is dominated
-    by quadrature noise).
+    by quadrature noise).  All entries go through one batched bisection of
+    the row-independent block term against log_gamma minus the other
+    blocks' terms.
     """
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         raise ConfigError("boundary roots are defined for the multi-block detector")
-    x_others = np.asarray(x_others, dtype=float)
-    if x_others.shape != (cfg.M - 1,):
-        raise ConfigError(f"expected {cfg.M - 1} fixed components, got {x_others.shape}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != cfg.M:
+        raise ConfigError(f"expected rows of {cfg.M} components, got shape {X.shape}")
+    roots, broken = np.full(X.size, np.nan), np.zeros(X.size, dtype=bool)
+    if not X.size:
+        return roots.reshape(X.shape), broken.reshape(X.shape)
     k = cfg.block_size
     sa = float(np.asarray(cfg.sigma_a2))
 
-    def term(z):
-        return detectors.log_lrt_block_term(z, k, cfg.sigma_w2, sa, cfg.zeta)
-
-    offset = detectors._ltr_sum(term(k * x_others))
-
     def f(x):
-        return term(k * x) + offset
+        return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, sa, cfg.zeta)
 
-    target = log_gamma
-    sup_f = float(np.asarray(cfg.sigma_a2)) / cfg.zeta + offset
-    if target >= sup_f - 1e-7 * max(1.0, abs(sup_f)):
-        return None
-    lo = 0.0
-    hi = cfg.sigma_w2 + cfg.zeta
-    f_hi = f(hi)
-    expansions = 0
-    while f_hi < target:
-        hi *= 2.0
-        expansions += 1
-        if expansions > max_expand:
-            return None
-        f_hi = f(hi)
-    try:
-        return bisect_monotone(f, target, (lo, hi), tol=tol)
-    except BisectionError:
-        return None
+    terms = f(X)
+    offset = np.stack(
+        [detectors._ltr_sum(np.delete(terms, m, axis=1)) for m in range(cfg.M)], axis=1
+    ).ravel()
+    target = log_gamma - offset
+    sup_f = sa / cfg.zeta + offset
+    ok = log_gamma < sup_f - 1e-7 * np.maximum(1.0, np.abs(sup_f))
+    hi = np.full(offset.shape, cfg.sigma_w2 + cfg.zeta)
+    grow = np.flatnonzero(ok)
+    for expansions in range(max_expand + 1):
+        if not grow.size:
+            break
+        grow = grow[f(hi[grow]) < target[grow]]
+        if expansions == max_expand:
+            ok[grow] = False
+        else:
+            hi[grow] *= 2.0
+    rows = np.flatnonzero(ok)
+    if rows.size:
+        roots[rows], broken[rows] = bisect_monotone(f, target[rows], 0.0, hi[rows], tol=tol)
+    return roots.reshape(X.shape), broken.reshape(X.shape)
 
 
 @dataclass
@@ -274,7 +274,7 @@ class BoundaryRegion:
     analytic_bound: float
     spot_checks: int
     spot_mismatches: int
-    boundary_points: list = field(default_factory=list)
+    spot_roots: Optional[np.ndarray] = None
     draw_x: Optional[np.ndarray] = None
     draw_in_region: Optional[np.ndarray] = None
 
@@ -293,8 +293,8 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
     """
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         raise ConfigError("boundary mass is defined for the multi-block detector")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     M = cfg.M
@@ -315,27 +315,11 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
     # within delta on any single axis certifies membership, so every such
     # draw must also test positive (the converse does not hold; the cube can
     # meet the boundary diagonally without any single-axis crossing).
-    failures = 0
-    mismatches = 0
-    points = []
-    n_spot = min(spot_checks, draws)
-    for i in range(n_spot):
-        axis_hit = False
-        for axis in range(M):
-            others = np.delete(x[i], axis)
-            try:
-                root = boundary_root(cfg, others, axis, log_gamma)
-            except NumericalError:
-                failures += 1
-                continue
-            if root is not None:
-                y = x[i].copy()
-                y[axis] = root
-                points.append(tuple(float(v) for v in y))
-                if abs(root - x[i, axis]) < delta * (1.0 - 1e-9):
-                    axis_hit = True
-        if axis_hit and not in_region[i]:
-            mismatches += 1
+    n_spot = max(0, min(spot_checks, draws))
+    roots, broken = boundary_root(cfg, x[:n_spot], log_gamma)
+    failures = int(np.count_nonzero(broken))
+    hit = np.any(np.abs(roots - x[:n_spot]) < delta * (1.0 - 1e-9), axis=1)
+    mismatches = int(np.count_nonzero(hit & ~in_region[:n_spot]))
     if mismatches:
         raise NumericalError(
             f"corner sign test disagreed with per-axis roots on {mismatches} draws"
@@ -346,7 +330,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
         failures=failures, mass=mass, ci=ci,
         analytic_bound=2.0 * M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,
-        boundary_points=points,
+        spot_roots=roots,
     )
     if keep_draws:
         region.draw_x = x

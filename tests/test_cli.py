@@ -55,11 +55,14 @@ class TestErrors:
         ("awgn", ["roc", "--trials", "10", "--grid-points", "0"]),
         ("m2", ["boundary", "--draws", "0"]),
         ("m2", ["boundary", "--draws", "10", "--delta", "-1"]),
+        ("m2", ["boundary", "--draws", "10", "--delta", "nan"]),
+        ("m2", ["boundary", "--draws", "10", "--delta", "inf"]),
         ("bob", ["capacity", "--samples", "10"]),
         ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"]),
         ("m2", ["check", "--grid-points", "1"]),
     ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "boundary_draws",
-            "boundary_delta", "capacity_samples", "capacity_outage", "check_grid_points"])
+            "boundary_delta", "boundary_delta_nan", "boundary_delta_inf",
+            "capacity_samples", "capacity_outage", "check_grid_points"])
     def test_out_of_range_argument(self, tmp_path, capsys, config, args):
         scenario = {
             "awgn": awgn_scenario(n=64),

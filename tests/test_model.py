@@ -162,6 +162,16 @@ class TestScenario:
         with pytest.raises(ConfigError):
             model.Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["d_aw", "alpha", "sigma_w2", "jammer.power", "P_f"])
+    def test_non_finite_values_rejected(self, field, value):
+        # JSON NaN and Infinity parse as floats; every range check must reject them
+        data = awgn_scenario().to_dict()
+        owner, _, name = field.rpartition(".")
+        (data[owner] if owner else data)[name] = value
+        with pytest.raises(ConfigError):
+            model.Scenario.from_json(json.dumps(data))
+
     def test_stray_slot_count_ignored(self):
         # configs written before the slot count was retired still load
         data = awgn_scenario().to_dict()

@@ -1,8 +1,12 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from covertsim import detectors, theory
 from covertsim.model import ConfigError
+from covertsim.numerics import NumericalError, QuadratureError
 
 from test_detectors import awgn_cfg, m1_cfg, mblock_cfg
 
@@ -84,11 +88,64 @@ class TestLrtMonotone:
         assert [r.axis for r in reports] == [0, 1, 2]
 
 
+def scalar_boundary_root(cfg, x_others, log_gamma, tol=1e-10, max_expand=25):
+    """The per-draw, per-axis root finder that the batched boundary_root
+    replaced, with its scalar bisection inlined: the oracle the batched roots
+    must equal bit for bit.  None means no root, including a broken
+    bisection contract."""
+    k = cfg.block_size
+    sa = float(np.asarray(cfg.sigma_a2))
+
+    def term(z):
+        return detectors.log_lrt_block_term(z, k, cfg.sigma_w2, sa, cfg.zeta)
+
+    offset = detectors._ltr_sum(term(k * np.asarray(x_others, dtype=float)))
+
+    def f(x):
+        return term(k * x) + offset
+
+    sup_f = sa / cfg.zeta + offset
+    if log_gamma >= sup_f - 1e-7 * max(1.0, abs(sup_f)):
+        return None
+    a, b = 0.0, cfg.sigma_w2 + cfg.zeta
+    expansions = 0
+    while f(b) < log_gamma:
+        b *= 2.0
+        expansions += 1
+        if expansions > max_expand:
+            return None
+    fa, fb = f(a), f(b)
+    if fa > fb or not fa <= log_gamma <= fb:
+        return None
+    if abs(fa - log_gamma) <= tol:
+        return a
+    if abs(fb - log_gamma) <= tol:
+        return b
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if abs(fm - log_gamma) <= tol:
+            return mid
+        if fm < log_gamma:
+            a = mid
+        else:
+            b = mid
+        if (b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
+            return None
+    return None
+
+
+def spot_draws(cfg, rows, seed):
+    rng = np.random.default_rng(seed)
+    return cfg.sigma_w2 + rng.exponential(cfg.zeta, size=(rows, cfg.M))
+
+
 class TestBoundaryRoot:
     def test_root_sits_on_boundary(self):
         cfg = mblock_cfg(n=200, M=2)
-        root = theory.boundary_root(cfg, [1.3], 0, cfg.log_gamma)
-        assert root is not None
+        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], cfg.log_gamma)
+        root = roots[0, 0]
+        assert np.isfinite(root) and not broken.any()
         resid = detectors.log_lrt_mblock(
             [cfg.block_size * root, cfg.block_size * 1.3], cfg
         ) - cfg.log_gamma
@@ -96,9 +153,8 @@ class TestBoundaryRoot:
 
     def test_axis_exchangeability(self):
         cfg = mblock_cfg(n=200, M=2)
-        r0 = theory.boundary_root(cfg, [1.6], 0, cfg.log_gamma)
-        r1 = theory.boundary_root(cfg, [1.6], 1, cfg.log_gamma)
-        assert r0 == r1
+        roots, _ = theory.boundary_root(cfg, [[1.6, 1.6]], cfg.log_gamma)
+        assert roots[0, 0] == roots[0, 1]
 
     def test_unattainably_low_target(self):
         cfg = mblock_cfg(n=200, M=2)
@@ -108,15 +164,61 @@ class TestBoundaryRoot:
         floor = term + detectors.log_lrt_block_term(
             cfg.block_size * 1.3, cfg.block_size, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
         )
-        assert theory.boundary_root(cfg, [1.3], 0, floor - 5.0) is None
+        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], floor - 5.0)
+        assert np.isnan(roots[0, 0]) and not broken[0, 0]
 
     def test_unattainably_high_target(self):
         cfg = mblock_cfg(n=200, M=2)
-        assert theory.boundary_root(cfg, [1.3], 0, 10.0) is None
+        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], 10.0)
+        assert np.isnan(roots).all() and not broken.any()
 
     def test_requires_multi_block_variant(self):
         with pytest.raises(ConfigError):
-            theory.boundary_root(m1_cfg(), [], 0, 0.0)
+            theory.boundary_root(m1_cfg(), [[1.0]], 0.0)
+
+    def test_shape_guard(self):
+        with pytest.raises(ConfigError):
+            theory.boundary_root(mblock_cfg(n=200, M=2), [1.0, 1.3], 0.0)
+        with pytest.raises(ConfigError):
+            theory.boundary_root(mblock_cfg(n=200, M=2), [[1.0, 1.3, 1.1]], 0.0)
+
+    @pytest.mark.parametrize("M, rows", [(2, 30), (3, 16)])
+    def test_matches_scalar_oracle(self, M, rows):
+        cfg = mblock_cfg(n=100 * M, M=M)
+        X = spot_draws(cfg, rows, seed=M)
+        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma)
+        oracle = np.array([
+            [np.nan if r is None else r
+             for r in (scalar_boundary_root(cfg, np.delete(x, m), cfg.log_gamma)
+                       for m in range(M))]
+            for x in X
+        ])
+        assert not broken.any()
+        # both outcomes occur, so the no-root pattern is exercised
+        assert np.isnan(oracle).any() and np.isfinite(oracle).any()
+        assert np.array_equal(np.isnan(roots), np.isnan(oracle))
+        assert roots.tobytes() == oracle.tobytes()
+
+    def test_row_alone_equals_batch(self):
+        cfg = mblock_cfg(n=300, M=3)
+        X = spot_draws(cfg, 12, seed=5)
+        batch, _ = theory.boundary_root(cfg, X, cfg.log_gamma)
+        for i in (0, 4, 11):
+            alone, _ = theory.boundary_root(cfg, X[i:i + 1], cfg.log_gamma)
+            assert alone.tobytes() == batch[i:i + 1].tobytes()
+
+    def test_no_rows(self):
+        roots, broken = theory.boundary_root(mblock_cfg(n=200, M=2), np.empty((0, 2)), 0.0)
+        assert roots.shape == broken.shape == (0, 2)
+
+    def test_stalled_bisection_flags_entries(self):
+        # a negative tolerance can never be met, so every bracket stalls
+        cfg = mblock_cfg(n=200, M=2)
+        X = spot_draws(cfg, 6, seed=2)
+        found, _ = theory.boundary_root(cfg, X, cfg.log_gamma)
+        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma, tol=-1.0)
+        assert np.isnan(roots[broken]).all()
+        assert np.array_equal(broken, np.isfinite(found))
 
 
 class TestBoundaryDelta:
@@ -148,17 +250,49 @@ class TestBoundaryMass:
         cfg = mblock_cfg(n=200, M=2)
         delta = theory.delta_for_boundary_mass(0.1, 2, cfg.zeta)
         region = theory.estimate_boundary_mass(
-            cfg, delta, cfg.log_gamma, draws=2500, seed=21, spot_checks=40
+            cfg, delta, cfg.log_gamma, draws=2500, seed=21, spot_checks=40,
+            keep_draws=True,
         )
         hw = (region.ci[1] - region.ci[0]) / 2.0
         assert region.mass <= region.analytic_bound + hw
         assert region.spot_mismatches == 0
         assert region.failures == 0
-        for y in region.boundary_points[:10]:
-            val = detectors.log_lrt_mblock(
-                np.asarray(y) * cfg.block_size, cfg
+        assert region.spot_roots.shape == (40, 2)
+        # each root, put in place of its axis, lies on the decision boundary
+        i, m = np.nonzero(np.isfinite(region.spot_roots))
+        assert i.size
+        y = region.draw_x[i].copy()
+        y[np.arange(i.size), m] = region.spot_roots[i, m]
+        vals = detectors.log_lrt_mblock(y * cfg.block_size, cfg)
+        assert np.all(np.abs(vals - cfg.log_gamma) < 1e-7)
+
+    def test_spot_check_failures_counted(self, monkeypatch):
+        cfg = mblock_cfg(n=200, M=2)
+        stalling = functools.partial(theory.boundary_root, tol=-1.0)
+        monkeypatch.setattr(theory, "boundary_root", stalling)
+        region = theory.estimate_boundary_mass(
+            cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8, keep_draws=True
+        )
+        _, broken = stalling(cfg, region.draw_x[:8], cfg.log_gamma)
+        assert region.failures == np.count_nonzero(broken) > 0
+        assert np.isnan(region.spot_roots[broken]).all()
+
+    def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
+        # the corner test does not use the per-block term; only the spot
+        # checks reach this failing kernel, and the error is not swallowed
+        def failing(*args, **kwargs):
+            raise QuadratureError("quadrature window did not close")
+
+        monkeypatch.setattr(detectors, "log_lrt_block_term", failing)
+        with pytest.raises(NumericalError):
+            theory.estimate_boundary_mass(
+                mblock_cfg(n=200, M=2), 0.025, 0.0, draws=20, seed=1, spot_checks=5
             )
-            assert abs(val - cfg.log_gamma) < 1e-7
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError):
+            theory.estimate_boundary_mass(mblock_cfg(n=200, M=2), delta, 0.0, 10, 1)
 
     def test_shrinking_neighborhood_empties(self):
         cfg = mblock_cfg(n=200, M=2)
