@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, ndtri, xlogy
 
 
 class NumericalError(RuntimeError):
@@ -64,30 +64,25 @@ def log_gamma_density(z, k, s):
         raise ValueError("z must be nonnegative")
     if np.any(s_arr <= 0):
         raise ValueError("scale must be positive")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (k - 1.0) * np.log(z_arr) - z_arr / s_arr - gammaln(k) - k * np.log(s_arr)
-    if k == 1.0:
-        # 0 * log(0) produced NaN exactly at z = 0
-        zero = np.broadcast_to(z_arr == 0.0, np.broadcast_shapes(z_arr.shape, s_arr.shape))
-        if np.any(zero):
-            fixed = -z_arr / s_arr - gammaln(k) - k * np.log(s_arr)
-            out = np.where(zero, np.broadcast_to(fixed, out.shape), out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # z**0 = 1 holds at z = 0 too
+        log_z_power = 0.0 if k == 1 else (k - 1.0) * np.log(z_arr)
+        out = log_z_power - z_arr / s_arr - math.lgamma(k) - k * np.log(s_arr)
     return out if np.ndim(out) else float(out)
 
 
 # Gauss-Legendre panels in t = log v.  A row's coarse estimate uses _PANELS
 # panels and its value twice as many; a row whose two estimates differ by
 # more than _REL_TOL is redone once on four times as many, and raises if that
-# does not settle it.  The window closes where the exponent has fallen
-# _TAIL_DROP nats below its peak.  Rows go through in chunks of _CHUNK, which
-# bounds the memory of the node arrays.
+# does not settle it; six is the fewest panels that keep the redo off every
+# row the CLI sends, with margin.  The window closes _TAIL_DROP nats below
+# the peak, searched from where a Gaussian of the peak's width falls that
+# far.  Rows go in chunks of _CHUNK, which bounds the node arrays' memory.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_LOGW = np.log(_GL_W)
-_PANELS = 24
+_PANELS = 6
 _REL_TOL = 1e-10
 _TAIL_DROP = 60.0
 _CHUNK = 512
-_WINDOW_STEPS = 2.0 ** np.arange(1, 65) - 1.0  # edge offsets w, 3w, 7w, ...
 
 
 def _exponent_drop(s, k, p, q):
@@ -98,15 +93,18 @@ def _exponent_drop(s, k, p, q):
 
 
 def _window_edge(k, p, q, width, limit, side):
-    """The first of the offsets side*width*(1, 3, 7, ...) where the exponent
-    has dropped _TAIL_DROP nats below the peak, or the integration limit if
-    that comes first.  By concavity the exponent only falls further out."""
-    s = side * width[:, None] * _WINDOW_STEPS
-    s = np.maximum(s, limit[:, None]) if side < 0 else np.minimum(s, limit[:, None])
-    done = (s == limit[:, None]) | (_exponent_drop(s, k, p[:, None], q[:, None]) <= -_TAIL_DROP)
-    if not np.all(done.any(axis=1)):
-        raise QuadratureError("quadrature window did not close")
-    return s[np.arange(len(s)), done.argmax(axis=1)]
+    """The first of the offsets side*width*sqrt(2*_TAIL_DROP)*(1, 2, 4, ...)
+    where the exponent has dropped _TAIL_DROP nats below the peak, or the
+    integration limit if sooner; by concavity it only falls further out.  A
+    row still open after 64 doublings (a NaN row never closes) raises."""
+    clip = np.maximum if side < 0 else np.minimum
+    s = clip(side * math.sqrt(2.0 * _TAIL_DROP) * width, limit)
+    for _ in range(64):
+        still_open = (s != limit) & ~(_exponent_drop(s, k, p, q) <= -_TAIL_DROP)
+        if not still_open.any():
+            return s
+        s = np.where(still_open, clip(2.0 * s, limit), s)
+    raise QuadratureError("quadrature window did not close")
 
 
 def _panel_rule(panels, lo, hi, k, p, q):
@@ -209,8 +207,10 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     if np.any(z_arr < 0):
         raise ValueError("z must be nonnegative")
     # GammaPdf(z; n, v) = z**(n-1) v**-n exp(-z/v) / Gamma(n), with v = sigma_w2 + theta
+    with np.errstate(divide="ignore"):  # z**0 = 1 holds at z = 0 too
+        log_z_power = 0.0 if n == 1 else (n - 1.0) * np.log(z_arr)
     out = (
-        xlogy(n - 1.0, z_arr) - gammaln(n) - math.log(zeta_width)
+        log_z_power - math.lgamma(n) - math.log(zeta_width)
         + _log_power_integral(z_arr, n, sigma_w2 + theta_lo, theta_hi - theta_lo, 0.0)
     )
     return out if out.ndim else float(out)
@@ -266,7 +266,7 @@ def wilson_interval(successes, trials, confidence):
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    zq = float(ndtri(0.5 + confidence / 2.0))
+    zq = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / trials
     z2 = zq * zq
     denom = 1.0 + z2 / trials

@@ -272,6 +272,17 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert (out / "curve.csv").exists()
 
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency; importing it would add about a
+        # fifth of a second and 18 MB to every CLI process
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covertsim.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "covertsim.cli", "unknown-command"],

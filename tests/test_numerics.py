@@ -9,6 +9,7 @@ from scipy.stats import beta as beta_dist
 from covertsim import numerics
 from covertsim.numerics import (
     LogDensity,
+    NumericalError,
     QuadratureError,
     bisect_monotone,
     log_gamma_density,
@@ -205,14 +206,19 @@ def mp_mixture_density(z, n, sw2, lo, hi, width):
 class TestPowerIntegral:
     """The batched kernel behind both mixture integrals."""
 
-    @pytest.mark.parametrize("z, k", [
-        (0.6e4, 1e4), (2.2e4, 1e4),  # deep tails at k = 1e4
-        (0.0, 1e6), (2e6, 1e6),
-        (0.0, 1.0), (50.0, 10.0), (3e4, 1600.0), (2e6, 200.0),
+    @pytest.mark.parametrize("z, k, v0", [
+        *(pytest.param(z, k, 1.0, id=f"{z}-{k}") for z, k in [
+            (0.6e4, 1e4), (2.2e4, 1e4),  # deep tails at k = 1e4
+            (3.75e4, 62_500), (1.375e5, 62_500),  # and at M = 16, n = 1e6
+            (0.0, 1e6), (2e6, 1e6),
+            (0.0, 1.0), (50.0, 10.0), (3e4, 1600.0), (2e6, 200.0),
+        ]),
+        # lower limits above the analytic peak, which clip it
+        (50.0, 10.0, 8.0), (2.2e4, 1e4, 3.0),
     ])
-    def test_block_integral_matches_mpmath(self, z, k):
-        got = log_integral_block(z, k, 1.0, 1.0)
-        want = mp_block_integral(z, k, 1.0, 1.0)
+    def test_block_integral_matches_mpmath(self, z, k, v0):
+        got = log_integral_block(z, k, v0, 1.0)
+        want = mp_block_integral(z, k, v0, 1.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("z, n, lo, hi", [
@@ -241,6 +247,47 @@ class TestPowerIntegral:
         mix = log_mixture_density_uniform(zs, 100, 1.0, 0.025, 1.025, 1.0)
         alone = [log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0) for z in zs]
         assert mix.tobytes() == np.array(alone).tobytes()
+
+    def test_realistic_batches_need_no_refinement(self, monkeypatch):
+        # the coarse and fine estimates agree on every row the detectors
+        # send; the redo on four times the panels is for the odd row only
+        refined = []
+        panel_rule = numerics._panel_rule
+
+        def counting(panels, lo, *args):
+            if panels == 4 * numerics._PANELS:
+                refined.append(len(lo))
+            return panel_rule(panels, lo, *args)
+
+        monkeypatch.setattr(numerics, "_panel_rule", counting)
+        rng = np.random.default_rng(5)
+        size = 2000
+
+        def block_powers(k):
+            # v * Gamma(k, 1) with v = 1 + Exp(1), plus both deep tails
+            z = (1.0 + rng.exponential(1.0, size)) * rng.gamma(k, 1.0, size)
+            return np.concatenate([z, [0.0, 0.6 * k, 2.2 * k, 20.0 * k]])
+
+        # the boundary spot checks: k = 100, r = 1, per-row lower limits near 1.01
+        z = block_powers(100)
+        log_integral_block(z, 100, rng.uniform(1.0, 1.02, z.size), 1.0)
+        # the k = 1e4 mixture of covertness, under both hypotheses
+        z = rng.uniform(0.5e4, 2.5e4, size)
+        for lo in (0.0, 0.025):
+            log_mixture_density_uniform(z, 1e4, 1.0, lo, lo + 1.0, 1.0)
+        # M = 16 blocks at n = 1e6
+        log_integral_block(block_powers(62_500), 62_500, 1.0125, 1.0)
+        assert sum(refined) == 0
+
+    @pytest.mark.parametrize("z, v0", [
+        (np.nan, 1.0), (np.inf, 1.0), ([1.0, np.nan], 1.0), (50.0, np.nan),
+    ])
+    def test_non_finite_input_raises(self, z, v0):
+        # v0 is the lower limit in v of both integrals; the mixture's is sigma_w2
+        with pytest.raises(NumericalError):
+            log_integral_block(z, 10.0, v0, 1.0)
+        with pytest.raises(NumericalError):
+            log_mixture_density_uniform(z, 10, v0, 0.0, 1.0, 1.0)
 
     def test_unresolved_row_raises(self, monkeypatch):
         # one coarse panel cannot resolve the peak; doubling once must not
