@@ -36,13 +36,13 @@ def _default_seed():
 
 
 def _load(config_path):
+    # one read: the hash describes exactly the bytes that were parsed
     try:
-        scenario = model.load_scenario(config_path)
+        with open(config_path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    with open(config_path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    return scenario, digest
+    return model.Scenario.from_json(raw), hashlib.sha256(raw).hexdigest()
 
 
 def _manifest(out_dir, command, scenario, seed, digest, outputs, extra=None):
@@ -100,12 +100,11 @@ def cmd_roc(args):
     scenario, digest = _load(args.config)
     cfg = detectors.config_for_scenario(scenario)
     ss = harness.collect_statistics(scenario, cfg, args.trials, args.seed)
-    pooled = np.unique(np.concatenate([ss.stats_h0, ss.stats_h1]))
-    if len(pooled) > args.grid_points:
-        idx = np.linspace(0, len(pooled) - 1, args.grid_points).astype(int)
-        grid = pooled[idx]
-    else:
-        grid = pooled
+    # quantiles of the sorted pooled statistics, ties kept, so two statistics
+    # that become equal move only the thresholds taken at them
+    pooled = np.sort(np.concatenate([ss.stats_h0, ss.stats_h1]))
+    points = min(args.grid_points, len(pooled))
+    grid = pooled[np.linspace(0, len(pooled) - 1, points).astype(int)]
     rates = harness.sweep_thresholds(ss, grid)
     out_csv = os.path.join(args.out, "roc.csv")
     harness.write_roc_csv(out_csv, rates)
@@ -117,7 +116,7 @@ def cmd_roc(args):
 
 def _check_report(scenario, grid_points):
     cfg = detectors.config_for_scenario(scenario)
-    sa = float(np.asarray(cfg.sigma_a2))
+    sa = cfg.sigma_a2
     if sa <= 0:
         raise ConfigError("structural checks need a positive signal power (set P_f > 0)")
     zeta, sw2 = cfg.zeta, cfg.sigma_w2
@@ -193,9 +192,7 @@ def cmd_boundary(args):
     delta = args.delta
     if delta is None:
         delta = theory.delta_for_boundary_mass(args.eps, cfg.M, cfg.zeta)
-    region = theory.estimate_boundary_mass(
-        cfg, delta, cfg.log_gamma, args.draws, args.seed, keep_draws=True
-    )
+    region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, args.draws, args.seed)
     out_csv = os.path.join(args.out, "boundary.csv")
     header = ["draw"] + [f"x{m + 1}" for m in range(cfg.M)] + ["in_region"]
     rows = [
@@ -217,6 +214,8 @@ def cmd_boundary(args):
               [out_csv, out_json], extra={"delta": delta, "draws": args.draws})
     print(f"boundary mass {region.mass:.4f} "
           f"[{region.ci[0]:.4f}, {region.ci[1]:.4f}], bound {region.analytic_bound:.4f}")
+    if region.failures:
+        raise NumericalError(f"{region.failures} spot-check boundary roots did not resolve")
     return EXIT_OK
 
 

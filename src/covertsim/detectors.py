@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,9 +27,9 @@ MBLOCK_PRODUCT = "mblock_product"
 class LrtConfig:
     """Parameters of one detector instance.
 
-    ``sigma_a2`` may be a per-block array for the genie configuration where
-    the warden knows the transmitter-side fading and sees a different signal
-    power in each block.
+    ``sigma_a2`` is the common per-block signal power; the genie
+    configuration passes per-trial powers through the ``sigma_a2`` argument
+    of ``log_lrt_m1`` and ``log_lrt_mblock`` instead.
     """
 
     variant: str
@@ -38,7 +37,7 @@ class LrtConfig:
     M: int
     sigma_w2: float
     zeta: float
-    sigma_a2: Union[float, np.ndarray]
+    sigma_a2: float
     log_gamma: float
     genie: bool = False
 
@@ -51,8 +50,8 @@ class LrtConfig:
             raise ConfigError(f"{self.variant} requires M = 1")
         if self.sigma_w2 <= 0 or self.zeta <= 0:
             raise ConfigError("sigma_w2 and zeta must be positive")
-        if np.any(np.asarray(self.sigma_a2) < 0):
-            raise ConfigError("sigma_a2 must be nonnegative")
+        if not (math.isfinite(self.sigma_a2) and self.sigma_a2 >= 0):
+            raise ConfigError("sigma_a2 must be nonnegative and finite")
         if self.genie and self.variant == AWGN_UNIFORM:
             raise ConfigError("the genie configuration applies to faded signal links only")
 
@@ -164,7 +163,7 @@ def log_lrt_awgn(z, cfg):
     """
     if cfg.variant != AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected {AWGN_UNIFORM}")
-    sa = float(np.asarray(cfg.sigma_a2))
+    sa = cfg.sigma_a2
     num = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, sa, sa + cfg.zeta, cfg.zeta)
     den = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, 0.0, cfg.zeta, cfg.zeta)
     return num - den

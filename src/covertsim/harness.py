@@ -51,7 +51,6 @@ class MinErrorResult:
     min_sum_search: float
     rates: ErrorRates
     lrt_gamma_threshold: float
-    candidates: int
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,9 @@ def _check_match(scenario, cfg):
     for name in ("variant", "n", "M"):
         if getattr(want, name) != getattr(cfg, name):
             mismatches.append(name)
-    for name in ("sigma_w2", "zeta"):
+    for name in ("sigma_w2", "zeta", "sigma_a2"):
         if not math.isclose(getattr(want, name), getattr(cfg, name), rel_tol=1e-12):
             mismatches.append(name)
-    if np.asarray(cfg.sigma_a2).ndim == 0 and not math.isclose(
-        float(np.asarray(want.sigma_a2)), float(np.asarray(cfg.sigma_a2)), rel_tol=1e-12
-    ):
-        mismatches.append("sigma_a2")
     if mismatches:
         raise ConfigError(f"detector does not match scenario: {', '.join(mismatches)} differ")
 
@@ -105,7 +100,7 @@ def _statistics_from_raw(cfg, z, blocks, haw2):
     """Reduce sampled block powers and their row sums z to the statistic."""
     if not (cfg.genie or cfg.variant == detectors.MBLOCK_PRODUCT):
         return z / cfg.n
-    sa = haw2 * float(np.asarray(cfg.sigma_a2)) if cfg.genie else None
+    sa = haw2 * cfg.sigma_a2 if cfg.genie else None
     if cfg.variant == detectors.M1_EXPONENTIAL:
         return detectors.log_lrt_m1(z, cfg, sigma_a2=sa[:, 0])
     return detectors.log_lrt_mblock(blocks, cfg, sigma_a2=sa)
@@ -192,36 +187,35 @@ def sweep_thresholds(samples, grid, confidence=0.95):
     return [_rates_at(samples.stats_h0, samples.stats_h1, thr, confidence) for thr in grid]
 
 
-def _best_threshold(s0, s1, extra_candidates):
-    cands = np.unique(np.concatenate([s0, s1, np.asarray(extra_candidates, dtype=float)]))
+def _best_threshold(s0, s1):
+    # the error counts change only at sample values, so the samples and -inf
+    # (declare H1 always) cover every distinct operating point
+    cands = np.unique(np.concatenate([s0, s1, [-math.inf]]))
     s0s, s1s = np.sort(s0), np.sort(s1)
     n0, n1 = len(s0s), len(s1s)
     fa = n0 - np.searchsorted(s0s, cands, side="right")
     md = np.searchsorted(s1s, cands, side="right")
     sums = fa / n0 + md / n1
     best = int(np.argmin(sums))
-    return float(cands[best]), float(sums[best]), len(cands)
+    return float(cands[best]), float(sums[best])
 
 
 def willie_min_error(scenario, cfg, trials, seed, confidence=0.95):
-    """Search every empirical threshold (plus the LRT's own gamma point) for
-    the minimum P_FA + P_MD, then re-estimate at the winner on held-out
-    trials to remove the selection bias of the empirical minimum.
+    """Search every empirical threshold for the minimum P_FA + P_MD, then
+    re-estimate at the winner on held-out trials to remove the selection
+    bias of the empirical minimum.
     """
     ss = collect_statistics(scenario, cfg, trials, seed)
     n_search = trials - trials // 2
     s0_search, s0_hold = ss.stats_h0[:n_search], ss.stats_h0[n_search:]
     s1_search, s1_hold = ss.stats_h1[:n_search], ss.stats_h1[n_search:]
-    extra = [-math.inf]
-    if math.isfinite(ss.lrt_gamma_threshold):
-        extra.append(ss.lrt_gamma_threshold)
-    thr, min_sum_search, n_cands = _best_threshold(s0_search, s1_search, extra)
+    thr, min_sum_search = _best_threshold(s0_search, s1_search)
     if len(s0_hold) == 0:  # too few trials to hold anything out
         s0_hold, s1_hold = s0_search, s1_search
     rates = _rates_at(s0_hold, s1_hold, thr, confidence)
     return MinErrorResult(
         threshold=thr, min_sum_search=min_sum_search, rates=rates,
-        lrt_gamma_threshold=ss.lrt_gamma_threshold, candidates=n_cands,
+        lrt_gamma_threshold=ss.lrt_gamma_threshold,
     )
 
 

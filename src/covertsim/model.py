@@ -171,7 +171,7 @@ class Scenario:
                 alpha=float(data["alpha"]),
             )
             # older configs carry a slot count "T"; it is ignored so they still load
-            slots = SlotStructure(n=int(data["n"]), M=int(data["M"]), p=float(data["p"]))
+            slots = SlotStructure(n=_whole(data, "n"), M=_whole(data, "M"), p=float(data["p"]))
             noise = NoiseLevels(sigma_w2=float(data["sigma_w2"]), sigma_b2=float(data["sigma_b2"]))
             jam = data["jammer"]
             jammer = JammerStrategy(kind=str(jam["kind"]), power=float(jam["power"]))
@@ -200,6 +200,14 @@ class Scenario:
         if not isinstance(data, dict):
             raise ConfigError("scenario config must be a JSON object")
         return Scenario.from_dict(data)
+
+
+def _whole(data, key):
+    """data[key] as an int; a fractional value is rejected, not truncated."""
+    value = float(data[key])
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {data[key]!r}")
+    return int(value)
 
 
 def load_scenario(path):
@@ -288,15 +296,9 @@ def select_covert_params(scenario, epsilon):
     return select_covert_params_fading(epsilon, scenario.zeta, g.d_aw, g.alpha)
 
 
-def with_updates(scenario, n=None, M=None, P_f=None):
-    """Return a copy of the scenario with slot size / block count / power replaced."""
-    slots = scenario.slots
-    if n is not None or M is not None:
-        slots = SlotStructure(
-            n=slots.n if n is None else int(n),
-            M=slots.M if M is None else int(M),
-            p=slots.p,
-        )
+def with_updates(scenario, n=None, P_f=None):
+    """Return a copy of the scenario with slot size / power replaced."""
+    slots = scenario.slots if n is None else replace(scenario.slots, n=int(n))
     return replace(
         scenario,
         slots=slots,

@@ -64,14 +64,6 @@ def gaussian_logdensity(mu, var):
     )
 
 
-def _ratio_step(prev, cur):
-    if prev == cur:
-        return 0.0
-    if math.isinf(prev) or math.isinf(cur):
-        return math.inf if cur > prev else -math.inf
-    return cur - prev
-
-
 def check_lr_order(density0, density1, grid, tol=1e-9):
     """Verify the likelihood-ratio order density0 <= density1 on a grid.
 
@@ -79,36 +71,26 @@ def check_lr_order(density0, density1, grid, tol=1e-9):
     Points where both densities vanish are outside the union of supports and
     are skipped; where only f0 vanishes the ratio is +inf, where only f1
     vanishes it is -inf (the extended-ratio convention, under which the
-    ordering is still checkable).
+    ordering is still checkable).  A step between equal ratios, inf to inf
+    included, is 0; the worst step is the first most negative one.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be 1-D and strictly increasing")
-    l0 = np.atleast_1d(density0(grid))
-    l1 = np.atleast_1d(density1(grid))
-    worst = 0.0
-    worst_at = None
-    prev = None
-    checked = 0
-    for x, a, b in zip(grid, l0, l1):
-        if a == -math.inf and b == -math.inf:
-            continue
-        if a == -math.inf:
-            r = math.inf
-        elif b == -math.inf:
-            r = -math.inf
-        else:
-            r = b - a
-        checked += 1
-        if prev is not None:
-            step = _ratio_step(prev, r)
-            if step < worst:
-                worst = step
-                worst_at = float(x)
-        prev = r
+    l0 = np.broadcast_to(density0(grid), grid.shape)
+    l1 = np.broadcast_to(density1(grid), grid.shape)
+    keep = (l0 > -np.inf) | (l1 > -np.inf)
+    l0, l1, xs = l0[keep], l1[keep], grid[keep]
+    ratio = np.where(l0 == -np.inf, np.inf, np.where(l1 == -np.inf, -np.inf, l1 - l0))
+    with np.errstate(invalid="ignore"):  # inf - inf, overwritten with 0
+        steps = np.where(ratio[1:] == ratio[:-1], 0.0, np.diff(ratio))
+    i = int(np.argmin(steps)) if steps.size else 0
+    violated = steps.size > 0 and steps[i] < 0
+    worst = steps[i] if violated else 0.0
     return LrOrderReport(
-        passed=worst >= -tol, worst_violation=worst, worst_at=worst_at,
-        points_checked=checked, tol=tol,
+        passed=worst >= -tol, worst_violation=worst,
+        worst_at=float(xs[i + 1]) if violated else None,
+        points_checked=int(xs.size), tol=tol,
     )
 
 
@@ -167,12 +149,9 @@ def check_lrt_monotone(cfg, grid=GridSpec(), tol=1e-9):
         return [MonotonicityReport(0, grid.lo, grid.hi, grid.points, worst, at, tol, ok)]
 
     k = cfg.block_size
-    sa = np.asarray(cfg.sigma_a2)
-    if sa.ndim != 0:
-        raise ConfigError("monotonicity grids expect a common per-block signal power")
     fixed = k * (cfg.sigma_w2 + cfg.zeta)
     terms = detectors.log_lrt_block_term(
-        np.append(xs * k, fixed), k, cfg.sigma_w2, float(sa), cfg.zeta
+        np.append(xs * k, fixed), k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
     )
     reports = []
     for axis in range(cfg.M):
@@ -231,7 +210,7 @@ def boundary_root(cfg, X, log_gamma, tol=1e-10, max_expand=25):
     if not X.size:
         return roots.reshape(X.shape), broken.reshape(X.shape)
     k = cfg.block_size
-    sa = float(np.asarray(cfg.sigma_a2))
+    sa = cfg.sigma_a2
 
     def f(x):
         return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, sa, cfg.zeta)
@@ -274,13 +253,13 @@ class BoundaryRegion:
     analytic_bound: float
     spot_checks: int
     spot_mismatches: int
-    spot_roots: Optional[np.ndarray] = None
-    draw_x: Optional[np.ndarray] = None
-    draw_in_region: Optional[np.ndarray] = None
+    spot_roots: np.ndarray
+    draw_x: np.ndarray
+    draw_in_region: np.ndarray
 
 
 def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
-                           confidence=0.95, keep_draws=False):
+                           confidence=0.95):
     """Estimate P(jam-power-plus-noise vector lies within delta of the
     decision boundary) for the multi-block detector.
 
@@ -325,14 +304,10 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100,
             f"corner sign test disagreed with per-axis roots on {mismatches} draws"
         )
 
-    region = BoundaryRegion(
+    return BoundaryRegion(
         M=M, n=cfg.n, delta=delta, log_gamma=log_gamma, draws=draws,
         failures=failures, mass=mass, ci=ci,
         analytic_bound=2.0 * M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,
-        spot_roots=roots,
+        spot_roots=roots, draw_x=x, draw_in_region=in_region,
     )
-    if keep_draws:
-        region.draw_x = x
-        region.draw_in_region = in_region
-    return region

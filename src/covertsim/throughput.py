@@ -47,7 +47,9 @@ def outage_capacity(scenario, outage_prob, samples, seed):
     log2(1 + SINR) over fading draws; with all-AWGN receiver links the
     distribution is degenerate and the closed-form rate comes back exactly.
     Rounds down rather than interpolating, so the reported rate is
-    conservative.
+    conservative.  The product is rounded to 9 decimals before the ceiling,
+    so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
+    index up by one.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
@@ -55,7 +57,7 @@ def outage_capacity(scenario, outage_prob, samples, seed):
         raise ValueError("need at least 1000 fading draws")
     gammas = sinr_samples(scenario, samples, seed)
     rates = np.sort(np.log2(1.0 + gammas))
-    idx = math.ceil(outage_prob * samples)
+    idx = math.ceil(round(outage_prob * samples, 9))
     return float(rates[idx - 1])
 
 

@@ -1,10 +1,16 @@
+import functools
 import json
+import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from covertsim import cli, harness, model
+from covertsim import cli, harness, model, theory
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -170,6 +176,27 @@ class TestRoc:
         assert run_cli(["covertness", cfgp, "--n-list", "65",
                         "--trials", "20", "--out", str(tmp_path / "x")]) == 2
 
+    def test_tied_statistic_moves_only_its_thresholds(self, tmp_path, monkeypatch):
+        # two sample sets that differ in one statistic, made equal to its
+        # sorted neighbour: only grid points taken at that statistic may move
+        rng = np.random.default_rng(4)
+        s0, s1 = rng.normal(0.0, 1.0, 200), rng.normal(0.5, 1.0, 200)
+        pooled = np.sort(np.concatenate([s0, s1]))
+        a, b = pooled[39], pooled[40]  # 21 grid points over 400 take index 39
+        cfgp = write_config(tmp_path, awgn_scenario(n=64))
+        bodies = []
+        for h0, h1 in ((s0, s1), (np.where(s0 == a, b, s0), np.where(s1 == a, b, s1))):
+            ss = harness.SampleSet(stats_h0=h0, stats_h1=h1, kind="power",
+                                   lrt_gamma_threshold=math.inf)
+            monkeypatch.setattr(harness, "collect_statistics", lambda *args, ss=ss: ss)
+            out = tmp_path / f"roc{len(bodies)}"
+            assert run_cli(["roc", cfgp, "--trials", "200", "--grid-points", "21",
+                            "--out", str(out)]) == 0
+            bodies.append((out / "roc.csv").read_text().splitlines())
+        assert len(bodies[0]) == len(bodies[1]) == 22
+        moved = [r0 for r0, r1 in zip(bodies[0], bodies[1]) if r0 != r1]
+        assert moved and all(float(r.split(",")[0]) == a for r in moved)
+
     def test_writes_monotone_roc(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         out = tmp_path / "roc"
@@ -234,6 +261,19 @@ class TestBoundary:
         assert bodies[0] == bodies[1]
 
 
+    def test_unresolved_spot_check_root_exits_3(self, tmp_path, monkeypatch, capsys):
+        stalling = functools.partial(theory.boundary_root, tol=-1.0)
+        monkeypatch.setattr(theory, "boundary_root", stalling)
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
+        out = tmp_path / "bnd"
+        assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
+                        "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        # the artifacts are written before the run is failed
+        assert json.loads((out / "boundary.json").read_text())["failures"] > 0
+        assert len((out / "boundary.csv").read_text().splitlines()) == 51
+
+
 class TestCapacity:
     def test_silent_power_rows_zero(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(
@@ -289,3 +329,18 @@ class TestConsoleEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+
+class TestReadme:
+    def test_commands_parse_and_name_shipped_configs(self):
+        # README is the only recipe for the experiments; it must not drift
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.S | re.M)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("covertsim ")]
+        assert len(commands) >= 10
+        parser = cli.build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            assert (root / args.config).is_file(), argv

@@ -238,3 +238,9 @@ class TestConfigDispatch:
         with pytest.raises(ConfigError):
             LrtConfig(variant=M1_EXPONENTIAL, n=100, M=2, sigma_w2=1.0,
                       zeta=1.0, sigma_a2=0.0, log_gamma=0.0)
+
+    @pytest.mark.parametrize("sigma_a2", [-0.1, math.nan, math.inf])
+    def test_signal_power_must_be_finite_and_nonnegative(self, sigma_a2):
+        with pytest.raises(ConfigError):
+            LrtConfig(variant=M1_EXPONENTIAL, n=100, M=1, sigma_w2=1.0,
+                      zeta=1.0, sigma_a2=sigma_a2, log_gamma=0.0)

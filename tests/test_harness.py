@@ -8,6 +8,7 @@ from covertsim import detectors, model, synth
 from covertsim.harness import (
     _H1_TRIAL_OFFSET,
     SampleSet,
+    _best_threshold,
     _rates_at,
     collect_statistics,
     covertness_curve,
@@ -137,12 +138,27 @@ class TestMinError:
         large = willie_min_error(sc2, detectors.config_for_scenario(sc2), 3000, seed=8)
         assert large.rates.sum >= small.rates.sum - 0.03
 
-    def test_gamma_candidate_present(self):
+    def test_best_threshold_is_a_search_sample_and_brute_force_minimum(self):
         sc = awgn_scenario(n=200, P_f=0.025)
         cfg = detectors.config_for_scenario(sc)
         res = willie_min_error(sc, cfg, trials=400, seed=9)
         assert math.isfinite(res.lrt_gamma_threshold)
-        assert res.min_sum_search <= 1.0
+        ss = collect_statistics(sc, cfg, 400, 9)
+        s0, s1 = ss.stats_h0[:200], ss.stats_h1[:200]
+        rng = np.random.default_rng(9)
+        # the real search half, then coarse samples full of ties
+        for s0, s1 in [(s0, s1)] + [
+            (rng.normal(0.0, 1.0, 40).round(1), rng.normal(0.5, 1.0, 30).round(1))
+            for _ in range(50)
+        ]:
+            thr, best = _best_threshold(s0, s1)
+            assert thr == -math.inf or thr in s0 or thr in s1
+            brute = min(
+                np.count_nonzero(s0 > t) / s0.size + np.count_nonzero(s1 <= t) / s1.size
+                for t in [-math.inf, *s0, *s1]
+            )
+            assert best == brute
+        assert res.threshold == _best_threshold(ss.stats_h0[:200], ss.stats_h1[:200])[0]
 
     def test_genie_never_worse_than_blind_detector(self):
         sc = fading_scenario(n=200, M=1, aw="fading", P_f=0.0125)

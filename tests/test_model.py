@@ -155,6 +155,8 @@ class TestScenario:
         {"P_f": -1.0},
         {"jammer": {"kind": "bursts", "power": 1.0}},
         {"channels": {"aw": "awgn", "ab": "awgn", "jw": "rician", "jb": "awgn"}},
+        {"n": 200.9},               # would truncate to 200
+        {"n": 200, "M": 2.5},       # would truncate to 2, which divides n
     ])
     def test_invalid_configs_rejected(self, mutant):
         data = awgn_scenario().to_dict()
@@ -171,6 +173,12 @@ class TestScenario:
         (data[owner] if owner else data)[name] = value
         with pytest.raises(ConfigError):
             model.Scenario.from_json(json.dumps(data))
+
+    def test_integral_float_counts_load(self):
+        data = awgn_scenario(n=1000).to_dict()
+        data.update(n=1000.0, M=1.0)
+        sc = model.Scenario.from_json(json.dumps(data))
+        assert sc == awgn_scenario(n=1000) and isinstance(sc.slots.n, int)
 
     def test_stray_slot_count_ignored(self):
         # configs written before the slot count was retired still load

@@ -61,6 +61,33 @@ class TestLrOrder:
         )
         assert rep.passed
 
+    @pytest.mark.parametrize("d0, d1, grid", [
+        (theory.uniform_logdensity(0.0, 1.0), theory.uniform_logdensity(0.3, 1.3),
+         np.linspace(-0.5, 2.0, 401)),
+        (theory.uniform_logdensity(0.0, 1.0), theory.uniform_logdensity(2.0, 3.0),
+         np.linspace(-0.5, 3.5, 401)),
+        (theory.uniform_logdensity(2.0, 3.0), theory.uniform_logdensity(0.0, 1.0),
+         np.linspace(-0.5, 3.5, 401)),
+        (theory.shifted_exponential_logdensity(0.5, 1.0),
+         theory.shifted_exponential_logdensity(0.0, 1.0), np.linspace(-1.0, 6.0, 301)),
+        (theory.gaussian_logdensity(0.0, 1.0), theory.gaussian_logdensity(0.0, 4.0),
+         np.linspace(-6.0, 6.0, 1201)),
+    ], ids=["overlapping", "disjoint", "disjoint_reversed", "shifted_back", "gaussian"])
+    def test_matches_pointwise_reference(self, d0, d1, grid):
+        # the extended-ratio scan, one point at a time
+        worst, worst_at, prev, checked = 0.0, None, None, 0
+        for x, a, b in zip(grid, d0(grid), d1(grid)):
+            if a == -math.inf and b == -math.inf:
+                continue
+            r = math.inf if a == -math.inf else -math.inf if b == -math.inf else b - a
+            checked += 1
+            if prev is not None and prev != r and r - prev < worst:
+                worst, worst_at = r - prev, float(x)
+            prev = r
+        rep = theory.check_lr_order(d0, d1, grid)
+        assert (rep.worst_violation, rep.worst_at, rep.points_checked) == (
+            worst, worst_at, checked)
+
     def test_grid_validation(self):
         d = theory.gaussian_logdensity(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -251,7 +278,6 @@ class TestBoundaryMass:
         delta = theory.delta_for_boundary_mass(0.1, 2, cfg.zeta)
         region = theory.estimate_boundary_mass(
             cfg, delta, cfg.log_gamma, draws=2500, seed=21, spot_checks=40,
-            keep_draws=True,
         )
         hw = (region.ci[1] - region.ci[0]) / 2.0
         assert region.mass <= region.analytic_bound + hw
@@ -271,7 +297,7 @@ class TestBoundaryMass:
         stalling = functools.partial(theory.boundary_root, tol=-1.0)
         monkeypatch.setattr(theory, "boundary_root", stalling)
         region = theory.estimate_boundary_mass(
-            cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8, keep_draws=True
+            cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8
         )
         _, broken = stalling(cfg, region.draw_x[:8], cfg.log_gamma)
         assert region.failures == np.count_nonzero(broken) > 0
@@ -305,7 +331,6 @@ class TestBoundaryMass:
         cfg = mblock_cfg(n=200, M=2)
         region = theory.estimate_boundary_mass(
             cfg, 0.025, cfg.log_gamma, draws=300, seed=9, spot_checks=10,
-            keep_draws=True,
         )
         k = cfg.block_size
         for i in range(0, 60, 3):

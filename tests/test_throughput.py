@@ -59,6 +59,13 @@ class TestOutageCapacity:
         oracle = np.quantile(np.log2(1.0 + gamma), 0.05)
         assert r == pytest.approx(oracle, rel=0.02)
 
+    def test_index_not_pushed_up_by_binary_rounding(self):
+        # 0.07 * 10000 is 700.0000000000001 in binary; the 700th order
+        # statistic is the one asked for
+        sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
+        rates = np.sort(np.log2(1.0 + throughput.sinr_samples(sc, 10_000, seed=4)))
+        assert throughput.outage_capacity(sc, 0.07, 10_000, seed=4) == rates[699]
+
     def test_positive_whenever_power_positive(self):
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
         assert throughput.outage_capacity(sc, 0.05, 5000, seed=3) > 0.0
