@@ -8,6 +8,7 @@ out-of-range argument), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -87,9 +88,12 @@ def cmd_covertness(args):
     n_list = _parse_n_list(args.n_list) if args.n_list else [scenario.slots.n]
     curve = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
     out_csv = os.path.join(args.out, "curve.csv")
-    harness.write_curve_csv(out_csv, curve)
+    harness.write_csv(
+        out_csv, ["n", "threshold", "min_sum", "ci_lo", "ci_hi"],
+        [(r.n, r.threshold, r.min_sum, r.ci_lo, r.ci_hi) for r in curve.rows],
+    )
     _manifest(args.out, "covertness", scenario, args.seed, digest, [out_csv],
-              extra={"epsilon": args.eps, "trials": args.trials, "P_f": curve.scenario["P_f"]})
+              extra={"epsilon": args.eps, "trials": args.trials, "P_f": curve.P_f})
     for row in curve.rows:
         print(f"n={row.n}: min(P_FA+P_MD)={row.min_sum:.4f} "
               f"[{row.ci_lo:.4f}, {row.ci_hi:.4f}] at threshold {row.threshold:.6g}")
@@ -107,7 +111,11 @@ def cmd_roc(args):
     grid = pooled[np.linspace(0, len(pooled) - 1, points).astype(int)]
     rates = harness.sweep_thresholds(ss, grid)
     out_csv = os.path.join(args.out, "roc.csv")
-    harness.write_roc_csv(out_csv, rates)
+    harness.write_csv(
+        out_csv,
+        ["threshold", "p_fa", "p_md", "ci_fa_lo", "ci_fa_hi", "ci_md_lo", "ci_md_hi"],
+        [(r.threshold, r.p_fa, r.p_md, *r.ci_fa, *r.ci_md) for r in rates],
+    )
     _manifest(args.out, "roc", scenario, args.seed, digest, [out_csv],
               extra={"trials": args.trials, "statistic": ss.kind})
     print(f"wrote {len(rates)} operating points to {out_csv}")
@@ -145,12 +153,8 @@ def _check_report(scenario, grid_points):
         theory.gaussian_logdensity(0.0, 4.0),
         np.linspace(-6.0, 6.0, 1201),
     )
-    results["lr_order_gaussian_control_fails"] = theory.LrOrderReport(
-        passed=not control.passed,
-        worst_violation=control.worst_violation,
-        worst_at=control.worst_at,
-        points_checked=control.points_checked,
-        tol=control.tol,
+    results["lr_order_gaussian_control_fails"] = dataclasses.replace(
+        control, passed=not control.passed
     )
 
     grid = theory.GridSpec(points=grid_points)
@@ -169,8 +173,7 @@ def cmd_check(args):
         all_pass &= passed
         report[name] = {
             "passed": passed,
-            "worst_violation": None if rep.worst_violation is None
-            else float(rep.worst_violation),
+            "worst_violation": float(rep.worst_violation),
             "worst_at": None if rep.worst_at is None else float(rep.worst_at),
         }
         print(f"{name}: {'PASS' if passed else 'FAIL'}"
@@ -214,21 +217,26 @@ def cmd_boundary(args):
               [out_csv, out_json], extra={"delta": delta, "draws": args.draws})
     print(f"boundary mass {region.mass:.4f} "
           f"[{region.ci[0]:.4f}, {region.ci[1]:.4f}], bound {region.analytic_bound:.4f}")
-    if region.failures:
-        raise NumericalError(f"{region.failures} spot-check boundary roots did not resolve")
+    if region.failures or region.spot_mismatches:
+        raise NumericalError(
+            f"{region.failures} spot-check boundary roots did not resolve and"
+            f" {region.spot_mismatches} draws disagreed with the corner sign test"
+        )
     return EXIT_OK
 
 
 def cmd_capacity(args):
     scenario, digest = _load(args.config)
-    if args.pf_list:
+    if args.pf_list is not None:
         try:
             pf_values = [float(v) for v in args.pf_list.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad P_f list {args.pf_list!r}") from exc
+        if not pf_values:
+            raise ConfigError("P_f list is empty")
     else:
         pf_values = [scenario.P_f]
-    n = args.n if args.n else scenario.slots.n
+    n = scenario.slots.n if args.n is None else args.n
     rows = []
     for pf in pf_values:
         sc = model.with_updates(scenario, P_f=pf)

@@ -30,8 +30,6 @@ class ErrorRates:
     p_md: float
     ci_fa: tuple
     ci_md: tuple
-    trials_h0: int
-    trials_h1: int
     threshold: float
 
     @property
@@ -48,9 +46,7 @@ class MinErrorResult:
     """Best empirical threshold and its held-out re-estimate."""
 
     threshold: float
-    min_sum_search: float
     rates: ErrorRates
-    lrt_gamma_threshold: float
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,7 @@ class CovertnessRow:
 
 @dataclass(frozen=True)
 class CovertnessCurve:
-    epsilon: float
-    scenario: dict
+    P_f: float
     rows: tuple
 
 
@@ -106,7 +101,7 @@ def _statistics_from_raw(cfg, z, blocks, haw2):
     return detectors.log_lrt_mblock(blocks, cfg, sigma_a2=sa)
 
 
-def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
+def lrt_power_threshold(cfg, z_lo, z_hi):
     """Total power z* where the scalar log LRT crosses log gamma.
 
     Returns +inf when log gamma exceeds the LRT everywhere on the bracket
@@ -126,7 +121,7 @@ def lrt_power_threshold(cfg, z_lo, z_hi, tol=1e-9):
         return -math.inf
     if f_hi < cfg.log_gamma:
         return math.inf
-    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [lo], [hi], tol=tol)
+    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [lo], [hi], tol=1e-9)
     if broken:
         raise BisectionError(f"bisection for the power threshold stalled on [{lo}, {hi}]")
     return float(root)
@@ -161,19 +156,18 @@ def collect_statistics(scenario, cfg, trials, seed):
 # error rates
 
 
-def _rates_at(stats_h0, stats_h1, threshold, confidence=0.95):
+def _rates_at(stats_h0, stats_h1, threshold):
     fa = int(np.count_nonzero(stats_h0 > threshold))
     md = int(np.count_nonzero(stats_h1 <= threshold))
     n0, n1 = len(stats_h0), len(stats_h1)
     return ErrorRates(
         p_fa=fa / n0, p_md=md / n1,
-        ci_fa=wilson_interval(fa, n0, confidence),
-        ci_md=wilson_interval(md, n1, confidence),
-        trials_h0=n0, trials_h1=n1, threshold=float(threshold),
+        ci_fa=wilson_interval(fa, n0), ci_md=wilson_interval(md, n1),
+        threshold=float(threshold),
     )
 
 
-def sweep_thresholds(samples, grid, confidence=0.95):
+def sweep_thresholds(samples, grid):
     """ErrorRates per threshold on one shared sample set.
 
     With a common sample set the false-alarm counts are exactly nonincreasing
@@ -184,7 +178,7 @@ def sweep_thresholds(samples, grid, confidence=0.95):
         raise ValueError("threshold grid is empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("threshold grid must be sorted ascending")
-    return [_rates_at(samples.stats_h0, samples.stats_h1, thr, confidence) for thr in grid]
+    return [_rates_at(samples.stats_h0, samples.stats_h1, thr) for thr in grid]
 
 
 def _best_threshold(s0, s1):
@@ -200,7 +194,7 @@ def _best_threshold(s0, s1):
     return float(cands[best]), float(sums[best])
 
 
-def willie_min_error(scenario, cfg, trials, seed, confidence=0.95):
+def willie_min_error(scenario, cfg, trials, seed):
     """Search every empirical threshold for the minimum P_FA + P_MD, then
     re-estimate at the winner on held-out trials to remove the selection
     bias of the empirical minimum.
@@ -209,38 +203,31 @@ def willie_min_error(scenario, cfg, trials, seed, confidence=0.95):
     n_search = trials - trials // 2
     s0_search, s0_hold = ss.stats_h0[:n_search], ss.stats_h0[n_search:]
     s1_search, s1_hold = ss.stats_h1[:n_search], ss.stats_h1[n_search:]
-    thr, min_sum_search = _best_threshold(s0_search, s1_search)
+    thr, _ = _best_threshold(s0_search, s1_search)
     if len(s0_hold) == 0:  # too few trials to hold anything out
         s0_hold, s1_hold = s0_search, s1_search
-    rates = _rates_at(s0_hold, s1_hold, thr, confidence)
-    return MinErrorResult(
-        threshold=thr, min_sum_search=min_sum_search, rates=rates,
-        lrt_gamma_threshold=ss.lrt_gamma_threshold,
-    )
+    return MinErrorResult(threshold=thr, rates=_rates_at(s0_hold, s1_hold, thr))
 
 
-def covertness_curve(scenario, epsilon, n_list, trials, seed, confidence=0.95,
-                     P_f=None):
+def covertness_curve(scenario, epsilon, n_list, trials, seed):
     """Best-threshold error sums across slot lengths at one constant covert
-    power chosen by the selection recipe for this scenario (or forced with
-    the P_f override)."""
+    power chosen by the selection recipe for this scenario."""
     n_list = [int(n) for n in n_list]
     if n_list != sorted(n_list):
         raise ValueError("n list must be sorted ascending")
-    if P_f is None:
-        P_f = model.select_covert_params(scenario, epsilon).P_f
+    P_f = model.select_covert_params(scenario, epsilon).P_f
     base = model.with_updates(scenario, P_f=P_f)
     rows = []
     for n in n_list:
         sc = model.with_updates(base, n=n)
         cfg = detectors.config_for_scenario(sc)
-        res = willie_min_error(sc, cfg, trials, seed, confidence)
+        res = willie_min_error(sc, cfg, trials, seed)
         lo, hi = res.rates.ci_sum
         rows.append(CovertnessRow(
             n=n, threshold=res.threshold, min_sum=res.rates.sum,
             ci_lo=lo, ci_hi=hi,
         ))
-    return CovertnessCurve(epsilon=epsilon, scenario=base.to_dict(), rows=tuple(rows))
+    return CovertnessCurve(P_f=base.P_f, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +246,3 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_roc_csv(path, rates):
-    write_csv(
-        path,
-        ["threshold", "p_fa", "p_md", "ci_fa_lo", "ci_fa_hi", "ci_md_lo", "ci_md_hi"],
-        [
-            (r.threshold, r.p_fa, r.p_md, r.ci_fa[0], r.ci_fa[1], r.ci_md[0], r.ci_md[1])
-            for r in rates
-        ],
-    )
-
-
-def write_curve_csv(path, curve):
-    write_csv(
-        path,
-        ["n", "threshold", "min_sum", "ci_lo", "ci_hi"],
-        [(r.n, r.threshold, r.min_sum, r.ci_lo, r.ci_hi) for r in curve.rows],
-    )

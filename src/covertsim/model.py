@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 AWGN = "awgn"
 FADING = "fading"
@@ -91,9 +90,6 @@ class Channels:
             kind = getattr(self, link)
             if kind not in _CHANNEL_KINDS:
                 raise ConfigError(f"channel kind for {link} must be one of {_CHANNEL_KINDS}")
-
-    def kind(self, link):
-        return getattr(self, link)
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,8 @@ class Scenario:
                 raise
             raise ConfigError(f"malformed scenario value: {exc}") from exc
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text):
@@ -222,23 +218,11 @@ def save_scenario(scenario, path):
 
 @dataclass(frozen=True)
 class CovertParams:
-    """Output of a covert-power selection recipe.
+    """Output of a covert-power selection recipe: the received-power budget
+    ``sigma_a2`` at the warden and the transmit power ``P_f`` realizing it."""
 
-    ``delta`` is the concentration half-width used in the covertness argument,
-    ``sigma_a2`` the received-power budget at the warden, ``P_f`` the transmit
-    power realizing that budget, and ``c`` the jam-power tail cutoff (only
-    meaningful when the jam power at the warden is exponentially distributed).
-    """
-
-    epsilon: float
-    delta: float
     sigma_a2: float
     P_f: float
-    c: Optional[float] = None
-
-    def __post_init__(self):
-        if self.epsilon > 0 and self.delta <= 0:
-            raise ConfigError("delta must be positive for a positive covertness target")
 
 
 def _check_recipe_args(epsilon, zeta, d_aw, alpha):
@@ -255,45 +239,43 @@ def _check_recipe_args(epsilon, zeta, d_aw, alpha):
 def select_covert_params_awgn(epsilon, zeta, d_aw, alpha):
     """Covert power selection for the uniform-jam-power construction.
 
-    Picks delta = zeta*epsilon/8 and sigma_a2 = zeta*epsilon/4, so the
-    probability that the detection threshold lands in the ambiguous power
-    band is at most (sigma_a2 + 2*delta)/zeta = epsilon/2.
+    Picks sigma_a2 = zeta*epsilon/4: with a concentration half-width
+    delta = zeta*epsilon/8, the probability that the detection threshold
+    lands in the ambiguous power band is at most (sigma_a2 + 2*delta)/zeta =
+    epsilon/2.
     """
     _check_recipe_args(epsilon, zeta, d_aw, alpha)
     sigma_a2 = zeta * epsilon / 4.0
-    return CovertParams(
-        epsilon=epsilon,
-        delta=zeta * epsilon / 8.0,
-        sigma_a2=sigma_a2,
-        P_f=sigma_a2 * d_aw ** alpha,
-    )
+    return CovertParams(sigma_a2=sigma_a2, P_f=sigma_a2 * d_aw ** alpha)
 
 
 def select_covert_params_fading(epsilon, zeta, d_aw, alpha):
     """Covert power selection for the constant-power jammer over a faded link.
 
     The jam power at the warden is exponential with mean zeta, so the recipe
-    halves the budgets (delta = zeta*epsilon/16, sigma_a2 = zeta*epsilon/8)
-    and adds a tail cutoff c with P(jam power > c) = epsilon/4, i.e.
-    c = zeta*ln(4/epsilon).
+    halves the uniform construction's budget: sigma_a2 = zeta*epsilon/8.
     """
     _check_recipe_args(epsilon, zeta, d_aw, alpha)
     sigma_a2 = zeta * epsilon / 8.0
-    return CovertParams(
-        epsilon=epsilon,
-        delta=zeta * epsilon / 16.0,
-        sigma_a2=sigma_a2,
-        P_f=sigma_a2 * d_aw ** alpha,
-        c=zeta * math.log(4.0 / epsilon),
-    )
+    return CovertParams(sigma_a2=sigma_a2, P_f=sigma_a2 * d_aw ** alpha)
 
 
 def select_covert_params(scenario, epsilon):
-    """Dispatch on the scenario's jammer strategy and warden-side channels."""
+    """Dispatch on the scenario's jammer strategy and warden-side channels.
+
+    A faded jammer link over M blocks gets the fading recipe at epsilon/M,
+    i.e. sigma_a2 = zeta*epsilon/(8M).  The warden's error floor as n grows
+    is exp(-M*sigma_a2/zeta), or (1 + sigma_a2/zeta)**-M when it knows the
+    signal fading; both stay at or above 1 - epsilon.  The budget
+    zeta*epsilon/8 that ignores M falls below it at large M (at epsilon =
+    0.1, from M = 9 on).
+    """
     g = scenario.geometry
     if scenario.jammer.kind == UNIFORM_PER_SLOT and scenario.channels.jw == AWGN:
         return select_covert_params_awgn(epsilon, scenario.zeta, g.d_aw, g.alpha)
-    return select_covert_params_fading(epsilon, scenario.zeta, g.d_aw, g.alpha)
+    return select_covert_params_fading(
+        epsilon / scenario.slots.M, scenario.zeta, g.d_aw, g.alpha
+    )
 
 
 def with_updates(scenario, n=None, P_f=None):

@@ -216,14 +216,14 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     return out if out.ndim else float(out)
 
 
-def bisect_monotone(f, target, lo, hi, tol, max_iter=200):
+def bisect_monotone(f, target, lo, hi, tol):
     """Solve f(x) = target row by row for nondecreasing elementwise f.
 
     target, lo and hi broadcast to a common shape of rows.  f is called on
     1-D arrays: the brackets' ends once each, then the midpoints of the rows
     still live.  Each row follows the scalar iterate sequence: endpoints
-    first, then midpoints until |f(x) - target| <= tol.  Returns (roots,
-    broken): roots is NaN where the target lies outside [f(lo), f(hi)];
+    first, then at most 200 midpoints until |f(x) - target| <= tol.  Returns
+    (roots, broken): roots is NaN where the target lies outside [f(lo), f(hi)];
     broken flags a row whose contract failed (f(lo) > f(hi), or the bracket
     stalled before the residual resolved), and its root is NaN too.
     """
@@ -240,7 +240,7 @@ def bisect_monotone(f, target, lo, hi, tol, max_iter=200):
     at_b = inside & ~at_a & (np.abs(fb - target) <= tol)
     root[at_a], root[at_b] = a[at_a], b[at_b]
     live = np.flatnonzero(inside & ~at_a & ~at_b)
-    for _ in range(max_iter):
+    for _ in range(200):
         if not live.size:
             break
         mid = 0.5 * (a[live] + b[live])
@@ -258,15 +258,13 @@ def bisect_monotone(f, target, lo, hi, tol, max_iter=200):
     return root.reshape(shape), broken.reshape(shape)
 
 
-def wilson_interval(successes, trials, confidence):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials):
+    """95 % Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    zq = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    zq = NormalDist().inv_cdf(0.975)
     p = successes / trials
     z2 = zq * zq
     denom = 1.0 + z2 / trials

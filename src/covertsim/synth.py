@@ -189,7 +189,7 @@ def sample_block_powers(scenario, hypothesis, trials, seed, trial0):
 
     def power_gains(link, purpose):
         # |h|^2 per block: standard exponential on a faded link, 1 otherwise
-        if scenario.channels.kind(link) == FADING:
+        if getattr(scenario.channels, link) == FADING:
             return substream(seed, trial0, purpose).standard_exponential(shape)
         return np.ones(shape)
 

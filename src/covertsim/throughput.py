@@ -27,7 +27,7 @@ def sinr_samples(scenario, samples, seed):
     g = scenario.geometry
 
     def link_gain(link):
-        if scenario.channels.kind(link) == FADING:
+        if getattr(scenario.channels, link) == FADING:
             re = rng.standard_normal(samples)
             im = rng.standard_normal(samples)
             return 0.5 * (re**2 + im**2)

@@ -1,6 +1,6 @@
-import functools
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -23,6 +23,14 @@ def write_config(tmp_path, scenario, name="config.json"):
 
 def run_cli(args):
     return cli.main(args)
+
+
+def child_env():
+    # the child imports covertsim from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestErrors:
@@ -65,10 +73,13 @@ class TestErrors:
         ("m2", ["boundary", "--draws", "10", "--delta", "inf"]),
         ("bob", ["capacity", "--samples", "10"]),
         ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"]),
+        ("bob", ["capacity", "--samples", "2000", "--n", "0"]),
+        ("bob", ["capacity", "--samples", "2000", "--pf-list", ","]),
         ("m2", ["check", "--grid-points", "1"]),
     ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "boundary_draws",
             "boundary_delta", "boundary_delta_nan", "boundary_delta_inf",
-            "capacity_samples", "capacity_outage", "check_grid_points"])
+            "capacity_samples", "capacity_outage", "capacity_n_zero",
+            "capacity_pf_list_empty", "check_grid_points"])
     def test_out_of_range_argument(self, tmp_path, capsys, config, args):
         scenario = {
             "awgn": awgn_scenario(n=64),
@@ -260,10 +271,9 @@ class TestBoundary:
             bodies.append((out / "boundary.csv").read_bytes())
         assert bodies[0] == bodies[1]
 
-
     def test_unresolved_spot_check_root_exits_3(self, tmp_path, monkeypatch, capsys):
-        stalling = functools.partial(theory.boundary_root, tol=-1.0)
-        monkeypatch.setattr(theory, "boundary_root", stalling)
+        # a negative tolerance can never be met, so every bisection stalls
+        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"
         assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
@@ -271,6 +281,23 @@ class TestBoundary:
         assert "numerical failure" in capsys.readouterr().err
         # the artifacts are written before the run is failed
         assert json.loads((out / "boundary.json").read_text())["failures"] > 0
+        assert len((out / "boundary.csv").read_text().splitlines()) == 51
+
+    def test_spot_check_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
+        # every draw reported as its own root lies within delta of the
+        # boundary on each axis, so every draw outside the region mismatches
+        def draw_is_root(cfg, X, log_gamma):
+            X = np.asarray(X, dtype=float)
+            return X.copy(), np.zeros(X.shape, dtype=bool)
+
+        monkeypatch.setattr(theory, "boundary_root", draw_is_root)
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
+        out = tmp_path / "bnd"
+        assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
+                        "--out", str(out)]) == 3
+        assert "disagreed" in capsys.readouterr().err
+        report = json.loads((out / "boundary.json").read_text())
+        assert report["spot_mismatches"] > 0 and report["failures"] == 0
         assert len((out / "boundary.csv").read_text().splitlines()) == 51
 
 
@@ -307,7 +334,7 @@ class TestConsoleEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "covertsim.cli", "covertness", cfgp,
              "--n-list", "64", "--trials", "60", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert (out / "curve.csv").exists()
@@ -319,14 +346,14 @@ class TestConsoleEntry:
             [sys.executable, "-c",
              "import sys, covertsim.cli; print(sorted(m for m in sys.modules"
              " if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, check=True, env=child_env(),
         )
         assert proc.stdout.strip() == "[]"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "covertsim.cli", "unknown-command"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 2
 

@@ -387,16 +387,16 @@ class TestBisect:
 
 class TestWilson:
     def test_zero_successes_floor(self):
-        lo, hi = wilson_interval(0, 100, 0.95)
+        lo, hi = wilson_interval(0, 100)
         assert lo == 0.0
         assert hi > 0.0
 
     def test_symmetry_at_half(self):
-        lo, hi = wilson_interval(50, 100, 0.95)
+        lo, hi = wilson_interval(50, 100)
         assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
     def test_within_clopper_pearson_slack(self):
-        lo, hi = wilson_interval(90, 100, 0.95)
+        lo, hi = wilson_interval(90, 100)
         cp_lo = beta_dist.ppf(0.025, 90, 11)
         cp_hi = beta_dist.ppf(0.975, 91, 10)
         assert lo >= cp_lo - 0.02
@@ -406,18 +406,16 @@ class TestWilson:
     @settings(max_examples=60, deadline=None)
     def test_contains_point_estimate(self, trials, data):
         successes = data.draw(st.integers(0, trials))
-        lo, hi = wilson_interval(successes, trials, 0.95)
+        lo, hi = wilson_interval(successes, trials)
         p = successes / trials
         assert lo - 1e-12 <= p <= hi + 1e-12
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            wilson_interval(5, 0, 0.95)
+            wilson_interval(5, 0)
         with pytest.raises(ValueError):
-            wilson_interval(5, 4, 0.95)
-        with pytest.raises(ValueError):
-            wilson_interval(1, 4, 1.0)
+            wilson_interval(5, 4)
 
 
 class TestLogDensity:

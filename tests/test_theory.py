@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -238,12 +237,13 @@ class TestBoundaryRoot:
         roots, broken = theory.boundary_root(mblock_cfg(n=200, M=2), np.empty((0, 2)), 0.0)
         assert roots.shape == broken.shape == (0, 2)
 
-    def test_stalled_bisection_flags_entries(self):
+    def test_stalled_bisection_flags_entries(self, monkeypatch):
         # a negative tolerance can never be met, so every bracket stalls
         cfg = mblock_cfg(n=200, M=2)
         X = spot_draws(cfg, 6, seed=2)
         found, _ = theory.boundary_root(cfg, X, cfg.log_gamma)
-        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma, tol=-1.0)
+        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
+        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma)
         assert np.isnan(roots[broken]).all()
         assert np.array_equal(broken, np.isfinite(found))
 
@@ -294,12 +294,11 @@ class TestBoundaryMass:
 
     def test_spot_check_failures_counted(self, monkeypatch):
         cfg = mblock_cfg(n=200, M=2)
-        stalling = functools.partial(theory.boundary_root, tol=-1.0)
-        monkeypatch.setattr(theory, "boundary_root", stalling)
+        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
         region = theory.estimate_boundary_mass(
             cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8
         )
-        _, broken = stalling(cfg, region.draw_x[:8], cfg.log_gamma)
+        _, broken = theory.boundary_root(cfg, region.draw_x[:8], cfg.log_gamma)
         assert region.failures == np.count_nonzero(broken) > 0
         assert np.isnan(region.spot_roots[broken]).all()
 
