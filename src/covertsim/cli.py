@@ -86,17 +86,18 @@ def _add_common(p):
 def cmd_covertness(args):
     scenario, digest = _load(args.config)
     n_list = _parse_n_list(args.n_list) if args.n_list else [scenario.slots.n]
-    curve = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
+    P_f, rows = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
     out_csv = os.path.join(args.out, "curve.csv")
     harness.write_csv(
         out_csv, ["n", "threshold", "min_sum", "ci_lo", "ci_hi"],
-        [(r.n, r.threshold, r.min_sum, r.ci_lo, r.ci_hi) for r in curve.rows],
+        [(n, r.threshold, r.sum, *r.ci_sum) for n, r in rows],
     )
     _manifest(args.out, "covertness", scenario, args.seed, digest, [out_csv],
-              extra={"epsilon": args.eps, "trials": args.trials, "P_f": curve.P_f})
-    for row in curve.rows:
-        print(f"n={row.n}: min(P_FA+P_MD)={row.min_sum:.4f} "
-              f"[{row.ci_lo:.4f}, {row.ci_hi:.4f}] at threshold {row.threshold:.6g}")
+              extra={"epsilon": args.eps, "trials": args.trials, "P_f": P_f})
+    for n, r in rows:
+        lo, hi = r.ci_sum
+        print(f"n={n}: min(P_FA+P_MD)={r.sum:.4f} "
+              f"[{lo:.4f}, {hi:.4f}] at threshold {r.threshold:.6g}")
     return EXIT_OK
 
 
@@ -158,8 +159,8 @@ def _check_report(scenario, grid_points):
     )
 
     grid = theory.GridSpec(points=grid_points)
-    for rep in theory.check_lrt_monotone(cfg, grid):
-        results[f"lrt_monotone_axis{rep.axis}"] = rep
+    for axis, rep in enumerate(theory.check_lrt_monotone(cfg, grid)):
+        results[f"lrt_monotone_axis{axis}"] = rep
     return cfg, results
 
 
@@ -206,8 +207,8 @@ def cmd_boundary(args):
     out_json = os.path.join(args.out, "boundary.json")
     with open(out_json, "w", encoding="utf-8") as fh:
         json.dump({
-            "M": region.M, "n": region.n, "delta": region.delta,
-            "log_gamma": region.log_gamma, "draws": region.draws,
+            "M": cfg.M, "n": cfg.n, "delta": delta,
+            "log_gamma": cfg.log_gamma, "draws": args.draws,
             "failures": region.failures, "mass": region.mass,
             "ci": list(region.ci), "analytic_bound": region.analytic_bound,
             "spot_checks": region.spot_checks,

@@ -114,19 +114,14 @@ def _ltr_sum(values):
     return float(out) if out.ndim == 0 else out
 
 
-def block_powers(obs, M):
-    """Per-block power sums Z_m over the observation's samples.
+def block_powers(obs):
+    """Per-block power sums Z_m over the observation's samples, one per block
+    of the structure the observation was generated with.
 
     Sums run left to right within each block, so that repeated runs and the
-    total/block decomposition are reproducible bit for bit.  M must match the
-    block structure the observation was generated with.
+    total/block decomposition are reproducible bit for bit.
     """
-    n = obs.samples.shape[0]
-    if M < 1 or n % M:
-        raise ConfigError(f"M={M} does not divide n={n}")
-    if M != obs.M:
-        raise ConfigError(f"observation was generated with M={obs.M}, not {M}")
-    p = _sample_powers(obs.samples).reshape(M, n // M)
+    p = _sample_powers(obs.samples).reshape(obs.M, -1)
     return np.add.accumulate(p, axis=1)[:, -1]
 
 
@@ -134,9 +129,9 @@ def total_power(obs):
     """Total received power: the left-to-right sum of the per-block sums.
 
     Defined through the observation's own block structure so that
-    sum(block_powers(obs, obs.M)) == total_power(obs) holds exactly.
+    sum(block_powers(obs)) == total_power(obs) holds exactly.
     """
-    return _ltr_sum(block_powers(obs, obs.M))
+    return _ltr_sum(block_powers(obs))
 
 
 def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):

@@ -43,25 +43,10 @@ class ErrorRates:
 
 @dataclass(frozen=True)
 class MinErrorResult:
-    """Best empirical threshold and its held-out re-estimate."""
+    """Error rates re-estimated on held-out trials at the best empirical
+    threshold (rates.threshold)."""
 
-    threshold: float
     rates: ErrorRates
-
-
-@dataclass(frozen=True)
-class CovertnessRow:
-    n: int
-    threshold: float
-    min_sum: float
-    ci_lo: float
-    ci_hi: float
-
-
-@dataclass(frozen=True)
-class CovertnessCurve:
-    P_f: float
-    rows: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +168,14 @@ def sweep_thresholds(samples, grid):
 
 def _best_threshold(s0, s1):
     # the error counts change only at sample values, so the samples and -inf
-    # (declare H1 always) cover every distinct operating point
-    cands = np.unique(np.concatenate([s0, s1, [-math.inf]]))
+    # (declare H1 always) cover every distinct operating point; duplicates
+    # tie, so the first minimum is the smallest minimizing value either way
+    cands = np.sort(np.concatenate([s0, s1, [-math.inf]]))
     s0s, s1s = np.sort(s0), np.sort(s1)
     n0, n1 = len(s0s), len(s1s)
     fa = n0 - np.searchsorted(s0s, cands, side="right")
     md = np.searchsorted(s1s, cands, side="right")
-    sums = fa / n0 + md / n1
-    best = int(np.argmin(sums))
-    return float(cands[best]), float(sums[best])
+    return float(cands[int(np.argmin(fa / n0 + md / n1))])
 
 
 def willie_min_error(scenario, cfg, trials, seed):
@@ -203,15 +187,16 @@ def willie_min_error(scenario, cfg, trials, seed):
     n_search = trials - trials // 2
     s0_search, s0_hold = ss.stats_h0[:n_search], ss.stats_h0[n_search:]
     s1_search, s1_hold = ss.stats_h1[:n_search], ss.stats_h1[n_search:]
-    thr, _ = _best_threshold(s0_search, s1_search)
+    thr = _best_threshold(s0_search, s1_search)
     if len(s0_hold) == 0:  # too few trials to hold anything out
         s0_hold, s1_hold = s0_search, s1_search
-    return MinErrorResult(threshold=thr, rates=_rates_at(s0_hold, s1_hold, thr))
+    return MinErrorResult(rates=_rates_at(s0_hold, s1_hold, thr))
 
 
 def covertness_curve(scenario, epsilon, n_list, trials, seed):
     """Best-threshold error sums across slot lengths at one constant covert
-    power chosen by the selection recipe for this scenario."""
+    power chosen by the selection recipe for this scenario.  Returns P_f and
+    one (n, ErrorRates) pair per slot length."""
     n_list = [int(n) for n in n_list]
     if n_list != sorted(n_list):
         raise ValueError("n list must be sorted ascending")
@@ -221,13 +206,8 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed):
     for n in n_list:
         sc = model.with_updates(base, n=n)
         cfg = detectors.config_for_scenario(sc)
-        res = willie_min_error(sc, cfg, trials, seed)
-        lo, hi = res.rates.ci_sum
-        rows.append(CovertnessRow(
-            n=n, threshold=res.threshold, min_sum=res.rates.sum,
-            ci_lo=lo, ci_hi=hi,
-        ))
-    return CovertnessCurve(P_f=base.P_f, rows=tuple(rows))
+        rows.append((n, willie_min_error(sc, cfg, trials, seed).rates))
+    return base.P_f, rows
 
 
 # ---------------------------------------------------------------------------

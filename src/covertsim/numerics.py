@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -258,18 +257,21 @@ def bisect_monotone(f, target, lo, hi, tol):
     return root.reshape(shape), broken.reshape(shape)
 
 
+# the 0.975 quantile of the standard normal distribution, to double precision
+_Z975 = 1.9599639845400536
+
+
 def wilson_interval(successes, trials):
     """95 % Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    zq = NormalDist().inv_cdf(0.975)
     p = successes / trials
-    z2 = zq * zq
+    z2 = _Z975 * _Z975
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2.0 * trials)) / denom
-    half = zq * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z975 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)

@@ -30,13 +30,13 @@ _MAX_EXPAND = 25
 
 
 @dataclass(frozen=True)
-class LrOrderReport:
-    """Result of checking that f1/f0 is nondecreasing along a grid."""
+class GridCheck:
+    """Result of checking that a quantity is nondecreasing along a grid: its
+    most negative step and the grid point each checker reports it at."""
 
     passed: bool
     worst_violation: float
     worst_at: Optional[float]
-    points_checked: int
 
 
 def uniform_logdensity(lo, hi):
@@ -90,10 +90,9 @@ def check_lr_order(density0, density1, grid):
     i = int(np.argmin(steps)) if steps.size else 0
     violated = steps.size > 0 and steps[i] < 0
     worst = steps[i] if violated else 0.0
-    return LrOrderReport(
+    return GridCheck(
         passed=worst >= -_TOL, worst_violation=worst,
         worst_at=float(xs[i + 1]) if violated else None,
-        points_checked=int(xs.size),
     )
 
 
@@ -112,30 +111,23 @@ class GridSpec:
         return np.geomspace(0.1, 10.0, self.points)
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    axis: int
-    worst_violation: float
-    worst_at: Optional[float]
-    passed: bool
-
-
 def _relative_violations(grid, values):
     diffs = np.diff(values)
     scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
     rel = diffs / scale
     worst_idx = int(np.argmin(rel)) if rel.size else 0
     worst = float(rel[worst_idx]) if rel.size else 0.0
-    return worst, float(grid[worst_idx]), worst >= -_TOL
+    return GridCheck(worst >= -_TOL, worst, float(grid[worst_idx]))
 
 
 def check_lrt_monotone(cfg, grid):
-    """Monotonicity reports for one detector configuration.
+    """Monotonicity checks for one detector configuration, one per axis.
 
     For the scalar statistics the log LRT is evaluated on a geometric grid
     of total powers.  For the multi-block detector each axis is swept with
     the other block powers pinned at their typical scale (n/M)(sigma_w2 +
-    zeta), and one report is returned per axis.
+    zeta); list index m is axis m.  A check's worst_at is the grid point
+    where its worst relative step starts.
     """
     if grid.points < 2:
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
@@ -143,23 +135,21 @@ def check_lrt_monotone(cfg, grid):
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         lrt = (detectors.log_lrt_awgn if cfg.variant == detectors.AWGN_UNIFORM
                else detectors.log_lrt_m1)
-        return [MonotonicityReport(0, *_relative_violations(xs, lrt(xs * cfg.n, cfg)))]
+        return [_relative_violations(xs, lrt(xs * cfg.n, cfg))]
 
     k = cfg.block_size
     fixed = k * (cfg.sigma_w2 + cfg.zeta)
     terms = detectors.log_lrt_block_term(
         np.append(xs * k, fixed), k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
     )
-    reports = []
+    checks = []
     for axis in range(cfg.M):
         # each per-block term carries its own sigma_a2/zeta offset, so their
         # plain sum is the full log LRT
         grid_terms = np.full((xs.size, cfg.M), terms[-1])
         grid_terms[:, axis] = terms[:-1]
-        reports.append(
-            MonotonicityReport(axis, *_relative_violations(xs, detectors._ltr_sum(grid_terms)))
-        )
-    return reports
+        checks.append(_relative_violations(xs, detectors._ltr_sum(grid_terms)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +228,12 @@ def boundary_root(cfg, X, log_gamma):
 class BoundaryRegion:
     """Monte Carlo estimate of the decision-boundary neighborhood mass."""
 
-    M: int
-    n: int
-    delta: float
-    log_gamma: float
-    draws: int
     failures: int
     mass: float
     ci: tuple
     analytic_bound: float
     spot_checks: int
     spot_mismatches: int
-    spot_roots: np.ndarray
     draw_x: np.ndarray
     draw_in_region: np.ndarray
 
@@ -297,9 +281,8 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     mismatches = int(np.count_nonzero(hit & ~in_region[:n_spot]))
 
     return BoundaryRegion(
-        M=M, n=cfg.n, delta=delta, log_gamma=log_gamma, draws=draws,
         failures=failures, mass=mass, ci=ci,
         analytic_bound=2.0 * M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,
-        spot_roots=roots, draw_x=x, draw_in_region=in_region,
+        draw_x=x, draw_in_region=in_region,
     )

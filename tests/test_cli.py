@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covertsim import cli, harness, model, theory
+from covertsim import cli, detectors, harness, model, theory
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -299,6 +299,35 @@ class TestBoundary:
         report = json.loads((out / "boundary.json").read_text())
         assert report["spot_mismatches"] > 0 and report["failures"] == 0
         assert len((out / "boundary.csv").read_text().splitlines()) == 51
+
+
+class TestArtifactsMatchLibrary:
+    def test_curve_rows_and_boundary_inputs(self, tmp_path):
+        # curve.csv holds willie_min_error's held-out rates per slot length,
+        # and boundary.json echoes the config and arguments it was run with
+        cfgp = write_config(tmp_path, awgn_scenario(n=64))
+        out = tmp_path / "curve"
+        assert run_cli(["covertness", cfgp, "--eps", "0.1", "--n-list", "64,128",
+                        "--trials", "200", "--seed", "3", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()[1:]]
+        scenario = model.load_scenario(cfgp)
+        base = model.with_updates(
+            scenario, P_f=model.select_covert_params(scenario, 0.1).P_f)
+        for n, row in zip([64, 128], rows, strict=True):
+            sc = model.with_updates(base, n=n)
+            rates = harness.willie_min_error(sc, detectors.config_for_scenario(sc), 200, 3).rates
+            assert [int(row[0]), *map(float, row[1:])] == [
+                n, rates.threshold, rates.sum, *rates.ci_sum]
+
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125), "m2.json")
+        out = tmp_path / "bnd"
+        assert run_cli(["boundary", cfgp, "--draws", "300", "--seed", "4",
+                        "--out", str(out)]) == 0
+        report = json.loads((out / "boundary.json").read_text())
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
+        assert [report[k] for k in ("M", "n", "delta", "log_gamma", "draws")] == [
+            cfg.M, cfg.n, delta, cfg.log_gamma, 300]
 
 
 class TestCapacity:

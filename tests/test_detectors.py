@@ -60,25 +60,18 @@ class TestSufficientStats:
         rng = np.random.default_rng(7)
         samples = rng.normal(size=96) + 1j * rng.normal(size=96)
         obs = make_obs(samples, M=4)
-        bp = block_powers(obs, 4)
+        bp = block_powers(obs)
         assert bp.shape == (4,)
         assert float(np.add.accumulate(bp)[-1]) == total_power(obs)
 
     def test_single_block_equals_total(self):
         rng = np.random.default_rng(8)
         obs = make_obs(rng.normal(size=32) + 1j * rng.normal(size=32), M=1)
-        bp = block_powers(obs, 1)
+        bp = block_powers(obs)
         assert bp.tolist() == [total_power(obs)]
 
     def test_zero_block_vector(self):
-        assert block_powers(make_obs(np.zeros(12), M=3), 3).tolist() == [0.0, 0.0, 0.0]
-
-    def test_mismatched_m_rejected(self):
-        obs = make_obs(np.zeros(12), M=3)
-        with pytest.raises(ConfigError):
-            block_powers(obs, 4)
-        with pytest.raises(ConfigError):
-            block_powers(obs, 5)
+        assert block_powers(make_obs(np.zeros(12), M=3)).tolist() == [0.0, 0.0, 0.0]
 
     def test_conditional_power_scaling(self):
         # known slot power: E[z] = n * (sigma_w2 + u * zeta)

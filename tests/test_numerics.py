@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
@@ -386,6 +387,9 @@ class TestBisect:
 
 
 class TestWilson:
+    def test_quantile_constant(self):
+        assert numerics._Z975 == NormalDist().inv_cdf(0.975)
+
     def test_zero_successes_floor(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0

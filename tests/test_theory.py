@@ -74,18 +74,17 @@ class TestLrOrder:
     ], ids=["overlapping", "disjoint", "disjoint_reversed", "shifted_back", "gaussian"])
     def test_matches_pointwise_reference(self, d0, d1, grid):
         # the extended-ratio scan, one point at a time
-        worst, worst_at, prev, checked = 0.0, None, None, 0
+        worst, worst_at, prev = 0.0, None, None
         for x, a, b in zip(grid, d0(grid), d1(grid)):
             if a == -math.inf and b == -math.inf:
                 continue
             r = math.inf if a == -math.inf else -math.inf if b == -math.inf else b - a
-            checked += 1
             if prev is not None and prev != r and r - prev < worst:
                 worst, worst_at = r - prev, float(x)
             prev = r
         rep = theory.check_lr_order(d0, d1, grid)
-        assert (rep.worst_violation, rep.worst_at, rep.points_checked) == (
-            worst, worst_at, checked)
+        assert (rep.passed, rep.worst_violation, rep.worst_at) == (
+            worst >= -1e-9, worst, worst_at)
 
     def test_grid_validation(self):
         d = theory.gaussian_logdensity(0.0, 1.0)
@@ -106,12 +105,12 @@ class TestLrtMonotone:
         assert rep.passed
 
     def test_multi_block_axes(self):
-        reports = theory.check_lrt_monotone(
-            mblock_cfg(n=300, M=3), theory.GridSpec(points=120)
-        )
+        grid = theory.GridSpec(points=120)
+        reports = theory.check_lrt_monotone(mblock_cfg(n=300, M=3), grid)
         assert len(reports) == 3
         assert all(r.passed for r in reports)
-        assert [r.axis for r in reports] == [0, 1, 2]
+        # the worst step is reported at the grid point where it starts
+        assert all(r.worst_at in grid.values()[:-1] for r in reports)
 
 
 def scalar_boundary_root(cfg, x_others, log_gamma, tol=1e-10, max_expand=25):
@@ -283,12 +282,14 @@ class TestBoundaryMass:
         assert region.mass <= region.analytic_bound + hw
         assert region.spot_mismatches == 0
         assert region.failures == 0
-        assert region.spot_roots.shape == (40, 2)
-        # each root, put in place of its axis, lies on the decision boundary
-        i, m = np.nonzero(np.isfinite(region.spot_roots))
+        assert region.spot_checks == 40
+        # each spot-check root, put in place of its axis, lies on the
+        # decision boundary
+        roots, _ = theory.boundary_root(cfg, region.draw_x[:40], cfg.log_gamma)
+        i, m = np.nonzero(np.isfinite(roots))
         assert i.size
         y = region.draw_x[i].copy()
-        y[np.arange(i.size), m] = region.spot_roots[i, m]
+        y[np.arange(i.size), m] = roots[i, m]
         vals = detectors.log_lrt_mblock(y * cfg.block_size, cfg)
         assert np.all(np.abs(vals - cfg.log_gamma) < 1e-7)
 
@@ -298,9 +299,9 @@ class TestBoundaryMass:
         region = theory.estimate_boundary_mass(
             cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8
         )
-        _, broken = theory.boundary_root(cfg, region.draw_x[:8], cfg.log_gamma)
+        roots, broken = theory.boundary_root(cfg, region.draw_x[:8], cfg.log_gamma)
         assert region.failures == np.count_nonzero(broken) > 0
-        assert np.isnan(region.spot_roots[broken]).all()
+        assert np.isnan(roots[broken]).all()
 
     def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
         # the corner test does not use the per-block term; only the spot
