@@ -6,13 +6,3 @@ receiver-side throughput."""
 __version__ = "0.1.0"
 
 from . import detectors, harness, model, numerics, synth, theory, throughput  # noqa: E402,F401
-from .model import (  # noqa: F401
-    CovertParams,
-    Scenario,
-    load_scenario,
-    path_gain,
-    save_scenario,
-    select_covert_params,
-    select_covert_params_awgn,
-    select_covert_params_fading,
-)

@@ -220,7 +220,7 @@ def cmd_boundary(args):
           f"[{region.ci[0]:.4f}, {region.ci[1]:.4f}], bound {region.analytic_bound:.4f}")
     if region.failures or region.spot_mismatches:
         raise NumericalError(
-            f"{region.failures} spot-check boundary roots did not resolve and"
+            f"the statistic fell along {region.failures} spot-check axes and"
             f" {region.spot_mismatches} draws disagreed with the corner sign test"
         )
     return EXIT_OK

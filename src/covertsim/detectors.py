@@ -121,8 +121,7 @@ def block_powers(obs):
     Sums run left to right within each block, so that repeated runs and the
     total/block decomposition are reproducible bit for bit.
     """
-    p = _sample_powers(obs.samples).reshape(obs.M, -1)
-    return np.add.accumulate(p, axis=1)[:, -1]
+    return _ltr_sum(_sample_powers(obs.samples).reshape(obs.M, -1))
 
 
 def total_power(obs):

@@ -98,17 +98,9 @@ def lrt_power_threshold(cfg, z_lo, z_hi):
         f = lambda z: detectors.log_lrt_m1(z, cfg)
     else:
         raise ConfigError("the power threshold form applies to the scalar variants")
-    lo, hi = float(z_lo), float(z_hi)
-    if not lo < hi:
-        raise ValueError("need z_lo < z_hi")
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > cfg.log_gamma:
-        return -math.inf
-    if f_hi < cfg.log_gamma:
-        return math.inf
-    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [lo], [hi], tol=1e-9)
+    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [z_lo], [z_hi], tol=1e-9)
     if broken:
-        raise BisectionError(f"bisection for the power threshold stalled on [{lo}, {hi}]")
+        raise BisectionError(f"bisection for the power threshold failed on [{z_lo}, {z_hi}]")
     return float(root)
 
 

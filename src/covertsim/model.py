@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 AWGN = "awgn"
 FADING = "fading"
@@ -147,15 +147,10 @@ class Scenario:
         return self.P_f * path_gain(self.geometry.d_aw, self.geometry.alpha)
 
     def to_dict(self):
-        g, s, c, j, nz = self.geometry, self.slots, self.channels, self.jammer, self.noise
+        d = asdict(self)
         return {
-            "d_aw": g.d_aw, "d_ab": g.d_ab, "d_jw": g.d_jw, "d_jb": g.d_jb,
-            "alpha": g.alpha,
-            "n": s.n, "M": s.M, "p": s.p,
-            "sigma_w2": nz.sigma_w2, "sigma_b2": nz.sigma_b2,
-            "jammer": {"kind": j.kind, "power": j.power},
-            "channels": {"aw": c.aw, "ab": c.ab, "jw": c.jw, "jb": c.jb},
-            "P_f": self.P_f,
+            **d["geometry"], **d["slots"], **d["noise"],
+            "jammer": d["jammer"], "channels": d["channels"], "P_f": self.P_f,
         }
 
     @staticmethod

@@ -222,9 +222,10 @@ def bisect_monotone(f, target, lo, hi, tol):
     1-D arrays: the brackets' ends once each, then the midpoints of the rows
     still live.  Each row follows the scalar iterate sequence: endpoints
     first, then at most 200 midpoints until |f(x) - target| <= tol.  Returns
-    (roots, broken): roots is NaN where the target lies outside [f(lo), f(hi)];
-    broken flags a row whose contract failed (f(lo) > f(hi), or the bracket
-    stalled before the residual resolved), and its root is NaN too.
+    (roots, broken): roots is -inf where the target lies below f(lo) and +inf
+    where it lies above f(hi); broken flags a row whose contract failed
+    (f(lo) > f(hi), or the bracket stalled before the residual resolved), and
+    its root is NaN.
     """
     target, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, lo, hi)))
     shape = target.shape
@@ -234,6 +235,8 @@ def bisect_monotone(f, target, lo, hi, tol):
     root = np.full(target.shape, np.nan)
     fa, fb = f(a), f(b)
     broken = fa > fb
+    root[~broken & (target < fa)] = -np.inf
+    root[~broken & (target > fb)] = np.inf
     inside = ~broken & (fa <= target) & (target <= fb)
     at_a = inside & (np.abs(fa - target) <= tol)
     at_b = inside & ~at_a & (np.abs(fb - target) <= tol)

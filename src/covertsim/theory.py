@@ -14,15 +14,12 @@ import numpy as np
 
 from . import detectors
 from .model import ConfigError
-from .numerics import LogDensity, bisect_monotone, log_gamma_density, wilson_interval
+from .numerics import LogDensity, log_gamma_density, wilson_interval
 
 _MASS_RNG_SALT = 0xB0DDA17
 # a step of the log likelihood ratio (relative, for the LRTs) below -_TOL
 # fails an ordering or monotonicity check
 _TOL = 1e-9
-# boundary roots: bisection residual, and bracket doublings before giving up
-_ROOT_TOL = 1e-10
-_MAX_EXPAND = 25
 
 
 # ---------------------------------------------------------------------------
@@ -172,56 +169,31 @@ def delta_for_boundary_mass(epsilon, M, zeta):
     return epsilon * zeta / (2.0 * M)
 
 
-def boundary_root(cfg, X, log_gamma):
-    """Per-axis boundary roots for a (rows, M) array of normalized block
-    powers: entry (i, m) is the power on axis m that puts the statistic on
-    the decision boundary with row i's other components fixed, NaN when no
-    such point exists.  Returns (roots, broken), broken flagging the entries
-    whose bisection broke its contract (their roots are NaN too).
-
-    Componentwise monotonicity makes the root unique when it exists.  The
-    per-block term climbs to its supremum sigma_a2/zeta as the block power
-    grows, so a target at or above offset + sigma_a2/zeta is unattainable
-    (with a small margin: near the supremum the root location is dominated
-    by quadrature noise).  All entries go through one batched bisection of
-    the row-independent block term against log_gamma minus the other
-    blocks' terms.
+def _axis_crossings(cfg, X, delta, log_gamma):
+    """Single-axis sign tests for a (rows, M) array of normalized block
+    powers.  Entry (i, m) moves only block m of row i, to max(x - d, 0) and
+    to x + d with d = delta(1 - 1e-9), and evaluates the statistic there as
+    the block's term plus the left-to-right sum of the other blocks' terms.
+    Returns (hit, broken): hit where the statistic crosses log_gamma between
+    the two points, which for a statistic nondecreasing along the axis holds
+    exactly when a boundary root lies within d; broken where it falls along
+    the axis instead.
     """
-    if cfg.variant != detectors.MBLOCK_PRODUCT:
-        raise ConfigError("boundary roots are defined for the multi-block detector")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != cfg.M:
-        raise ConfigError(f"expected rows of {cfg.M} components, got shape {X.shape}")
-    roots, broken = np.full(X.size, np.nan), np.zeros(X.size, dtype=bool)
-    if not X.size:
-        return roots.reshape(X.shape), broken.reshape(X.shape)
     k = cfg.block_size
-    sa = cfg.sigma_a2
+    d = delta * (1.0 - 1e-9)
 
-    def f(x):
-        return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, sa, cfg.zeta)
+    def term(x):
+        return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
 
-    terms = f(X)
-    offset = np.stack(
-        [detectors._ltr_sum(np.delete(terms, m, axis=1)) for m in range(cfg.M)], axis=1
-    ).ravel()
-    target = log_gamma - offset
-    sup_f = sa / cfg.zeta + offset
-    ok = log_gamma < sup_f - 1e-7 * np.maximum(1.0, np.abs(sup_f))
-    hi = np.full(offset.shape, cfg.sigma_w2 + cfg.zeta)
-    grow = np.flatnonzero(ok)
-    for expansions in range(_MAX_EXPAND + 1):
-        if not grow.size:
-            break
-        grow = grow[f(hi[grow]) < target[grow]]
-        if expansions == _MAX_EXPAND:
-            ok[grow] = False
-        else:
-            hi[grow] *= 2.0
-    rows = np.flatnonzero(ok)
-    if rows.size:
-        roots[rows], broken[rows] = bisect_monotone(f, target[rows], 0.0, hi[rows], tol=_ROOT_TOL)
-    return roots.reshape(X.shape), broken.reshape(X.shape)
+    terms = term(X)
+    others = np.stack(
+        [detectors._ltr_sum(np.delete(terms, m, axis=1)) for m in range(cfg.M)], axis=-1
+    )
+    lo = term(np.clip(X - d, 0.0, None)) + others
+    hi = term(X + d) + others
+    hit = (lo < log_gamma) & (log_gamma < hi)
+    broken = lo - hi > _TOL * np.maximum(1.0, np.abs(hi))
+    return hit, broken
 
 
 @dataclass
@@ -247,8 +219,10 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     test: by componentwise monotonicity, the max-metric delta-cube around x
     meets the boundary iff the log LRT changes sign between the cube's
     lower and upper corners.  A subset of draws is cross-checked against
-    per-axis root finding; disagreements are counted in spot_mismatches and
-    unresolved roots in failures, for the caller to gate on.
+    single-axis sign tests: a draw with a boundary root within delta on any
+    one axis that the corner test misses counts in spot_mismatches, and an
+    axis along which the statistic falls counts in failures, for the caller
+    to gate on.
     """
     if cfg.variant != detectors.MBLOCK_PRODUCT:
         raise ConfigError("boundary mass is defined for the multi-block detector")
@@ -270,15 +244,14 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     mass = hits / draws
     ci = wilson_interval(hits, draws)
 
-    # cross-check the corner test against per-axis root finding: a root
+    # cross-check the corner test against single-axis crossings: a root
     # within delta on any single axis certifies membership, so every such
     # draw must also test positive (the converse does not hold; the cube can
     # meet the boundary diagonally without any single-axis crossing).
     n_spot = max(0, min(spot_checks, draws))
-    roots, broken = boundary_root(cfg, x[:n_spot], log_gamma)
+    hit, broken = _axis_crossings(cfg, x[:n_spot], delta, log_gamma)
     failures = int(np.count_nonzero(broken))
-    hit = np.any(np.abs(roots - x[:n_spot]) < delta * (1.0 - 1e-9), axis=1)
-    mismatches = int(np.count_nonzero(hit & ~in_region[:n_spot]))
+    mismatches = int(np.count_nonzero(hit.any(axis=1) & ~in_region[:n_spot]))
 
     return BoundaryRegion(
         failures=failures, mass=mass, ci=ci,

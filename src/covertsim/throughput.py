@@ -49,7 +49,7 @@ def outage_capacity(scenario, outage_prob, samples, seed):
     Rounds down rather than interpolating, so the reported rate is
     conservative.  The product is rounded to 9 decimals before the ceiling,
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
-    index up by one.
+    index up by one; an index below 1 reads the smallest draw.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
@@ -57,7 +57,7 @@ def outage_capacity(scenario, outage_prob, samples, seed):
         raise ValueError("need at least 1000 fading draws")
     gammas = sinr_samples(scenario, samples, seed)
     rates = np.sort(np.log2(1.0 + gammas))
-    idx = math.ceil(round(outage_prob * samples, 9))
+    idx = max(1, math.ceil(round(outage_prob * samples, 9)))
     return float(rates[idx - 1])
 
 

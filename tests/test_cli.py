@@ -272,8 +272,9 @@ class TestBoundary:
         assert bodies[0] == bodies[1]
 
     def test_unresolved_spot_check_root_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a negative tolerance can never be met, so every bisection stalls
-        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
+        # a per-block term that falls along every axis breaks every spot
+        # check; the corner test does not use the per-block term
+        monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"
         assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
@@ -284,13 +285,12 @@ class TestBoundary:
         assert len((out / "boundary.csv").read_text().splitlines()) == 51
 
     def test_spot_check_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
-        # every draw reported as its own root lies within delta of the
-        # boundary on each axis, so every draw outside the region mismatches
-        def draw_is_root(cfg, X, log_gamma):
-            X = np.asarray(X, dtype=float)
-            return X.copy(), np.zeros(X.shape, dtype=bool)
+        # every axis reported as crossing the boundary within delta, so
+        # every draw outside the region mismatches
+        def every_axis_crosses(cfg, X, delta, log_gamma):
+            return np.ones(X.shape, dtype=bool), np.zeros(X.shape, dtype=bool)
 
-        monkeypatch.setattr(theory, "boundary_root", draw_is_root)
+        monkeypatch.setattr(theory, "_axis_crossings", every_axis_crosses)
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"
         assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",

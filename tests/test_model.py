@@ -192,6 +192,8 @@ class TestScenario:
         sc = model.load_scenario(path)
         assert "T" not in json.loads(path.read_text())
         assert model.Scenario.from_json(sc.to_json()) == sc
+        # saving a shipped config rewrites it byte for byte
+        assert sc.to_json() + "\n" == path.read_text()
 
     def test_missing_field_rejected(self):
         data = awgn_scenario().to_dict()

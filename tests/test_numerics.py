@@ -311,8 +311,9 @@ class TestBisect:
         assert bisect_one(lambda x: x, 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5)
 
     def test_target_outside(self):
-        assert math.isnan(bisect_one(lambda x: x, -0.5, 0.0, 1.0, 1e-12))
-        assert math.isnan(bisect_one(lambda x: x, 1.5, 0.0, 1.0, 1e-12))
+        # the root's sign says which side of the bracket the target lies on
+        assert bisect_one(lambda x: x, -0.5, 0.0, 1.0, 1e-12) == -math.inf
+        assert bisect_one(lambda x: x, 1.5, 0.0, 1.0, 1e-12) == math.inf
 
     def test_non_monotone_contract(self):
         roots, broken = bisect_monotone(lambda x: -x, [0.5], [0.0], [1.0], 1e-12)
@@ -320,7 +321,7 @@ class TestBisect:
 
     def test_rows_inside_below_and_above(self):
         roots, broken = bisect_monotone(lambda x: x ** 3, [0.125, -1.0, 2.0], 0.0, 1.0, 1e-12)
-        assert roots[0] == pytest.approx(0.5) and np.isnan(roots[1:]).all()
+        assert roots[0] == pytest.approx(0.5) and roots[1:].tolist() == [-math.inf, math.inf]
         assert not broken.any()
 
     def test_exact_endpoints(self):

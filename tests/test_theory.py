@@ -114,10 +114,9 @@ class TestLrtMonotone:
 
 
 def scalar_boundary_root(cfg, x_others, log_gamma, tol=1e-10, max_expand=25):
-    """The per-draw, per-axis root finder that the batched boundary_root
-    replaced, with its scalar bisection inlined: the oracle the batched roots
-    must equal bit for bit.  None means no root, including a broken
-    bisection contract."""
+    """A per-draw, per-axis root finder with its scalar bisection inlined:
+    the oracle the single-axis sign tests must agree with.  None means no
+    root, including a broken bisection contract."""
     k = cfg.block_size
     sa = float(np.asarray(cfg.sigma_a2))
 
@@ -165,21 +164,37 @@ def spot_draws(cfg, rows, seed):
     return cfg.sigma_w2 + rng.exponential(cfg.zeta, size=(rows, cfg.M))
 
 
+def lrt_along_axis(cfg, X, m, x_m):
+    """The joint log LRT of each row of X with its block m moved to x_m."""
+    Y = np.array(X, dtype=float)
+    Y[:, m] = x_m
+    return detectors.log_lrt_mblock(cfg.block_size * Y, cfg)
+
+
 class TestBoundaryRoot:
+    """Whether a boundary root lies within delta of a draw along one axis,
+    as the single-axis sign tests of the boundary-mass spot checks see it."""
+
     def test_root_sits_on_boundary(self):
+        # a hit brackets log gamma with the joint statistic, which the
+        # factorized evaluation does not use
         cfg = mblock_cfg(n=200, M=2)
-        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], cfg.log_gamma)
-        root = roots[0, 0]
-        assert np.isfinite(root) and not broken.any()
-        resid = detectors.log_lrt_mblock(
-            [cfg.block_size * root, cfg.block_size * 1.3], cfg
-        ) - cfg.log_gamma
-        assert abs(resid) < 1e-8
+        X = spot_draws(cfg, 40, seed=1)
+        delta = 0.1
+        hit, broken = theory._axis_crossings(cfg, X, delta, cfg.log_gamma)
+        assert hit.any() and not broken.any()
+        d = delta * (1.0 - 1e-9)
+        for m in range(cfg.M):
+            rows = X[hit[:, m]]
+            assert np.all(lrt_along_axis(cfg, rows, m, rows[:, m] - d) < cfg.log_gamma)
+            assert np.all(lrt_along_axis(cfg, rows, m, rows[:, m] + d) > cfg.log_gamma)
 
     def test_axis_exchangeability(self):
         cfg = mblock_cfg(n=200, M=2)
-        roots, _ = theory.boundary_root(cfg, [[1.6, 1.6]], cfg.log_gamma)
-        assert roots[0, 0] == roots[0, 1]
+        x = np.linspace(1.0, 2.5, 31)
+        hit, broken = theory._axis_crossings(cfg, np.stack([x, x], axis=1), 0.05, cfg.log_gamma)
+        assert np.array_equal(hit[:, 0], hit[:, 1]) and not broken.any()
+        assert hit[:, 0].any() and not hit[:, 0].all()
 
     def test_unattainably_low_target(self):
         cfg = mblock_cfg(n=200, M=2)
@@ -189,62 +204,44 @@ class TestBoundaryRoot:
         floor = term + detectors.log_lrt_block_term(
             cfg.block_size * 1.3, cfg.block_size, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
         )
-        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], floor - 5.0)
-        assert np.isnan(roots[0, 0]) and not broken[0, 0]
+        hit, broken = theory._axis_crossings(cfg, np.array([[1.0, 1.3]]), 0.05, floor - 5.0)
+        assert not hit.any() and not broken.any()
 
     def test_unattainably_high_target(self):
         cfg = mblock_cfg(n=200, M=2)
-        roots, broken = theory.boundary_root(cfg, [[1.0, 1.3]], 10.0)
-        assert np.isnan(roots).all() and not broken.any()
-
-    def test_requires_multi_block_variant(self):
-        with pytest.raises(ConfigError):
-            theory.boundary_root(m1_cfg(), [[1.0]], 0.0)
-
-    def test_shape_guard(self):
-        with pytest.raises(ConfigError):
-            theory.boundary_root(mblock_cfg(n=200, M=2), [1.0, 1.3], 0.0)
-        with pytest.raises(ConfigError):
-            theory.boundary_root(mblock_cfg(n=200, M=2), [[1.0, 1.3, 1.1]], 0.0)
+        hit, broken = theory._axis_crossings(cfg, np.array([[1.0, 1.3]]), 0.05, 10.0)
+        assert not hit.any() and not broken.any()
 
     @pytest.mark.parametrize("M, rows", [(2, 30), (3, 16)])
     def test_matches_scalar_oracle(self, M, rows):
         cfg = mblock_cfg(n=100 * M, M=M)
         X = spot_draws(cfg, rows, seed=M)
-        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma)
         oracle = np.array([
             [np.nan if r is None else r
              for r in (scalar_boundary_root(cfg, np.delete(x, m), cfg.log_gamma)
                        for m in range(M))]
             for x in X
         ])
-        assert not broken.any()
-        # both outcomes occur, so the no-root pattern is exercised
-        assert np.isnan(oracle).any() and np.isfinite(oracle).any()
-        assert np.array_equal(np.isnan(roots), np.isnan(oracle))
-        assert roots.tobytes() == oracle.tobytes()
+        for scale in (1.0, 4.0):
+            delta = scale * theory.delta_for_boundary_mass(0.1, M, cfg.zeta)
+            hit, broken = theory._axis_crossings(cfg, X, delta, cfg.log_gamma)
+            want = np.abs(oracle - X) < delta * (1.0 - 1e-9)
+            assert not broken.any()
+            # both outcomes occur, so entry-by-entry equality is not vacuous
+            assert want.any() and not want.all()
+            assert np.array_equal(hit, want)
 
     def test_row_alone_equals_batch(self):
         cfg = mblock_cfg(n=300, M=3)
         X = spot_draws(cfg, 12, seed=5)
-        batch, _ = theory.boundary_root(cfg, X, cfg.log_gamma)
+        batch = theory._axis_crossings(cfg, X, 0.1, cfg.log_gamma)
         for i in (0, 4, 11):
-            alone, _ = theory.boundary_root(cfg, X[i:i + 1], cfg.log_gamma)
-            assert alone.tobytes() == batch[i:i + 1].tobytes()
+            alone = theory._axis_crossings(cfg, X[i:i + 1], 0.1, cfg.log_gamma)
+            assert all(np.array_equal(a, b[i:i + 1]) for a, b in zip(alone, batch))
 
     def test_no_rows(self):
-        roots, broken = theory.boundary_root(mblock_cfg(n=200, M=2), np.empty((0, 2)), 0.0)
-        assert roots.shape == broken.shape == (0, 2)
-
-    def test_stalled_bisection_flags_entries(self, monkeypatch):
-        # a negative tolerance can never be met, so every bracket stalls
-        cfg = mblock_cfg(n=200, M=2)
-        X = spot_draws(cfg, 6, seed=2)
-        found, _ = theory.boundary_root(cfg, X, cfg.log_gamma)
-        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
-        roots, broken = theory.boundary_root(cfg, X, cfg.log_gamma)
-        assert np.isnan(roots[broken]).all()
-        assert np.array_equal(broken, np.isfinite(found))
+        hit, broken = theory._axis_crossings(mblock_cfg(n=200, M=2), np.empty((0, 2)), 0.05, 0.0)
+        assert hit.shape == broken.shape == (0, 2)
 
 
 class TestBoundaryDelta:
@@ -283,25 +280,17 @@ class TestBoundaryMass:
         assert region.spot_mismatches == 0
         assert region.failures == 0
         assert region.spot_checks == 40
-        # each spot-check root, put in place of its axis, lies on the
-        # decision boundary
-        roots, _ = theory.boundary_root(cfg, region.draw_x[:40], cfg.log_gamma)
-        i, m = np.nonzero(np.isfinite(roots))
-        assert i.size
-        y = region.draw_x[i].copy()
-        y[np.arange(i.size), m] = roots[i, m]
-        vals = detectors.log_lrt_mblock(y * cfg.block_size, cfg)
-        assert np.all(np.abs(vals - cfg.log_gamma) < 1e-7)
 
     def test_spot_check_failures_counted(self, monkeypatch):
+        # a per-block term that falls along every axis breaks every spot
+        # check; the corner test does not use the per-block term
         cfg = mblock_cfg(n=200, M=2)
-        monkeypatch.setattr(theory, "_ROOT_TOL", -1.0)
+        monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
         region = theory.estimate_boundary_mass(
             cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8
         )
-        roots, broken = theory.boundary_root(cfg, region.draw_x[:8], cfg.log_gamma)
-        assert region.failures == np.count_nonzero(broken) > 0
-        assert np.isnan(roots[broken]).all()
+        assert region.failures == 8 * cfg.M
+        assert region.spot_mismatches == 0
 
     def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
         # the corner test does not use the per-block term; only the spot

@@ -66,6 +66,14 @@ class TestOutageCapacity:
         rates = np.sort(np.log2(1.0 + throughput.sinr_samples(sc, 10_000, seed=4)))
         assert throughput.outage_capacity(sc, 0.07, 10_000, seed=4) == rates[699]
 
+    def test_tiny_outage_reads_smallest_draw(self):
+        # q * samples below 1 asks for the first order statistic, however
+        # small q is; it never wraps round to the largest draw
+        sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
+        rates = np.sort(np.log2(1.0 + throughput.sinr_samples(sc, 100_000, seed=1)))
+        tiny = throughput.outage_capacity(sc, 1e-16, 100_000, seed=1)
+        assert tiny == throughput.outage_capacity(sc, 1e-5, 100_000, seed=1) == rates[0]
+
     def test_positive_whenever_power_positive(self):
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
         assert throughput.outage_capacity(sc, 0.05, 5000, seed=3) > 0.0
