@@ -200,8 +200,8 @@ def cmd_boundary(args):
     out_csv = os.path.join(args.out, "boundary.csv")
     header = ["draw"] + [f"x{m + 1}" for m in range(cfg.M)] + ["in_region"]
     rows = [
-        (i, *[float(v) for v in region.draw_x[i]], int(region.draw_in_region[i]))
-        for i in range(len(region.draw_x))
+        (i, *x, int(hit))
+        for i, (x, hit) in enumerate(zip(region.draw_x.tolist(), region.draw_in_region.tolist()))
     ]
     harness.write_csv(out_csv, header, rows)
     out_json = os.path.join(args.out, "boundary.json")

@@ -10,6 +10,7 @@ an unshifted exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -75,7 +76,10 @@ def log_gamma_density(z, k, s):
 # does not settle it; six is the fewest panels that keep the redo off every
 # row the CLI sends, with margin.  The window closes _TAIL_DROP nats below
 # the peak, searched from where a Gaussian of the peak's width falls that
-# far.  Rows go in chunks of _CHUNK, which bounds the node arrays' memory.
+# far.  Rows go in chunks of _CHUNK, which sizes the node workspace a kernel
+# call allocates once: three buffers for one chunk at the redo's 4 * _PANELS
+# panels, written in place by every rule of every chunk so that no chunk
+# faults in fresh pages.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
 _GL_LOGW = np.log(_GL_W)
 _PANELS = 6
@@ -84,62 +88,86 @@ _TAIL_DROP = 60.0
 _CHUNK = 512
 
 
-def _exponent_drop(s, k, p, q):
+@functools.cache
+def _panel_tables(panels):
+    """Read-only panel midpoints, in panel widths from the window's start,
+    and every node's log-weight for a rule on this many panels."""
+    mids, logw = np.arange(panels) + 0.5, np.tile(_GL_LOGW, panels)
+    mids.flags.writeable = logw.flags.writeable = False
+    return mids, logw
+
+
+def _exponent_drop(s, k, p, q, out=None, scratch=None):
     """phi(t0 + s) - phi(t0) for phi(t) = (1-k) t - z e^-t - r e^t, where
-    p = z e^-t0 and q = r e^t0; cancellation-free near the peak."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (1.0 - k) * s - p * np.expm1(-s) - q * np.expm1(s)
+    p = z e^-t0 and q = r e^t0; cancellation-free near the peak.  Written
+    into out, with scratch as the expm1 buffer, when they are given."""
+    out = np.multiply(1.0 - k, s, out=out)
+    scratch = np.expm1(np.negative(s, out=scratch), out=scratch)
+    out -= np.multiply(p, scratch, out=scratch)
+    out -= np.multiply(q, np.expm1(s, out=scratch), out=scratch)
+    return out
 
 
-def _window_edge(k, p, q, width, limit, side):
-    """The first of the offsets side*width*sqrt(2*_TAIL_DROP)*(1, 2, 4, ...)
-    where the exponent has dropped _TAIL_DROP nats below the peak, or the
-    integration limit if sooner; by concavity it only falls further out.  A
-    row still open after 64 doublings (a NaN row never closes) raises."""
-    clip = np.maximum if side < 0 else np.minimum
-    s = clip(side * math.sqrt(2.0 * _TAIL_DROP) * width, limit)
+def _window_edges(k, p, q, width, lo_limit, hi_limit):
+    """The window (lo, hi) in s around the peak.  On each side it ends at the
+    first of the distances width*sqrt(2*_TAIL_DROP)*(1, 2, 4, ...) where the
+    exponent has dropped _TAIL_DROP nats below the peak, or at the
+    integration limit if sooner; by concavity it only falls further out.
+    Both sides search in one loop over the rows stacked twice, the lower
+    side negated.  A row still open after 64 doublings (a NaN row never
+    closes) raises."""
+    rows = len(p)
+    side = np.repeat((-1.0, 1.0), rows)
+    limit = np.concatenate((-lo_limit, hi_limit))
+    p, q = np.concatenate((p, p)), np.concatenate((q, q))
+    u = np.minimum(math.sqrt(2.0 * _TAIL_DROP) * np.concatenate((width, width)), limit)
     for _ in range(64):
-        still_open = (s != limit) & ~(_exponent_drop(s, k, p, q) <= -_TAIL_DROP)
+        still_open = (u != limit) & ~(_exponent_drop(side * u, k, p, q) <= -_TAIL_DROP)
         if not still_open.any():
-            return s
-        s = np.where(still_open, clip(2.0 * s, limit), s)
+            return -u[:rows], u[rows:]
+        u = np.where(still_open, np.minimum(2.0 * u, limit), u)
     raise QuadratureError("quadrature window did not close")
 
 
-def _panel_rule(panels, lo, hi, k, p, q):
+def _panel_rule(panels, lo, hi, k, p, q, work):
     """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
-    per row, each row summed on its own."""
+    per row, each row summed on its own.  The nodes, the exponent and its
+    exp live in C-contiguous views of the three buffers of work."""
+    rows, nodes = len(lo), panels * _GL_X.size
+    s, vals, scratch = (buf[: rows * nodes].reshape(rows, nodes) for buf in work)
+    mids, logw = _panel_tables(panels)
     h = (hi - lo) / panels
-    centres = lo[:, None] + h[:, None] * (np.arange(panels) + 0.5)
-    s = (centres[:, :, None] + 0.5 * h[:, None, None] * _GL_X).reshape(len(h), -1)
-    vals = _exponent_drop(s, k, p[:, None], q[:, None]) + np.tile(_GL_LOGW, panels)
+    centres = lo[:, None] + h[:, None] * mids
+    by_panel = s.reshape(rows, panels, _GL_X.size)
+    np.multiply(0.5 * h[:, None, None], _GL_X, out=by_panel)
+    by_panel += centres[:, :, None]
+    _exponent_drop(s, k, p[:, None], q[:, None], vals, scratch)
+    vals += logw
     top = vals.max(axis=1)
-    return np.log(0.5 * h) + top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
+    np.exp(np.subtract(vals, top[:, None], out=scratch), out=scratch)
+    return np.log(0.5 * h) + top + np.log(scratch.sum(axis=1))
 
 
-def _log_power_integral_rows(z, k, a, w, r):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
-        peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
+def _log_power_integral_rows(z, k, a, w, r, work):
+    den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
+    peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
     v0 = np.clip(peak, a, a + w)
     c = v0 - a
     p, q = z / v0, r * v0
     # the limits in t relative to the peak; c is exact when v0 is near a
     lo_limit, hi_limit = np.log1p(-c / v0), np.log1p((w - c) / v0)
-    with np.errstate(divide="ignore"):
-        width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
+    width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
     width = np.minimum(width, hi_limit - lo_limit)
-    lo = _window_edge(k, p, q, width, lo_limit, -1.0)
-    hi = _window_edge(k, p, q, width, hi_limit, 1.0)
-    coarse = _panel_rule(_PANELS, lo, hi, k, p, q)
-    fine = _panel_rule(2 * _PANELS, lo, hi, k, p, q)
+    lo, hi = _window_edges(k, p, q, width, lo_limit, hi_limit)
+    coarse = _panel_rule(_PANELS, lo, hi, k, p, q, work)
+    fine = _panel_rule(2 * _PANELS, lo, hi, k, p, q, work)
     # written so that NaN counts as unresolved
     bad = ~(np.abs(np.expm1(coarse - fine)) <= _REL_TOL)
-    if np.any(bad):
+    if bad.any():
         idx = np.nonzero(bad)[0]
-        finer = _panel_rule(4 * _PANELS, lo[idx], hi[idx], k, p[idx], q[idx])
+        finer = _panel_rule(4 * _PANELS, lo[idx], hi[idx], k, p[idx], q[idx], work)
         still = ~(np.abs(np.expm1(fine[idx] - finer)) <= _REL_TOL)
-        if np.any(still):
+        if still.any():
             i = idx[np.argmax(still)]
             raise QuadratureError(
                 f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
@@ -156,15 +184,21 @@ def _log_power_integral(z, k, a, w, r):
     keeps its accuracy as no rounded a + w enters the limits.  With v = e^t
     the exponent is strictly concave; panels sit around its analytic peak.
     Each row is computed alone, so a z gives the same bytes in any batch.
+    The call allocates one node workspace that every chunk reuses, and
+    silences floating-point warnings once: infinite limits, z = 0 and
+    overflowing tails are handled by value, and a NaN row raises.
     """
     z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
     out = np.empty(z.shape)
     flat_z, flat_a, flat_out = z.ravel(), a.ravel(), out.reshape(-1)
-    for start in range(0, flat_z.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        flat_out[part] = _log_power_integral_rows(
-            flat_z[part], float(k), flat_a[part], float(w), float(r)
-        )
+    size = min(_CHUNK, flat_z.size) * 4 * _PANELS * _GL_X.size
+    work = tuple(np.empty(size) for _ in range(3))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, flat_z.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            flat_out[part] = _log_power_integral_rows(
+                flat_z[part], float(k), flat_a[part], float(w), float(r), work
+            )
     return out
 
 
@@ -177,11 +211,11 @@ def log_integral_block(z, k, v0, zeta):
     v0 broadcasts against z.  k up to 1e6 is fine.
     """
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
+    if (z_arr < 0).any():
         raise ValueError(f"z must be nonnegative, got {z}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if np.any(np.asarray(v0) <= 0) or zeta <= 0:
+    if (np.asarray(v0) <= 0).any() or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
     out = _log_power_integral(z_arr, k, v0, math.inf, 1.0 / zeta)
     return out if out.ndim else float(out)
@@ -203,7 +237,7 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0):
+    if (z_arr < 0).any():
         raise ValueError("z must be nonnegative")
     # GammaPdf(z; n, v) = z**(n-1) v**-n exp(-z/v) / Gamma(n), with v = sigma_w2 + theta
     with np.errstate(divide="ignore"):  # z**0 = 1 holds at z = 0 too

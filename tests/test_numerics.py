@@ -204,6 +204,20 @@ def mp_mixture_density(z, n, sw2, lo, hi, width):
         return mp_log_quad(log_f, lo, hi, peak, (sw2 + peak) / mp.sqrt(n)) - math.log(width)
 
 
+def count_refined_rows(monkeypatch):
+    """Make _panel_rule record the row count of each redo on 4 * _PANELS panels."""
+    refined = []
+    panel_rule = numerics._panel_rule
+
+    def counting(panels, lo, *args):
+        if panels == 4 * numerics._PANELS:
+            refined.append(len(lo))
+        return panel_rule(panels, lo, *args)
+
+    monkeypatch.setattr(numerics, "_panel_rule", counting)
+    return refined
+
+
 class TestPowerIntegral:
     """The batched kernel behind both mixture integrals."""
 
@@ -249,18 +263,39 @@ class TestPowerIntegral:
         alone = [log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0) for z in zs]
         assert mix.tobytes() == np.array(alone).tobytes()
 
+    def test_workspace_reuse_across_chunks_and_redo(self, monkeypatch):
+        # on four coarse panels a share of rows takes the redo on four times
+        # as many; three full chunks and a short one reuse one workspace, and
+        # every row still reads the same bytes as in a call of its own
+        monkeypatch.setattr(numerics, "_PANELS", 4)
+        refined = count_refined_rows(monkeypatch)
+        rng = np.random.default_rng(11)
+        size = 3 * numerics._CHUNK + 37
+        zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
+        v0 = rng.uniform(1.0, 1.1, size)
+        batch = log_integral_block(zs, 100, v0, 1.0)
+        assert 0 < sum(refined) < size
+        alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
+        assert batch.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("panels", [4, 6, 8])
+    def test_workspace_sized_per_call(self, monkeypatch, panels):
+        # the workspace follows the panel count and the row count of each
+        # call, so calls of different sizes in a row all fit
+        monkeypatch.setattr(numerics, "_PANELS", panels)
+        rng = np.random.default_rng(panels)
+        for size in (1, numerics._CHUNK, 3 * numerics._CHUNK + 5, 1):
+            z = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
+            block = log_integral_block(z, 100, 1.01, 1.0)
+            mix = log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0)
+            for out in (block, mix):
+                assert out.shape == (size,)
+                assert np.all(np.isfinite(out))
+
     def test_realistic_batches_need_no_refinement(self, monkeypatch):
         # the coarse and fine estimates agree on every row the detectors
         # send; the redo on four times the panels is for the odd row only
-        refined = []
-        panel_rule = numerics._panel_rule
-
-        def counting(panels, lo, *args):
-            if panels == 4 * numerics._PANELS:
-                refined.append(len(lo))
-            return panel_rule(panels, lo, *args)
-
-        monkeypatch.setattr(numerics, "_panel_rule", counting)
+        refined = count_refined_rows(monkeypatch)
         rng = np.random.default_rng(5)
         size = 2000
 
