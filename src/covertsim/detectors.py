@@ -106,11 +106,13 @@ def _sample_powers(samples):
 
 def _ltr_sum(values):
     # left-to-right summation along the last axis; np.add.accumulate is
-    # sequential by definition, so a row sums alike alone or in a batch
+    # sequential by definition, so a row sums alike alone or in a batch.  An
+    # empty row sums to 0; a batch of rows keeps its shape even when empty
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    out = np.add.accumulate(values, axis=-1)[..., -1]
+    if values.shape[-1] == 0:
+        out = np.zeros(values.shape[:-1])
+    else:
+        out = np.add.accumulate(values, axis=-1)[..., -1]
     return float(out) if out.ndim == 0 else out
 
 

@@ -79,8 +79,23 @@ def log_gamma_density(z, k, s):
 # far.  Rows go in chunks of _CHUNK, which sizes the node workspace a kernel
 # call allocates once: three buffers for one chunk at the redo's 4 * _PANELS
 # panels, written in place by every rule of every chunk so that no chunk
-# faults in fresh pages.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+# faults in fresh pages.  The 15-point rule is written out as literals, each
+# the shortest repr of np.polynomial.legendre.leggauss(15) and so the same
+# bits (a test holds them to it): computing it at import would load
+# numpy.polynomial and run an eigensolve in every process, about 1.35 MB of
+# resident memory and 3 ms, for fifteen fixed numbers.
+_GL_X = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL_W = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 _GL_LOGW = np.log(_GL_W)
 _PANELS = 6
 _REL_TOL = 1e-10

@@ -236,10 +236,14 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     sigma_j2 = rng.exponential(cfg.zeta, size=(draws, M))
     x = cfg.sigma_w2 + sigma_j2
 
-    # the statistic at the lower and upper corners of each draw's delta-cube
+    # the statistic at the lower corner of each draw's delta-cube, and at the
+    # upper corner only where the lower one lies below log_gamma: no other
+    # draw can be in the region.  Each row is computed alone, so the subset
+    # gets the bytes it would get in the full batch.
     lo_stat = detectors.log_lrt_mblock(k * np.clip(x - delta, 0.0, None), cfg)
-    hi_stat = detectors.log_lrt_mblock(k * (x + delta), cfg)
-    in_region = (lo_stat < log_gamma) & (log_gamma < hi_stat)
+    below = lo_stat < log_gamma
+    in_region = np.zeros(draws, dtype=bool)
+    in_region[below] = log_gamma < detectors.log_lrt_mblock(k * (x[below] + delta), cfg)
     hits = int(np.count_nonzero(in_region))
     mass = hits / draws
     ci = wilson_interval(hits, draws)

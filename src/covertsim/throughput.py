@@ -16,28 +16,39 @@ from .model import FADING, path_gain
 _SINR_RNG_SALT = 0x51A7
 
 
+def _link_gain(rng, fading, out, scratch):
+    """|h|^2 per draw into out: 0.5 * (re**2 + im**2) for a faded link, with
+    im drawn into scratch, and 1 for an AWGN link."""
+    if not fading:
+        out.fill(1.0)
+        return
+    np.square(rng.standard_normal(out=out), out=out)
+    out += np.square(rng.standard_normal(out=scratch), out=scratch)
+    out *= 0.5
+
+
 def sinr_samples(scenario, samples, seed):
     """Vector of SINR draws over the receiver-side fading.
 
     AWGN links count as |h|^2 = 1.  The jammer contributes at its strategy
     power (the per-slot maximum for the uniform strategy, which lower-bounds
-    the SINR).
+    the SINR).  Every step runs in place, in the order of the expression
+    gain_ab * P_f * g_ab / (gain_jb * P_j * g_jb + sigma_b2), so the draws
+    keep their bits; the call holds at most three float64 arrays of length
+    samples, 24 bytes per draw, and returns one of them.
     """
     rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
-    g = scenario.geometry
-
-    def link_gain(link):
-        if getattr(scenario.channels, link) == FADING:
-            re = rng.standard_normal(samples)
-            im = rng.standard_normal(samples)
-            return 0.5 * (re**2 + im**2)
-        return np.ones(samples)
-
-    gain_ab = link_gain("ab")
-    gain_jb = link_gain("jb")
-    signal = gain_ab * scenario.P_f * path_gain(g.d_ab, g.alpha)
-    interference = gain_jb * scenario.jammer.power * path_gain(g.d_jb, g.alpha)
-    return signal / (interference + scenario.noise.sigma_b2)
+    g, ch = scenario.geometry, scenario.channels
+    signal, interference, scratch = (np.empty(samples) for _ in range(3))
+    _link_gain(rng, ch.ab == FADING, signal, scratch)
+    signal *= scenario.P_f
+    signal *= path_gain(g.d_ab, g.alpha)
+    _link_gain(rng, ch.jb == FADING, interference, scratch)
+    interference *= scenario.jammer.power
+    interference *= path_gain(g.d_jb, g.alpha)
+    interference += scenario.noise.sigma_b2
+    signal /= interference
+    return signal
 
 
 def outage_capacity(scenario, outage_prob, samples, seed):
@@ -49,15 +60,20 @@ def outage_capacity(scenario, outage_prob, samples, seed):
     Rounds down rather than interpolating, so the reported rate is
     conservative.  The product is rounded to 9 decimals before the ceiling,
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
-    index up by one; an index below 1 reads the smallest draw.
+    index up by one; an index below 1 reads the smallest draw.  The rates
+    overwrite the SINR draws in place and a partition, not a sort, places
+    the order statistic, so the call peaks at sinr_samples' 24 bytes per
+    draw.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
     if samples < 1000:
         raise ValueError("need at least 1000 fading draws")
-    gammas = sinr_samples(scenario, samples, seed)
-    rates = np.sort(np.log2(1.0 + gammas))
+    rates = sinr_samples(scenario, samples, seed)
+    rates += 1.0
+    np.log2(rates, out=rates)
     idx = max(1, math.ceil(round(outage_prob * samples, 9)))
+    rates.partition(idx - 1)
     return float(rates[idx - 1])
 
 

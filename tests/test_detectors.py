@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from covertsim import model, synth
+from covertsim import detectors, model, synth
 from covertsim.detectors import (
     AWGN_UNIFORM,
     M1_EXPONENTIAL,
@@ -72,6 +72,9 @@ class TestSufficientStats:
 
     def test_zero_block_vector(self):
         assert block_powers(make_obs(np.zeros(12), M=3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_empty_rows_sum_to_zero(self):
+        assert np.array_equal(detectors._ltr_sum(np.empty((3, 0))), np.zeros(3))
 
     def test_conditional_power_scaling(self):
         # known slot power: E[z] = n * (sigma_w2 + u * zeta)
@@ -183,6 +186,9 @@ class TestMBlockLrt:
     def test_shape_guard(self):
         with pytest.raises(ConfigError):
             log_lrt_mblock([1.0, 2.0, 3.0], mblock_cfg(n=200, M=2))
+
+    def test_no_rows(self):
+        assert log_lrt_mblock(np.empty((0, 4)), mblock_cfg(n=400, M=4)).shape == (0,)
 
 
 class TestThresholdInversion:

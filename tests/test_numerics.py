@@ -221,6 +221,11 @@ def count_refined_rows(monkeypatch):
 class TestPowerIntegral:
     """The batched kernel behind both mixture integrals."""
 
+    def test_gauss_legendre_table_is_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(15)
+        assert numerics._GL_X.tobytes() == x.tobytes()
+        assert numerics._GL_W.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("z, k, v0", [
         *(pytest.param(z, k, 1.0, id=f"{z}-{k}") for z, k in [
             (0.6e4, 1e4), (2.2e4, 1e4),  # deep tails at k = 1e4

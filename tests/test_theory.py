@@ -328,6 +328,28 @@ class TestBoundaryMass:
             hi = detectors.log_lrt_mblock((x + 0.025) * k, cfg)
             assert bool(region.draw_in_region[i]) == (lo < cfg.log_gamma < hi)
 
+    @pytest.mark.parametrize("M, draws", [(2, 2000), (4, 400)])
+    def test_upper_corner_short_circuit_matches_both_corners(self, M, draws):
+        # mblock_cfg(n=100 * M, M) is the detector of configs/fading_m{M}.json;
+        # the reference evaluates both corners of every draw
+        cfg = mblock_cfg(n=100 * M, M=M)
+        delta = theory.delta_for_boundary_mass(0.1, M, cfg.zeta)
+        k = cfg.block_size
+        regions = {
+            log_gamma: theory.estimate_boundary_mass(
+                cfg, delta, log_gamma, draws, seed=1, spot_checks=0
+            )
+            for log_gamma in (0.0, -0.05, -1e9)
+        }
+        x = regions[0.0].draw_x
+        lo = detectors.log_lrt_mblock(k * np.clip(x - delta, 0.0, None), cfg)
+        hi = detectors.log_lrt_mblock(k * (x + delta), cfg)
+        for log_gamma, region in regions.items():
+            want = (lo < log_gamma) & (log_gamma < hi)
+            assert np.array_equal(region.draw_in_region, want)
+            # -1e9 leaves the upper-corner subset empty
+            assert want.any() == (log_gamma != -1e9)
+
     def test_rejects_scalar_variants(self):
         with pytest.raises(ConfigError):
             theory.estimate_boundary_mass(m1_cfg(), 0.01, 0.0, 100, 1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,47 @@ from covertsim import model, throughput
 from conftest import awgn_scenario, fading_scenario
 
 
+def bob_fading():
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    return model.load_scenario(configs / "bob_fading.json")
+
+
+def reference_sinr(scenario, samples, seed):
+    """The out-of-place expression that sinr_samples evaluates in place."""
+    rng = np.random.Generator(
+        np.random.Philox(key=[int(seed) % 2**64, throughput._SINR_RNG_SALT]))
+    g = scenario.geometry
+
+    def link_gain(link):
+        if getattr(scenario.channels, link) == model.FADING:
+            re = rng.standard_normal(samples)
+            im = rng.standard_normal(samples)
+            return 0.5 * (re**2 + im**2)
+        return np.ones(samples)
+
+    gain_ab = link_gain("ab")
+    gain_jb = link_gain("jb")
+    signal = gain_ab * scenario.P_f * model.path_gain(g.d_ab, g.alpha)
+    interference = gain_jb * scenario.jammer.power * model.path_gain(g.d_jb, g.alpha)
+    return signal / (interference + scenario.noise.sigma_b2)
+
+
 class TestSinr:
+    @pytest.mark.parametrize("seed", [1, 11])
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(bob_fading, id="bob_fading"),
+        pytest.param(awgn_scenario, id="awgn"),
+        pytest.param(lambda: fading_scenario(ab="fading", jb="awgn"), id="mixed_ab"),
+        pytest.param(lambda: fading_scenario(ab="awgn", jb="fading"), id="mixed_jb"),
+    ])
+    def test_in_place_pipeline_keeps_bytes(self, scenario, seed):
+        sc = scenario()
+        got = throughput.sinr_samples(sc, 5000, seed)
+        want = reference_sinr(sc, 5000, seed)
+        assert got.tobytes() == want.tobytes()
+        rates = np.sort(np.log2(1.0 + want))
+        assert throughput.outage_capacity(sc, 0.05, 5000, seed) == rates[249]
+
     def test_silent_transmitter(self):
         sc = awgn_scenario(P_f=0.0)
         assert np.all(throughput.sinr_samples(sc, 100, seed=1) == 0.0)
@@ -98,6 +140,19 @@ class TestOutageCapacity:
         r_small = throughput.outage_capacity(model.with_updates(sc, n=400), 0.05, 5000, seed=2)
         r_large = throughput.outage_capacity(model.with_updates(sc, n=6400), 0.05, 5000, seed=2)
         assert r_small == r_large
+
+    def test_peak_memory_per_draw(self):
+        # three float64 arrays of the draws' length at most; a fixed 64 KB
+        # covers the generator and the scalars
+        samples = 200_000
+        sc = bob_fading()
+        tracemalloc.start()
+        try:
+            throughput.outage_capacity(sc, 0.05, samples, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * samples + 64 * 1024
 
     def test_preconditions(self):
         sc = awgn_scenario()
