@@ -188,6 +188,20 @@ def cmd_check(args):
     return EXIT_OK
 
 
+# boundary.csv's rows become Python numbers this many draws at a time
+_CSV_SLICE = 4096
+
+
+def _boundary_rows(region):
+    """boundary.csv's rows, one slice of draws converted at a time, so that
+    no list of every draw is held."""
+    for start in range(0, len(region.draw_x), _CSV_SLICE):
+        xs = region.draw_x[start:start + _CSV_SLICE].tolist()
+        hits = region.draw_in_region[start:start + _CSV_SLICE].tolist()
+        for i, (x, hit) in enumerate(zip(xs, hits), start):
+            yield (i, *x, int(hit))
+
+
 def cmd_boundary(args):
     scenario, digest = _load(args.config)
     cfg = detectors.config_for_scenario(scenario)
@@ -199,11 +213,7 @@ def cmd_boundary(args):
     region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, args.draws, args.seed)
     out_csv = os.path.join(args.out, "boundary.csv")
     header = ["draw"] + [f"x{m + 1}" for m in range(cfg.M)] + ["in_region"]
-    rows = [
-        (i, *x, int(hit))
-        for i, (x, hit) in enumerate(zip(region.draw_x.tolist(), region.draw_in_region.tolist()))
-    ]
-    harness.write_csv(out_csv, header, rows)
+    harness.write_csv(out_csv, header, _boundary_rows(region))
     out_json = os.path.join(args.out, "boundary.json")
     with open(out_json, "w", encoding="utf-8") as fh:
         json.dump({
@@ -238,12 +248,12 @@ def cmd_capacity(args):
     else:
         pf_values = [scenario.P_f]
     n = scenario.slots.n if args.n is None else args.n
-    rows = []
-    for pf in pf_values:
-        sc = model.with_updates(scenario, P_f=pf)
-        rate = throughput.outage_capacity(sc, args.outage, args.samples, args.seed)
-        rows.append((pf, sc.jammer.power, args.outage, rate,
-                     throughput.covert_bits(n, rate)))
+    # with_updates validates each P_f; one set of fading draws serves them all
+    pf_values = [model.with_updates(scenario, P_f=pf).P_f for pf in pf_values]
+    rates = throughput.outage_capacities(scenario, args.outage, args.samples, args.seed,
+                                         pf_values)
+    rows = [(pf, scenario.jammer.power, args.outage, rate, throughput.covert_bits(n, rate))
+            for pf, rate in zip(pf_values, rates)]
     out_csv = os.path.join(args.out, "capacity.csv")
     harness.write_csv(out_csv, ["P_f", "P_j", "outage_prob", "R", "bits"], rows)
     _manifest(args.out, "capacity", scenario, args.seed, digest, [out_csv],

@@ -76,10 +76,17 @@ def log_gamma_density(z, k, s):
 # does not settle it; six is the fewest panels that keep the redo off every
 # row the CLI sends, with margin.  The window closes _TAIL_DROP nats below
 # the peak, searched from where a Gaussian of the peak's width falls that
-# far.  Rows go in chunks of _CHUNK, which sizes the node workspace a kernel
-# call allocates once: three buffers for one chunk at the redo's 4 * _PANELS
-# panels, written in place by every rule of every chunk so that no chunk
-# faults in fresh pages.  The 15-point rule is written out as literals, each
+# far.  Rows go through on two levels.  The per-row set-up (peak, limits,
+# width, window edges) is a few floats per row, so it runs on chunks of
+# _CHUNK rows, long enough to spread numpy's per-call cost.  The rules are 15
+# nodes per panel per row, so they run on blocks of _BLOCK rows within a
+# chunk, and a kernel call allocates one node workspace for one block: three
+# buffers at the redo's 4 * _PANELS panels, written in place by every rule of
+# every block.  A regular pass (coarse, then fine on 2 * _PANELS panels)
+# touches 3 buffers x 128 rows x 180 nodes x 8 bytes, about 0.55 MB, so the
+# nodes stay in a 2 MB L2 cache and no block faults in fresh pages; sizing
+# the workspace by the chunk instead would make it the largest transient of
+# a call.  The 15-point rule is written out as literals, each
 # the shortest repr of np.polynomial.legendre.leggauss(15) and so the same
 # bits (a test holds them to it): computing it at import would load
 # numpy.polynomial and run an eigensolve in every process, about 1.35 MB of
@@ -100,7 +107,8 @@ _GL_LOGW = np.log(_GL_W)
 _PANELS = 6
 _REL_TOL = 1e-10
 _TAIL_DROP = 60.0
-_CHUNK = 512
+_CHUNK = 2048
+_BLOCK = 128
 
 
 @functools.cache
@@ -164,6 +172,8 @@ def _panel_rule(panels, lo, hi, k, p, q, work):
 
 
 def _log_power_integral_rows(z, k, a, w, r, work):
+    """One set-up chunk: the per-row set-up on all its rows, then the panel
+    rules block by block, each block in the node workspace work."""
     den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
     peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
     v0 = np.clip(peak, a, a + w)
@@ -174,22 +184,27 @@ def _log_power_integral_rows(z, k, a, w, r, work):
     width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
     width = np.minimum(width, hi_limit - lo_limit)
     lo, hi = _window_edges(k, p, q, width, lo_limit, hi_limit)
-    coarse = _panel_rule(_PANELS, lo, hi, k, p, q, work)
-    fine = _panel_rule(2 * _PANELS, lo, hi, k, p, q, work)
-    # written so that NaN counts as unresolved
-    bad = ~(np.abs(np.expm1(coarse - fine)) <= _REL_TOL)
-    if bad.any():
-        idx = np.nonzero(bad)[0]
-        finer = _panel_rule(4 * _PANELS, lo[idx], hi[idx], k, p[idx], q[idx], work)
-        still = ~(np.abs(np.expm1(fine[idx] - finer)) <= _REL_TOL)
-        if still.any():
-            i = idx[np.argmax(still)]
-            raise QuadratureError(
-                f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
-                f" a={a[i]:g}, w={w:g}, r={r:g})"
-            )
-        fine[idx] = finer
-    return (1.0 - k) * np.log(v0) - p - q + fine
+    value = np.empty(len(z))
+    for start in range(0, len(z), _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        b_lo, b_hi, b_p, b_q = lo[blk], hi[blk], p[blk], q[blk]
+        coarse = _panel_rule(_PANELS, b_lo, b_hi, k, b_p, b_q, work)
+        fine = _panel_rule(2 * _PANELS, b_lo, b_hi, k, b_p, b_q, work)
+        # written so that NaN counts as unresolved
+        bad = ~(np.abs(np.expm1(coarse - fine)) <= _REL_TOL)
+        if bad.any():
+            idx = np.nonzero(bad)[0]
+            finer = _panel_rule(4 * _PANELS, b_lo[idx], b_hi[idx], k, b_p[idx], b_q[idx], work)
+            still = ~(np.abs(np.expm1(fine[idx] - finer)) <= _REL_TOL)
+            if still.any():
+                i = start + idx[np.argmax(still)]
+                raise QuadratureError(
+                    f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
+                    f" a={a[i]:g}, w={w:g}, r={r:g})"
+                )
+            fine[idx] = finer
+        value[blk] = fine
+    return (1.0 - k) * np.log(v0) - p - q + value
 
 
 def _log_power_integral(z, k, a, w, r):
@@ -198,15 +213,19 @@ def _log_power_integral(z, k, a, w, r):
     z >= 0, k >= 1, a > 0, w > 0 (finite when r = 0), r >= 0; a narrow range
     keeps its accuracy as no rounded a + w enters the limits.  With v = e^t
     the exponent is strictly concave; panels sit around its analytic peak.
-    Each row is computed alone, so a z gives the same bytes in any batch.
-    The call allocates one node workspace that every chunk reuses, and
-    silences floating-point warnings once: infinite limits, z = 0 and
-    overflowing tails are handled by value, and a NaN row raises.
+    Rows go through in set-up chunks of _CHUNK rows, and each chunk's panel
+    rules in node blocks of _BLOCK rows; every row is still computed alone,
+    so a z gives the same bytes in any batch.  The call allocates one node
+    workspace, sized for one block (or for all rows, if fewer), that every
+    block of every chunk reuses, so its working memory does not grow with
+    the batch beyond the set-up chunk and the output.  It silences
+    floating-point warnings once: infinite limits, z = 0 and overflowing
+    tails are handled by value, and a NaN row raises.
     """
     z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
     out = np.empty(z.shape)
     flat_z, flat_a, flat_out = z.ravel(), a.ravel(), out.reshape(-1)
-    size = min(_CHUNK, flat_z.size) * 4 * _PANELS * _GL_X.size
+    size = min(_BLOCK, flat_z.size) * 4 * _PANELS * _GL_X.size
     work = tuple(np.empty(size) for _ in range(3))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, flat_z.size, _CHUNK):

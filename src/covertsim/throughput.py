@@ -14,17 +14,48 @@ import numpy as np
 from .model import FADING, path_gain
 
 _SINR_RNG_SALT = 0x51A7
+# imaginary parts are drawn this many at a time into a scratch of 128 KB
+_IM_SLICE = 16_384
 
 
-def _link_gain(rng, fading, out, scratch):
-    """|h|^2 per draw into out: 0.5 * (re**2 + im**2) for a faded link, with
-    im drawn into scratch, and 1 for an AWGN link."""
+def _link_gain(rng, fading, out):
+    """|h|^2 per draw into out: 0.5 * (re**2 + im**2) for a faded link and 1
+    for an AWGN link.  The real parts go into out; the imaginary parts follow
+    them in the stream, drawn _IM_SLICE at a time into a small scratch, so
+    the draws keep their bits and no second full-length array is held."""
     if not fading:
         out.fill(1.0)
         return
     np.square(rng.standard_normal(out=out), out=out)
-    out += np.square(rng.standard_normal(out=scratch), out=scratch)
+    scratch = np.empty(min(_IM_SLICE, out.size))
+    for start in range(0, out.size, _IM_SLICE):
+        part = out[start:start + _IM_SLICE]
+        im = scratch[:part.size]
+        part += np.square(rng.standard_normal(out=im), out=im)
     out *= 0.5
+
+
+def _receiver_draws(scenario, samples, seed):
+    """(gain_ab, interference): Bob's |h_ab|^2 draws and the interference
+    plus noise gain_jb * P_j * path gain + sigma_b2 over the same draws, in
+    place, 16 bytes per draw."""
+    rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
+    g, ch = scenario.geometry, scenario.channels
+    gain, interference = np.empty(samples), np.empty(samples)
+    _link_gain(rng, ch.ab == FADING, gain)
+    _link_gain(rng, ch.jb == FADING, interference)
+    interference *= scenario.jammer.power
+    interference *= path_gain(g.d_jb, g.alpha)
+    interference += scenario.noise.sigma_b2
+    return gain, interference
+
+
+def _sinr_in_place(scenario, P_f, signal, interference):
+    """signal * P_f * g_ab / interference, written into signal."""
+    signal *= P_f
+    signal *= path_gain(scenario.geometry.d_ab, scenario.geometry.alpha)
+    signal /= interference
+    return signal
 
 
 def sinr_samples(scenario, samples, seed):
@@ -34,25 +65,16 @@ def sinr_samples(scenario, samples, seed):
     power (the per-slot maximum for the uniform strategy, which lower-bounds
     the SINR).  Every step runs in place, in the order of the expression
     gain_ab * P_f * g_ab / (gain_jb * P_j * g_jb + sigma_b2), so the draws
-    keep their bits; the call holds at most three float64 arrays of length
-    samples, 24 bytes per draw, and returns one of them.
+    keep their bits; the call holds two float64 arrays of length samples,
+    16 bytes per draw, and returns one of them.
     """
-    rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
-    g, ch = scenario.geometry, scenario.channels
-    signal, interference, scratch = (np.empty(samples) for _ in range(3))
-    _link_gain(rng, ch.ab == FADING, signal, scratch)
-    signal *= scenario.P_f
-    signal *= path_gain(g.d_ab, g.alpha)
-    _link_gain(rng, ch.jb == FADING, interference, scratch)
-    interference *= scenario.jammer.power
-    interference *= path_gain(g.d_jb, g.alpha)
-    interference += scenario.noise.sigma_b2
-    signal /= interference
-    return signal
+    gain, interference = _receiver_draws(scenario, samples, seed)
+    return _sinr_in_place(scenario, scenario.P_f, gain, interference)
 
 
-def outage_capacity(scenario, outage_prob, samples, seed):
-    """Empirical outage capacity in bits per symbol.
+def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
+    """Empirical outage capacity in bits per symbol at each transmit power
+    in pf_values, all over one set of fading draws.
 
     Takes the order statistic at index ceil(outage_prob * samples) of
     log2(1 + SINR) over fading draws; with all-AWGN receiver links the
@@ -60,21 +82,35 @@ def outage_capacity(scenario, outage_prob, samples, seed):
     Rounds down rather than interpolating, so the reported rate is
     conservative.  The product is rounded to 9 decimals before the ceiling,
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
-    index up by one; an index below 1 reads the smallest draw.  The rates
+    index up by one; an index below 1 reads the smallest draw.  Each rate is
+    the one sinr_samples' draws give for that P_f, bit for bit.  The rates
     overwrite the SINR draws in place and a partition, not a sort, places
-    the order statistic, so the call peaks at sinr_samples' 24 bytes per
-    draw.
+    the order statistic, so one P_f peaks at 16 bytes per draw; several hold
+    one more array, a copy of the gains for every P_f but the last.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
     if samples < 1000:
         raise ValueError("need at least 1000 fading draws")
-    rates = sinr_samples(scenario, samples, seed)
-    rates += 1.0
-    np.log2(rates, out=rates)
+    gain, interference = _receiver_draws(scenario, samples, seed)
     idx = max(1, math.ceil(round(outage_prob * samples, 9)))
-    rates.partition(idx - 1)
-    return float(rates[idx - 1])
+
+    def rate(sinr, P_f):
+        _sinr_in_place(scenario, P_f, sinr, interference)
+        sinr += 1.0
+        np.log2(sinr, out=sinr)
+        sinr.partition(idx - 1)
+        return float(sinr[idx - 1])
+
+    # every P_f but the last works on a copy, freed as soon as its rate is read
+    last = len(pf_values) - 1
+    return [rate(gain if i == last else gain.copy(), pf) for i, pf in enumerate(pf_values)]
+
+
+def outage_capacity(scenario, outage_prob, samples, seed):
+    """Empirical outage capacity in bits per symbol at scenario.P_f, the
+    one-power case of outage_capacities: it peaks at 16 bytes per draw."""
+    return outage_capacities(scenario, outage_prob, samples, seed, [scenario.P_f])[0]
 
 
 def covert_bits(n, rate):

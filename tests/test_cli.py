@@ -261,6 +261,23 @@ class TestBoundary:
         assert report["mass"] < 0.1 + hw
         assert report["spot_mismatches"] == 0
 
+    def test_csv_streamed_in_slices_keeps_bytes(self, tmp_path):
+        # one full slice of draws and a short one give the bytes of rows
+        # built from the whole arrays at once
+        draws = cli._CSV_SLICE + 7
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
+        out = tmp_path / "bnd"
+        assert run_cli(["boundary", cfgp, "--draws", str(draws), "--seed", "4",
+                        "--out", str(out)]) == 0
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
+        region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, draws, 4)
+        rows = [(i, *x, int(hit)) for i, (x, hit) in
+                enumerate(zip(region.draw_x.tolist(), region.draw_in_region.tolist()))]
+        want = tmp_path / "want.csv"
+        harness.write_csv(want, ["draw", "x1", "x2", "in_region"], rows)
+        assert (out / "boundary.csv").read_bytes() == want.read_bytes()
+
     def test_worker_flag_does_not_change_output(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         bodies = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import mpmath as mp
@@ -255,10 +256,11 @@ class TestPowerIntegral:
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_batch_matches_single_evaluation(self):
-        # a z gives the same bytes alone and inside a batch that crosses a
-        # chunk boundary, also with per-row lower limits
+        # a z gives the same bytes alone and inside a batch that crosses two
+        # set-up chunk boundaries and several node blocks, and ends in a short
+        # block of a short chunk, also with per-row lower limits
         rng = np.random.default_rng(11)
-        size = numerics._CHUNK + 37
+        size = 2 * numerics._CHUNK + 2 * numerics._BLOCK + 37
         zs = rng.permutation(np.concatenate([rng.uniform(0.0, 3e3, size - 3), [0.0, 130.0, 2e5]]))
         v0 = rng.uniform(1.0, 1.1, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
@@ -270,15 +272,18 @@ class TestPowerIntegral:
 
     def test_workspace_reuse_across_chunks_and_redo(self, monkeypatch):
         # on four coarse panels a share of rows takes the redo on four times
-        # as many; three full chunks and a short one reuse one workspace, and
-        # every row still reads the same bytes as in a call of its own
+        # as many; two full set-up chunks and a short one, each cut into node
+        # blocks with a short last block, reuse one workspace, and every row
+        # still reads the same bytes as in a call of its own
         monkeypatch.setattr(numerics, "_PANELS", 4)
         refined = count_refined_rows(monkeypatch)
         rng = np.random.default_rng(11)
-        size = 3 * numerics._CHUNK + 37
+        size = 2 * numerics._CHUNK + 2 * numerics._BLOCK + 37
         zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
         v0 = rng.uniform(1.0, 1.1, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
+        # a redo is one call per block, so the redone rows lie in several blocks
+        assert len(refined) >= 2
         assert 0 < sum(refined) < size
         alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
         assert batch.tobytes() == np.array(alone).tobytes()
@@ -289,13 +294,29 @@ class TestPowerIntegral:
         # call, so calls of different sizes in a row all fit
         monkeypatch.setattr(numerics, "_PANELS", panels)
         rng = np.random.default_rng(panels)
-        for size in (1, numerics._CHUNK, 3 * numerics._CHUNK + 5, 1):
+        sizes = (1, numerics._BLOCK, numerics._BLOCK + 1, numerics._CHUNK,
+                 3 * numerics._CHUNK + 5, 1)
+        for size in sizes:
             z = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
             block = log_integral_block(z, 100, 1.01, 1.0)
             mix = log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0)
             for out in (block, mix):
                 assert out.shape == (size,)
                 assert np.all(np.isfinite(out))
+
+    def test_working_memory_bounded_by_block(self):
+        # 80,000 rows at k = 400: the output (0.64 MB), one block's node
+        # workspace (1.1 MB) and one set-up chunk's per-row arrays; a
+        # workspace sized for a whole chunk alone would be 17.7 MB
+        rng = np.random.default_rng(3)
+        z = (1.0 + rng.exponential(1.0, 80_000)) * rng.gamma(400, 1.0, 80_000)
+        tracemalloc.start()
+        try:
+            log_integral_block(z, 400, 1.0125, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
     def test_realistic_batches_need_no_refinement(self, monkeypatch):
         # the coarse and fine estimates agree on every row the detectors

@@ -35,6 +35,16 @@ def reference_sinr(scenario, samples, seed):
     return signal / (interference + scenario.noise.sigma_b2)
 
 
+def traced_peak(fn, *args):
+    """The peak of memory traced while fn(*args) runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSinr:
     @pytest.mark.parametrize("seed", [1, 11])
     @pytest.mark.parametrize("scenario", [
@@ -45,11 +55,15 @@ class TestSinr:
     ])
     def test_in_place_pipeline_keeps_bytes(self, scenario, seed):
         sc = scenario()
-        got = throughput.sinr_samples(sc, 5000, seed)
-        want = reference_sinr(sc, 5000, seed)
-        assert got.tobytes() == want.tobytes()
-        rates = np.sort(np.log2(1.0 + want))
-        assert throughput.outage_capacity(sc, 0.05, 5000, seed) == rates[249]
+        # part of one slice of imaginary parts, two full slices and a short
+        # one, and many slices
+        for samples in (5000, 2 * throughput._IM_SLICE + 3, 100_001):
+            got = throughput.sinr_samples(sc, samples, seed)
+            want = reference_sinr(sc, samples, seed)
+            assert got.tobytes() == want.tobytes()
+            rates = np.sort(np.log2(1.0 + want))
+            idx = math.ceil(round(0.05 * samples, 9)) - 1
+            assert throughput.outage_capacity(sc, 0.05, samples, seed) == rates[idx]
 
     def test_silent_transmitter(self):
         sc = awgn_scenario(P_f=0.0)
@@ -142,17 +156,26 @@ class TestOutageCapacity:
         assert r_small == r_large
 
     def test_peak_memory_per_draw(self):
-        # three float64 arrays of the draws' length at most; a fixed 64 KB
+        # two float64 arrays of the draws' length and one slice of imaginary
+        # parts at most, and one array more for several powers; a fixed 64 KB
         # covers the generator and the scalars
         samples = 200_000
         sc = bob_fading()
-        tracemalloc.start()
-        try:
-            throughput.outage_capacity(sc, 0.05, samples, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * samples + 64 * 1024
+        fixed = 8 * throughput._IM_SLICE + 64 * 1024
+        peak = traced_peak(throughput.outage_capacity, sc, 0.05, samples, 1)
+        assert peak <= 16 * samples + fixed
+        peak = traced_peak(throughput.outage_capacities, sc, 0.05, samples, 1, [0.01, 0.02, 0.05])
+        assert peak <= 24 * samples + fixed
+
+    @pytest.mark.parametrize("seed", [1, 11])
+    def test_several_powers_share_one_draw_set(self, seed):
+        # each power reads the rate a call of its own gives, bit for bit
+        sc = bob_fading()
+        pf_values = [0.01, 0.0, sc.P_f, 0.05]
+        got = throughput.outage_capacities(sc, 0.07, 20_001, seed, pf_values)
+        want = [throughput.outage_capacity(model.with_updates(sc, P_f=pf), 0.07, 20_001, seed)
+                for pf in pf_values]
+        assert got == want
 
     def test_preconditions(self):
         sc = awgn_scenario()
