@@ -28,8 +28,7 @@ class LrtConfig:
     """Parameters of one detector instance.
 
     ``sigma_a2`` is the common per-block signal power; the genie
-    configuration passes per-trial powers through the ``sigma_a2`` argument
-    of ``log_lrt_m1`` and ``log_lrt_mblock`` instead.
+    configuration scales it by per-trial |h_aw|^2 gains (see ``log_lr``).
     """
 
     variant: str
@@ -199,3 +198,21 @@ def log_lrt_mblock(Z, cfg, sigma_a2=None):
     top = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2 + sa, cfg.zeta))
     bottom = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2, cfg.zeta))
     return (prefactor + top) - bottom
+
+
+def log_lr(cfg, blocks, haw2=None):
+    """Per-row log LRT of a (rows, cfg.M) array of block powers, for every
+    variant; a scalar variant's one block is the total power.
+
+    ``haw2`` holds the matching |h_aw|^2 gains.  It is read only under the
+    genie configuration, which scales sigma_a2 by it, and must then be given.
+    """
+    if cfg.genie and haw2 is None:
+        raise ConfigError("the genie configuration needs the |h_aw|^2 gains")
+    blocks = np.asarray(blocks, dtype=float)
+    sa = haw2 * cfg.sigma_a2 if cfg.genie else None
+    if cfg.variant == MBLOCK_PRODUCT:
+        return log_lrt_mblock(blocks, cfg, sigma_a2=sa)
+    if cfg.variant == AWGN_UNIFORM:
+        return log_lrt_awgn(blocks[:, 0], cfg)
+    return log_lrt_m1(blocks[:, 0], cfg, sigma_a2=None if sa is None else sa[:, 0])

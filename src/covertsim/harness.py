@@ -16,7 +16,7 @@ import numpy as np
 
 from . import detectors, model, synth
 from .model import ConfigError
-from .numerics import BisectionError, bisect_monotone, wilson_interval
+from .numerics import bisect_monotone, wilson_interval
 
 DEFAULT_TRIALS = 10_000
 _H1_TRIAL_OFFSET = 1 << 32  # H0 and H1 trials use disjoint substream indices
@@ -76,32 +76,16 @@ def _check_match(scenario, cfg):
         raise ConfigError(f"detector does not match scenario: {', '.join(mismatches)} differ")
 
 
-def _statistics_from_raw(cfg, z, blocks, haw2):
-    """Reduce sampled block powers and their row sums z to the statistic."""
-    if not (cfg.genie or cfg.variant == detectors.MBLOCK_PRODUCT):
-        return z / cfg.n
-    sa = haw2 * cfg.sigma_a2 if cfg.genie else None
-    if cfg.variant == detectors.M1_EXPONENTIAL:
-        return detectors.log_lrt_m1(z, cfg, sigma_a2=sa[:, 0])
-    return detectors.log_lrt_mblock(blocks, cfg, sigma_a2=sa)
-
-
 def lrt_power_threshold(cfg, z_lo, z_hi):
     """Total power z* where the scalar log LRT crosses log gamma.
 
     Returns +inf when log gamma exceeds the LRT everywhere on the bracket
     (the test never fires) and -inf when it is below it everywhere.
     """
-    if cfg.variant == detectors.AWGN_UNIFORM:
-        f = lambda z: detectors.log_lrt_awgn(z, cfg)
-    elif cfg.variant == detectors.M1_EXPONENTIAL:
-        f = lambda z: detectors.log_lrt_m1(z, cfg)
-    else:
+    if cfg.variant == detectors.MBLOCK_PRODUCT:
         raise ConfigError("the power threshold form applies to the scalar variants")
-    (root,), (broken,) = bisect_monotone(f, [cfg.log_gamma], [z_lo], [z_hi], tol=1e-9)
-    if broken:
-        raise BisectionError(f"bisection for the power threshold failed on [{z_lo}, {z_hi}]")
-    return float(root)
+    f = lambda z: detectors.log_lr(cfg, [[z]])[0]
+    return bisect_monotone(f, cfg.log_gamma, z_lo, z_hi, tol=1e-9)
 
 
 def collect_statistics(scenario, cfg, trials, seed):
@@ -112,21 +96,15 @@ def collect_statistics(scenario, cfg, trials, seed):
     _check_match(scenario, cfg)
     b0, h0 = synth.sample_block_powers(scenario, synth.H0, trials, seed, 0)
     b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET)
-    z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)
-    s0 = _statistics_from_raw(cfg, z0, b0, h0)
-    s1 = _statistics_from_raw(cfg, z1, b1, h1)
     if cfg.variant == detectors.MBLOCK_PRODUCT or cfg.genie:
-        kind = "loglr"
-        gamma_thr = cfg.log_gamma
-    else:
-        kind = "power"
-        z_all = np.concatenate([z0, z1])
-        lo = max(float(z_all.min()) * 0.5, 1e-9 * cfg.n * cfg.sigma_w2)
-        hi = float(z_all.max()) * 2.0
-        gamma_thr = lrt_power_threshold(cfg, lo, hi)
-        if math.isfinite(gamma_thr):
-            gamma_thr /= cfg.n
-    return SampleSet(stats_h0=s0, stats_h1=s1, kind=kind, lrt_gamma_threshold=gamma_thr)
+        s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
+        return SampleSet(s0, s1, kind="loglr", lrt_gamma_threshold=cfg.log_gamma)
+    z0, z1 = b0[:, 0], b1[:, 0]
+    z_all = np.concatenate([z0, z1])
+    lo = max(float(z_all.min()) * 0.5, 1e-9 * cfg.n * cfg.sigma_w2)
+    hi = float(z_all.max()) * 2.0
+    thr = lrt_power_threshold(cfg, lo, hi) / cfg.n  # +-inf stays +-inf
+    return SampleSet(z0 / cfg.n, z1 / cfg.n, kind="power", lrt_gamma_threshold=thr)
 
 
 # ---------------------------------------------------------------------------

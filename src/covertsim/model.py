@@ -202,6 +202,8 @@ def _whole(data, key):
 
 
 def load_scenario(path):
+    """Read a scenario config file.  perfbench/launch.py calls this inside
+    the set-up it times for every benchmark invocation, so it stays."""
     with open(path, "r", encoding="utf-8") as fh:
         return Scenario.from_json(fh.read())
 

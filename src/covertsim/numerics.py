@@ -1,5 +1,5 @@
 """Log-domain density evaluation, one batched quadrature kernel for the
-mixture likelihoods, monotone root finding, and binomial confidence
+mixture likelihoods, scalar monotone root finding, and binomial confidence
 intervals.
 
 Everything here works on logarithms of positive quantities.  The likelihood
@@ -284,48 +284,31 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
 
 
 def bisect_monotone(f, target, lo, hi, tol):
-    """Solve f(x) = target row by row for nondecreasing elementwise f.
-
-    target, lo and hi broadcast to a common shape of rows.  f is called on
-    1-D arrays: the brackets' ends once each, then the midpoints of the rows
-    still live.  Each row follows the scalar iterate sequence: endpoints
-    first, then at most 200 midpoints until |f(x) - target| <= tol.  Returns
-    (roots, broken): roots is -inf where the target lies below f(lo) and +inf
-    where it lies above f(hi); broken flags a row whose contract failed
-    (f(lo) > f(hi), or the bracket stalled before the residual resolved), and
-    its root is NaN.
+    """Solve f(x) = target for a nondecreasing scalar f on [lo, hi]: f(lo) and
+    f(hi) first, then at most 200 midpoints until |f(x) - target| <= tol.
+    Returns -inf or +inf when the target lies below f(lo) or above f(hi);
+    raises BisectionError when f falls (or is NaN) or the bracket stalls.
     """
-    target, a, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (target, lo, hi)))
-    shape = target.shape
-    target, a, b = target.ravel(), a.ravel().copy(), b.ravel().copy()
-    if not np.all(a < b):
-        raise ValueError("brackets must satisfy lo < hi")
-    root = np.full(target.shape, np.nan)
+    a, b = float(lo), float(hi)
+    if not a < b:
+        raise ValueError("the bracket must satisfy lo < hi")
     fa, fb = f(a), f(b)
-    broken = fa > fb
-    root[~broken & (target < fa)] = -np.inf
-    root[~broken & (target > fb)] = np.inf
-    inside = ~broken & (fa <= target) & (target <= fb)
-    at_a = inside & (np.abs(fa - target) <= tol)
-    at_b = inside & ~at_a & (np.abs(fb - target) <= tol)
-    root[at_a], root[at_b] = a[at_a], b[at_b]
-    live = np.flatnonzero(inside & ~at_a & ~at_b)
+    if not fa <= fb:
+        raise BisectionError(f"f falls across the bracket [{a}, {b}]")
+    if not fa <= target <= fb:
+        return -math.inf if target < fa else math.inf
+    for x, fx in ((a, fa), (b, fb)):
+        if abs(fx - target) <= tol:
+            return x
     for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (a[live] + b[live])
+        mid = 0.5 * (a + b)
         fm = f(mid)
-        t = target[live]
-        done = np.abs(fm - t) <= tol
-        root[live[done]] = mid[done]
-        below = fm < t
-        a[live[below]], b[live[~below]] = mid[below], mid[~below]
-        al, bl = a[live], b[live]
-        stalled = ~done & ((bl - al) <= 1e-15 * np.maximum(1.0, np.maximum(np.abs(al), np.abs(bl))))
-        broken[live[stalled]] = True
-        live = live[~done & ~stalled]
-    broken[live] = True
-    return root.reshape(shape), broken.reshape(shape)
+        if abs(fm - target) <= tol:
+            return mid
+        a, b = (mid, b) if fm < target else (a, mid)
+        if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
+            break
+    raise BisectionError(f"bisection for f = {target} did not resolve on [{a}, {b}]")
 
 
 # the 0.975 quantile of the standard normal distribution, to double precision

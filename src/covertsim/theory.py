@@ -130,9 +130,9 @@ def check_lrt_monotone(cfg, grid):
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
     if cfg.variant != detectors.MBLOCK_PRODUCT:
-        lrt = (detectors.log_lrt_awgn if cfg.variant == detectors.AWGN_UNIFORM
-               else detectors.log_lrt_m1)
-        return [_relative_violations(xs, lrt(xs * cfg.n, cfg))]
+        # a genie configuration is scanned at the configured signal power
+        lrt = detectors.log_lr(cfg, (xs * cfg.n)[:, None], haw2=np.ones((xs.size, 1)))
+        return [_relative_violations(xs, lrt)]
 
     k = cfg.block_size
     fixed = k * (cfg.sigma_w2 + cfg.zeta)

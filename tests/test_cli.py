@@ -405,6 +405,36 @@ class TestConsoleEntry:
         assert proc.returncode == 2
 
 
+class TestBenchmarkLauncher:
+    """perfbench/launch.py times model.load_scenario as set-up, and its
+    tracer swaps the positional f handed to numerics.bisect_monotone; both
+    must keep working on this source tree."""
+
+    def launch(self, tmp_path, flags, args):
+        root = Path(__file__).resolve().parents[1]
+        report = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "launch.py"), str(report), *flags,
+             "--", *args],
+            cwd=root, capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(report.read_text())
+
+    def test_setup_only(self, tmp_path):
+        rep = self.launch(tmp_path, ["--setup-only"], ["covertness", "configs/awgn.json"])
+        assert isinstance(rep["setup_s"], float) and rep["setup_s"] > 0
+
+    def test_traced_covertness(self, tmp_path):
+        rep = self.launch(tmp_path, ["--trace"], [
+            "covertness", "configs/awgn.json", "--n-list", "100", "--trials", "20",
+            "--seed", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert isinstance(rep["setup_s"], float)
+        assert rep["trace"]["f_evals"] > 0
+        assert "numerics:bisect_monotone" not in rep["trace"]["absent"]
+
+
 class TestReadme:
     def test_commands_parse_and_name_shipped_configs(self):
         # README is the only recipe for the experiments; it must not drift

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,36 @@ class TestMBlockLrt:
 
     def test_no_rows(self):
         assert log_lrt_mblock(np.empty((0, 4)), mblock_cfg(n=400, M=4)).shape == (0,)
+
+
+def _genie(cfg):
+    return dataclasses.replace(cfg, genie=True)
+
+
+class TestLogLr:
+    """log_lr is each variant's own log LRT, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [7, 0])
+    @pytest.mark.parametrize("cfg, direct", [
+        (awgn_cfg(n=100), lambda Z, g, cfg: log_lrt_awgn(Z[:, 0], cfg)),
+        (m1_cfg(n=100), lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg)),
+        (_genie(m1_cfg(n=100)),
+         lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg, sigma_a2=g[:, 0] * cfg.sigma_a2)),
+        (mblock_cfg(n=200, M=2), lambda Z, g, cfg: log_lrt_mblock(Z, cfg)),
+        (_genie(mblock_cfg(n=200, M=2)),
+         lambda Z, g, cfg: log_lrt_mblock(Z, cfg, sigma_a2=g * cfg.sigma_a2)),
+    ], ids=["awgn", "m1", "m1_genie", "mblock", "mblock_genie"])
+    def test_matches_variant(self, cfg, direct, rows):
+        rng = np.random.default_rng(23)
+        Z = cfg.block_size * rng.uniform(0.5, 3.0, size=(rows, cfg.M))
+        haw2 = rng.exponential(size=(rows, cfg.M))
+        got = detectors.log_lr(cfg, Z, haw2)
+        want = direct(Z, haw2, cfg)
+        assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+
+    def test_genie_needs_gains(self):
+        with pytest.raises(ConfigError):
+            detectors.log_lr(_genie(m1_cfg()), np.full((3, 1), 100.0))
 
 
 class TestThresholdInversion:

@@ -250,6 +250,17 @@ class TestStatisticsCollection:
         )
         assert ss.stats_h1[5] == direct
 
+    def test_blind_mblock_statistic_ignores_signal_fading(self):
+        # a faded signal link with genie=False: the gains are sampled but the
+        # warden does not know them, so sigma_a2 stays unscaled
+        sc = fading_scenario(n=64, M=2, P_f=0.0125, aw="fading")
+        cfg = detectors.config_for_scenario(sc, genie=False)
+        ss = collect_statistics(sc, cfg, trials=8, seed=21)
+        for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
+            blocks, haw2 = sampled(sc, hyp, 8, 21)
+            assert haw2 is not None
+            assert stats.tobytes() == detectors.log_lrt_mblock(blocks, cfg).tobytes()
+
 
 class TestCsv:
     def test_full_precision_round_trip(self, tmp_path):

@@ -10,6 +10,7 @@ from scipy.stats import beta as beta_dist
 
 from covertsim import numerics
 from covertsim.numerics import (
+    BisectionError,
     LogDensity,
     NumericalError,
     QuadratureError,
@@ -361,79 +362,66 @@ class TestPowerIntegral:
             log_mixture_density_uniform(6e3, 1e4, 1.0, 0.0, 1.0, 1.0)
 
 
-def bisect_one(f, target, lo, hi, tol):
-    (root,), (broken,) = bisect_monotone(f, [target], [lo], [hi], tol)
-    assert not broken
-    return root
-
-
 class TestBisect:
     def test_identity(self):
-        assert bisect_one(lambda x: x, 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5)
+        assert bisect_monotone(lambda x: x, 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5)
 
     def test_target_outside(self):
         # the root's sign says which side of the bracket the target lies on
-        assert bisect_one(lambda x: x, -0.5, 0.0, 1.0, 1e-12) == -math.inf
-        assert bisect_one(lambda x: x, 1.5, 0.0, 1.0, 1e-12) == math.inf
+        assert bisect_monotone(lambda x: x, -0.5, 0.0, 1.0, 1e-12) == -math.inf
+        assert bisect_monotone(lambda x: x, 1.5, 0.0, 1.0, 1e-12) == math.inf
 
     def test_non_monotone_contract(self):
-        roots, broken = bisect_monotone(lambda x: -x, [0.5], [0.0], [1.0], 1e-12)
-        assert broken[0] and math.isnan(roots[0])
+        with pytest.raises(BisectionError):
+            bisect_monotone(lambda x: -x, 0.5, 0.0, 1.0, 1e-12)
 
     def test_rows_inside_below_and_above(self):
-        roots, broken = bisect_monotone(lambda x: x ** 3, [0.125, -1.0, 2.0], 0.0, 1.0, 1e-12)
-        assert roots[0] == pytest.approx(0.5) and roots[1:].tolist() == [-math.inf, math.inf]
-        assert not broken.any()
+        roots = [bisect_monotone(lambda x: x ** 3, t, 0.0, 1.0, 1e-12) for t in (0.125, -1.0, 2.0)]
+        assert roots[0] == pytest.approx(0.5) and roots[1:] == [-math.inf, math.inf]
 
     def test_exact_endpoints(self):
-        calls = []
+        for target, lo, hi in ((0.0, 0.0, 2.0), (1.0, -1.0, 1.0)):
+            calls = []
 
-        def f(x):
-            calls.append(x.copy())
-            return x
+            def f(x):
+                calls.append(x)
+                return x
 
-        roots, broken = bisect_monotone(f, [0.0, 1.0], [0.0, -1.0], [2.0, 1.0], 1e-12)
-        assert roots.tolist() == [0.0, 1.0] and not broken.any()
-        assert len(calls) == 2  # the endpoints only, no midpoint
+            assert bisect_monotone(f, target, lo, hi, 1e-12) == target
+            assert calls == [lo, hi]  # the endpoints only, no midpoint
 
     def test_non_monotone_row_flagged(self):
-        # (x - 1)^2 falls on [0, 0.5] and rises on [1, 2]; only row 0 breaks
-        roots, broken = bisect_monotone(
-            lambda x: (x - 1.0) ** 2, [0.5, 0.25], [0.0, 1.0], [0.5, 2.0], 1e-12
-        )
-        assert broken.tolist() == [True, False]
-        assert math.isnan(roots[0]) and roots[1] == pytest.approx(1.5)
+        # (x - 1)^2 falls on [0, 0.5] and rises on [1, 2]
+        f = lambda x: (x - 1.0) ** 2
+        with pytest.raises(BisectionError):
+            bisect_monotone(f, 0.5, 0.0, 0.5, 1e-12)
+        assert bisect_monotone(f, 0.25, 1.0, 2.0, 1e-12) == pytest.approx(1.5)
+
+    def test_nan_endpoint_raises(self):
+        with pytest.raises(BisectionError):
+            bisect_monotone(lambda x: math.nan, 0.5, 0.0, 1.0, 1e-12)
 
     def test_stall_flagged(self):
         # float(1/3) is no dyadic midpoint of [0, 1] before the bracket stalls
-        roots, broken = bisect_monotone(lambda x: x, [1.0 / 3.0, 0.5], 0.0, 1.0, 0.0)
-        assert broken.tolist() == [True, False]
-        assert math.isnan(roots[0]) and roots[1] == 0.5
+        with pytest.raises(BisectionError):
+            bisect_monotone(lambda x: x, 1.0 / 3.0, 0.0, 1.0, 0.0)
+        assert bisect_monotone(lambda x: x, 0.5, 0.0, 1.0, 0.0) == 0.5
 
-    def test_f_sees_live_rows_only(self):
-        # row 0 resolves at the first midpoint, row 1 keeps bisecting, and
-        # row 2 (target out of range) never reaches the midpoint calls
-        seen = []
+    def test_iterate_sequence(self):
+        calls = []
 
         def f(x):
-            seen.append(x.copy())
+            calls.append(x)
             return x
 
-        roots, _ = bisect_monotone(f, [0.5, 1.0 / 3.0, 7.0], 0.0, 1.0, 1e-9)
-        assert [len(x) for x in seen[:3]] == [3, 3, 2]
-        assert all(len(x) == 1 for x in seen[3:])
-        assert roots[0] == 0.5 and abs(roots[1] - 1.0 / 3.0) <= 1e-9
-
-    def test_row_alone_equals_batch(self):
-        f = np.expm1
-        targets, lo, hi = [0.3, 1.7, -0.2], [-1.0, 0.0, -2.0], [1.0, 3.0, 0.5]
-        batch, _ = bisect_monotone(f, targets, lo, hi, 1e-13)
-        alone = [bisect_one(f, t, a, b, 1e-13) for t, a, b in zip(targets, lo, hi)]
-        assert batch.tolist() == alone
+        root = bisect_monotone(f, 1.0 / 3.0, 0.0, 1.0, 1e-9)
+        assert calls[:5] == [0.0, 1.0, 0.5, 0.25, 0.375]
+        assert calls[-1] == root and abs(root - 1.0 / 3.0) <= 1e-9
 
     def test_bracket_validation(self):
-        with pytest.raises(ValueError):
-            bisect_monotone(lambda x: x, [0.5], [1.0], [1.0], 1e-12)
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                bisect_monotone(lambda x: x, 0.5, lo, hi, 1e-12)
 
     @given(
         a=st.floats(-5, 5), width=st.floats(0.1, 10), frac=st.floats(0.01, 0.99),
@@ -444,7 +432,7 @@ class TestBisect:
         b = a + width
         target_x = a + frac * width
         f = lambda x: slope * (x - target_x)
-        root = bisect_one(f, 0.0, a, b, 1e-9)
+        root = bisect_monotone(f, 0.0, a, b, 1e-9)
         assert abs(f(root)) <= 1e-9
 
 

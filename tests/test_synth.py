@@ -214,8 +214,6 @@ class TestBlockPowerSampler:
         # the two sides share substream ids, so they run on different seeds
         from scipy.stats import ks_2samp
 
-        from covertsim.harness import _statistics_from_raw
-
         trials = 2000
         cfg = detectors.config_for_scenario(sc)
         sides = []
@@ -224,7 +222,7 @@ class TestBlockPowerSampler:
             _waveform_draws(sc, hypothesis, trials, seed=42),
         ):
             assert (haw2 is None) == (sc.channels.aw != model.FADING)
-            stat = _statistics_from_raw(cfg, detectors._ltr_sum(blocks), blocks, haw2)
+            stat = detectors.log_lr(cfg, blocks, haw2)
             sides.append(np.column_stack([blocks, stat]))
         for col in range(sc.slots.M + 1):
             assert ks_2samp(sides[0][:, col], sides[1][:, col]).pvalue > 1e-3

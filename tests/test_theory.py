@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,6 +104,11 @@ class TestLrtMonotone:
     def test_single_block_detector(self):
         rep, = theory.check_lrt_monotone(m1_cfg(n=100), theory.GridSpec(points=250))
         assert rep.passed
+
+    def test_genie_scanned_at_configured_power(self):
+        cfg, grid = m1_cfg(n=100), theory.GridSpec(points=250)
+        genie = dataclasses.replace(cfg, genie=True)
+        assert theory.check_lrt_monotone(genie, grid) == theory.check_lrt_monotone(cfg, grid)
 
     def test_multi_block_axes(self):
         grid = theory.GridSpec(points=120)
