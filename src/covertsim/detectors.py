@@ -210,6 +210,8 @@ def log_lr(cfg, blocks, haw2=None):
     if cfg.genie and haw2 is None:
         raise ConfigError("the genie configuration needs the |h_aw|^2 gains")
     blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 2 or blocks.shape[1] != cfg.M:
+        raise ConfigError(f"expected a (rows, {cfg.M}) block power array, got shape {blocks.shape}")
     sa = haw2 * cfg.sigma_a2 if cfg.genie else None
     if cfg.variant == MBLOCK_PRODUCT:
         return log_lrt_mblock(blocks, cfg, sigma_a2=sa)

@@ -99,7 +99,7 @@ def collect_statistics(scenario, cfg, trials, seed):
     if cfg.variant == detectors.MBLOCK_PRODUCT or cfg.genie:
         s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
         return SampleSet(s0, s1, kind="loglr", lrt_gamma_threshold=cfg.log_gamma)
-    z0, z1 = b0[:, 0], b1[:, 0]
+    z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)  # total power over every block
     z_all = np.concatenate([z0, z1])
     lo = max(float(z_all.min()) * 0.5, 1e-9 * cfg.n * cfg.sigma_w2)
     hi = float(z_all.max()) * 2.0

@@ -202,8 +202,7 @@ def _whole(data, key):
 
 
 def load_scenario(path):
-    """Read a scenario config file.  perfbench/launch.py calls this inside
-    the set-up it times for every benchmark invocation, so it stays."""
+    """Read a scenario config; perfbench/launch.py times it in every benchmark set-up."""
     with open(path, "r", encoding="utf-8") as fh:
         return Scenario.from_json(fh.read())
 

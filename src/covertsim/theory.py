@@ -7,7 +7,7 @@ multi-block detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -130,8 +130,7 @@ def check_lrt_monotone(cfg, grid):
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
     if cfg.variant != detectors.MBLOCK_PRODUCT:
-        # a genie configuration is scanned at the configured signal power
-        lrt = detectors.log_lr(cfg, (xs * cfg.n)[:, None], haw2=np.ones((xs.size, 1)))
+        lrt = detectors.log_lr(replace(cfg, genie=False), (xs * cfg.n)[:, None])
         return [_relative_violations(xs, lrt)]
 
     k = cfg.block_size

@@ -221,6 +221,11 @@ class TestLogLr:
         with pytest.raises(ConfigError):
             detectors.log_lr(_genie(m1_cfg()), np.full((3, 1), 100.0))
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (3, 1, 1)])
+    def test_rejects_a_batch_of_the_wrong_width(self, shape):
+        with pytest.raises(ConfigError):
+            detectors.log_lr(awgn_cfg(n=100), np.full(shape, 100.0))
+
 
 class TestThresholdInversion:
     def test_bisection_matches_grid_scan(self):

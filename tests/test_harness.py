@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,6 +212,19 @@ class TestStatisticsCollection:
             blocks, haw2 = sampled(sc, hyp, 5, 16)
             assert haw2 is None
             assert np.array_equal(stats, blocks[:, 0] / sc.slots.n)
+
+    def test_power_statistic_sums_every_awgn_block(self):
+        # uniform jam power over AWGN links keeps the scalar detector even
+        # when the slot is split into blocks; the statistic is the total power
+        sc = dataclasses.replace(awgn_scenario(n=64), slots=model.SlotStructure(n=64, M=2))
+        cfg = detectors.config_for_scenario(sc)
+        assert cfg.variant == detectors.AWGN_UNIFORM and cfg.M == 1
+        ss = collect_statistics(sc, cfg, trials=5, seed=16)
+        for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
+            blocks, _ = sampled(sc, hyp, 5, 16)
+            assert blocks.shape == (5, 2)
+            want = detectors._ltr_sum(blocks) / sc.slots.n
+            assert stats.tobytes() == want.tobytes()
 
     def test_mblock_statistic_matches_direct_lrt(self):
         sc = fading_scenario(n=64, M=2, P_f=0.0125)
