@@ -318,7 +318,10 @@ def main(argv=None):
             args.seed = _default_seed()
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out!r}: {exc.strerror}") from exc
         return args.fn(args)
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)

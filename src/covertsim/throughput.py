@@ -14,62 +14,45 @@ import numpy as np
 from .model import FADING, path_gain
 
 _SINR_RNG_SALT = 0x51A7
-# imaginary parts are drawn this many at a time into a scratch of 128 KB
-_IM_SLICE = 16_384
+# |h_jb|^2 is drawn this many at a time into a scratch of 128 KB
+_SLICE = 16_384
 
 
-def _link_gain(rng, fading, out):
-    """|h|^2 per draw into out: 0.5 * (re**2 + im**2) for a faded link and 1
-    for an AWGN link.  The real parts go into out; the imaginary parts follow
-    them in the stream, drawn _IM_SLICE at a time into a small scratch, so
-    the draws keep their bits and no second full-length array is held."""
-    if not fading:
-        out.fill(1.0)
-        return
-    np.square(rng.standard_normal(out=out), out=out)
-    scratch = np.empty(min(_IM_SLICE, out.size))
-    for start in range(0, out.size, _IM_SLICE):
-        part = out[start:start + _IM_SLICE]
-        im = scratch[:part.size]
-        part += np.square(rng.standard_normal(out=im), out=im)
-    out *= 0.5
+def _sinr_per_power(scenario, samples, seed):
+    """SINR draws per unit transmit power, g_ab |h_ab|^2 / (g_jb P_j |h_jb|^2
+    + sigma_b2), in one float64 array of length samples.
 
-
-def _receiver_draws(scenario, samples, seed):
-    """(gain_ab, interference): Bob's |h_ab|^2 draws and the interference
-    plus noise gain_jb * P_j * path gain + sigma_b2 over the same draws, in
-    place, 16 bytes per draw."""
+    |h|^2 is a standard-exponential draw on a faded link and 1 on an AWGN
+    one.  |h_jb|^2 follows |h_ab|^2 in the stream, _SLICE draws at a time in
+    a scratch; sliced draws have the bytes of one long draw.  The jammer
+    counts at its strategy power (the per-slot maximum for the uniform
+    strategy, which lower-bounds the SINR).
+    """
     rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
     g, ch = scenario.geometry, scenario.channels
-    gain, interference = np.empty(samples), np.empty(samples)
-    _link_gain(rng, ch.ab == FADING, gain)
-    _link_gain(rng, ch.jb == FADING, interference)
-    interference *= scenario.jammer.power
-    interference *= path_gain(g.d_jb, g.alpha)
-    interference += scenario.noise.sigma_b2
-    return gain, interference
-
-
-def _sinr_in_place(scenario, P_f, signal, interference):
-    """signal * P_f * g_ab / interference, written into signal."""
-    signal *= P_f
-    signal *= path_gain(scenario.geometry.d_ab, scenario.geometry.alpha)
-    signal /= interference
-    return signal
+    sinr = rng.standard_exponential(samples) if ch.ab == FADING else np.ones(samples)
+    sinr *= path_gain(g.d_ab, g.alpha)
+    scratch = np.empty(min(_SLICE, samples))
+    for start in range(0, samples, _SLICE):
+        part = sinr[start:start + _SLICE]
+        jam = scratch[:part.size]
+        if ch.jb == FADING:
+            rng.standard_exponential(out=jam)
+        else:
+            jam.fill(1.0)
+        jam *= scenario.jammer.power
+        jam *= path_gain(g.d_jb, g.alpha)
+        jam += scenario.noise.sigma_b2
+        part /= jam
+    return sinr
 
 
 def sinr_samples(scenario, samples, seed):
-    """Vector of SINR draws over the receiver-side fading.
-
-    AWGN links count as |h|^2 = 1.  The jammer contributes at its strategy
-    power (the per-slot maximum for the uniform strategy, which lower-bounds
-    the SINR).  Every step runs in place, in the order of the expression
-    gain_ab * P_f * g_ab / (gain_jb * P_j * g_jb + sigma_b2), so the draws
-    keep their bits; the call holds two float64 arrays of length samples,
-    16 bytes per draw, and returns one of them.
-    """
-    gain, interference = _receiver_draws(scenario, samples, seed)
-    return _sinr_in_place(scenario, scenario.P_f, gain, interference)
+    """Vector of SINR draws over the receiver-side fading: P_f times the
+    draws of _sinr_per_power, 8 bytes per draw."""
+    sinr = _sinr_per_power(scenario, samples, seed)
+    sinr *= scenario.P_f
+    return sinr
 
 
 def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
@@ -82,34 +65,24 @@ def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
     Rounds down rather than interpolating, so the reported rate is
     conservative.  The product is rounded to 9 decimals before the ceiling,
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
-    index up by one; an index below 1 reads the smallest draw.  Each rate is
-    the one sinr_samples' draws give for that P_f, bit for bit.  The rates
-    overwrite the SINR draws in place and a partition, not a sort, places
-    the order statistic, so one P_f peaks at 16 bytes per draw; several hold
-    one more array, a copy of the gains for every P_f but the last.
+    index up by one; an index below 1 reads the smallest draw.  One partition
+    of the draws serves every P_f, since x -> log2(1 + P_f x) is
+    nondecreasing in floating point: each rate is the one sinr_samples gives
+    for that P_f, bit for bit, at 8 bytes per draw for any number of powers.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
     if samples < 1000:
         raise ValueError("need at least 1000 fading draws")
-    gain, interference = _receiver_draws(scenario, samples, seed)
+    sinr = _sinr_per_power(scenario, samples, seed)
     idx = max(1, math.ceil(round(outage_prob * samples, 9)))
-
-    def rate(sinr, P_f):
-        _sinr_in_place(scenario, P_f, sinr, interference)
-        sinr += 1.0
-        np.log2(sinr, out=sinr)
-        sinr.partition(idx - 1)
-        return float(sinr[idx - 1])
-
-    # every P_f but the last works on a copy, freed as soon as its rate is read
-    last = len(pf_values) - 1
-    return [rate(gain if i == last else gain.copy(), pf) for i, pf in enumerate(pf_values)]
+    sinr.partition(idx - 1)
+    return [float(np.log2(1.0 + pf * sinr[idx - 1])) for pf in pf_values]
 
 
 def outage_capacity(scenario, outage_prob, samples, seed):
     """Empirical outage capacity in bits per symbol at scenario.P_f, the
-    one-power case of outage_capacities: it peaks at 16 bytes per draw."""
+    one-power case of outage_capacities."""
     return outage_capacities(scenario, outage_prob, samples, seed, [scenario.P_f])[0]
 
 

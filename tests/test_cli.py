@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -62,6 +63,20 @@ class TestErrors:
     def test_bad_workers(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--workers", "0", "--trials", "10"]) == 2
+
+    def test_uncreatable_out_directory(self, tmp_path):
+        # an --out naming an existing regular file is a usage problem
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "covertsim.cli", "check", "configs/awgn.json",
+             "--out", str(blocker)],
+            cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert "config error: cannot create output directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("config, args", [
         ("awgn", ["covertness", "--trials", "0"]),
@@ -433,6 +448,18 @@ class TestBenchmarkLauncher:
         assert isinstance(rep["setup_s"], float)
         assert rep["trace"]["f_evals"] > 0
         assert "numerics:bisect_monotone" not in rep["trace"]["absent"]
+
+    def test_capacity_workload(self, tmp_path):
+        # the certify workload's capacity invocation, as the benchmark passes it
+        out = tmp_path / "out"
+        rep = self.launch(tmp_path, [], [
+            "capacity", "configs/bob_fading.json", "--samples", "100000",
+            "--seed", "1", "--workers", "1", "--out", str(out),
+        ])
+        assert isinstance(rep["setup_s"], float)
+        with open(out / "capacity.csv", newline="") as fh:
+            rates = [float(row["R"]) for row in csv.DictReader(fh)]
+        assert rates and all(r > 0 for r in rates)
 
 
 class TestReadme:
