@@ -64,14 +64,15 @@ def _manifest(out_dir, command, scenario, seed, digest, outputs, extra=None):
     return path
 
 
-def _parse_n_list(text):
+def _parse_list(text, convert, name):
+    """The comma-separated items of text, blanks skipped, each converted."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [convert(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad n list {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {name} list {text!r}: {exc}") from exc
     if not values:
-        raise ConfigError("n list is empty")
-    return sorted(values)
+        raise ConfigError(f"{name} list is empty")
+    return values
 
 
 def _add_common(p):
@@ -85,7 +86,7 @@ def _add_common(p):
 
 def cmd_covertness(args):
     scenario, digest = _load(args.config)
-    n_list = _parse_n_list(args.n_list) if args.n_list else [scenario.slots.n]
+    n_list = sorted(_parse_list(args.n_list, int, "n")) if args.n_list else [scenario.slots.n]
     P_f, rows = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
     out_csv = os.path.join(args.out, "curve.csv")
     harness.write_csv(
@@ -238,15 +239,7 @@ def cmd_boundary(args):
 
 def cmd_capacity(args):
     scenario, digest = _load(args.config)
-    if args.pf_list is not None:
-        try:
-            pf_values = [float(v) for v in args.pf_list.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad P_f list {args.pf_list!r}") from exc
-        if not pf_values:
-            raise ConfigError("P_f list is empty")
-    else:
-        pf_values = [scenario.P_f]
+    pf_values = [scenario.P_f] if args.pf_list is None else _parse_list(args.pf_list, float, "P_f")
     n = scenario.slots.n if args.n is None else args.n
     # with_updates validates each P_f; one set of fading draws serves them all
     pf_values = [model.with_updates(scenario, P_f=pf).P_f for pf in pf_values]

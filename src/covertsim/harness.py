@@ -184,15 +184,10 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed):
 # artifacts
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path, header, rows):
-    """CSV with full-precision floats (repr round-trips exactly)."""
+    """CSV with full-precision floats: str of a Python or numpy float is its
+    shortest round-tripping repr, of a numpy integer its digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")

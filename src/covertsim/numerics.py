@@ -10,7 +10,6 @@ an unshifted exponent.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,26 +70,28 @@ def log_gamma_density(z, k, s):
 
 
 # Gauss-Legendre panels in t = log v.  A row's coarse estimate uses _PANELS
-# panels and its value twice as many; a row whose two estimates differ by
-# more than _REL_TOL is redone once on four times as many, and raises if that
-# does not settle it; six is the fewest panels that keep the redo off every
-# row the CLI sends, with margin.  The window closes _TAIL_DROP nats below
-# the peak, searched from where a Gaussian of the peak's width falls that
-# far.  Rows go through on two levels.  The per-row set-up (peak, limits,
-# width, window edges) is a few floats per row, so it runs on chunks of
-# _CHUNK rows, long enough to spread numpy's per-call cost.  The rules are 15
-# nodes per panel per row, so they run on blocks of _BLOCK rows within a
-# chunk, and a kernel call allocates one node workspace for one block: three
-# buffers at the redo's 4 * _PANELS panels, written in place by every rule of
-# every block.  A regular pass (coarse, then fine on 2 * _PANELS panels)
-# touches 3 buffers x 128 rows x 180 nodes x 8 bytes, about 0.55 MB, so the
-# nodes stay in a 2 MB L2 cache and no block faults in fresh pages; sizing
-# the workspace by the chunk instead would make it the largest transient of
-# a call.  The 15-point rule is written out as literals, each
-# the shortest repr of np.polynomial.legendre.leggauss(15) and so the same
-# bits (a test holds them to it): computing it at import would load
-# numpy.polynomial and run an eigensolve in every process, about 1.35 MB of
-# resident memory and 3 ms, for fifteen fixed numbers.
+# panels and its value twice as many; a row whose two estimates differ by more
+# than _REL_TOL is redone once on four times as many, and raises if that does
+# not settle it; six is the fewest panels that keep the redo off every row the
+# CLI sends, with margin.  The window closes _TAIL_DROP nats below the peak,
+# searched from where a Gaussian of the peak's width falls that far.  Nodes
+# measure the concave exponent from its maximum on the limits (the peak,
+# clipped to them), so it is at most 0 up to rounding and a rule sums its exp
+# times the weights with no other shift.  Rows go through on two levels.  The
+# per-row set-up (peak, limits, width, window edges) is a few floats per row,
+# so it runs on chunks of _CHUNK rows, long enough to spread numpy's per-call
+# cost.  The rules are 15 nodes per panel per row, so they run on blocks of
+# _BLOCK rows within a chunk, and a kernel call allocates one node workspace
+# for one block: three buffers at the redo's 4 * _PANELS panels, written in
+# place by every rule of every block.  A regular pass (coarse, then fine on
+# 2 * _PANELS panels) touches 3 buffers x 128 rows x 180 nodes x 8 bytes, about
+# 0.55 MB, so the nodes stay in a 2 MB L2 cache and no block faults in fresh
+# pages; sizing the workspace by the chunk instead would make it the largest
+# transient of a call.  The 15-point rule is written out as literals, each the
+# shortest repr of np.polynomial.legendre.leggauss(15) and so the same bits (a
+# test holds them to it): computing it at import would load numpy.polynomial
+# and run an eigensolve in every process, about 1.35 MB of resident memory and
+# 3 ms, for fifteen fixed numbers.
 _GL_X = np.array([
     -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
     -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
@@ -103,21 +104,11 @@ _GL_W = np.array([
     0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 ])
-_GL_LOGW = np.log(_GL_W)
 _PANELS = 6
 _REL_TOL = 1e-10
 _TAIL_DROP = 60.0
 _CHUNK = 2048
 _BLOCK = 128
-
-
-@functools.cache
-def _panel_tables(panels):
-    """Read-only panel midpoints, in panel widths from the window's start,
-    and every node's log-weight for a rule on this many panels."""
-    mids, logw = np.arange(panels) + 0.5, np.tile(_GL_LOGW, panels)
-    mids.flags.writeable = logw.flags.writeable = False
-    return mids, logw
 
 
 def _exponent_drop(s, k, p, q, out=None, scratch=None):
@@ -154,21 +145,20 @@ def _window_edges(k, p, q, width, lo_limit, hi_limit):
 
 def _panel_rule(panels, lo, hi, k, p, q, work):
     """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
-    per row, each row summed on its own.  The nodes, the exponent and its
-    exp live in C-contiguous views of the three buffers of work."""
+    per row, each row summed on its own, in C-contiguous views of the three
+    buffers of work: the nodes, the exponent (then its weighted exp), scratch."""
     rows, nodes = len(lo), panels * _GL_X.size
     s, vals, scratch = (buf[: rows * nodes].reshape(rows, nodes) for buf in work)
-    mids, logw = _panel_tables(panels)
     h = (hi - lo) / panels
-    centres = lo[:, None] + h[:, None] * mids
+    centres = lo[:, None] + h[:, None] * (np.arange(panels) + 0.5)
     by_panel = s.reshape(rows, panels, _GL_X.size)
     np.multiply(0.5 * h[:, None, None], _GL_X, out=by_panel)
     by_panel += centres[:, :, None]
     _exponent_drop(s, k, p[:, None], q[:, None], vals, scratch)
-    vals += logw
-    top = vals.max(axis=1)
-    np.exp(np.subtract(vals, top[:, None], out=scratch), out=scratch)
-    return np.log(0.5 * h) + top + np.log(scratch.sum(axis=1))
+    np.exp(vals, out=vals)
+    weighted = vals.reshape(rows, panels, _GL_X.size)
+    weighted *= _GL_W
+    return np.log(0.5 * h) + np.log(vals.sum(axis=1))
 
 
 def _log_power_integral_rows(z, k, a, w, r, work):

@@ -56,6 +56,19 @@ class TestErrors:
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--n-list", "64,x", "--trials", "10"]) == 2
 
+    @pytest.mark.parametrize("config, args, message", [
+        ("bob", ["capacity", "--samples", "2000", "--pf-list", "0.1,abc"], "bad P_f list '0.1,abc'"),
+        ("awgn", ["covertness", "--trials", "10", "--n-list", ","], "n list is empty"),
+    ], ids=["pf_list_bad_item", "n_list_empty"])
+    def test_bad_comma_list(self, tmp_path, capsys, config, args, message):
+        scenario = {
+            "awgn": awgn_scenario(n=64),
+            "bob": fading_scenario(n=400, M=1, P_f=0.0125, ab="fading", jb="fading"),
+        }[config]
+        cfgp = write_config(tmp_path, scenario)
+        assert run_cli([args[0], cfgp, *args[1:], "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_boundary_needs_multi_block(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["boundary", cfgp, "--draws", "10", "--out", str(tmp_path)]) == 2
@@ -460,6 +473,32 @@ class TestBenchmarkLauncher:
         with open(out / "capacity.csv", newline="") as fh:
             rates = [float(row["R"]) for row in csv.DictReader(fh)]
         assert rates and all(r > 0 for r in rates)
+
+    def test_roc_workload(self, tmp_path):
+        # the mc_mblock workload's invocation, as the benchmark passes it
+        out = tmp_path / "out"
+        self.launch(tmp_path, [], [
+            "roc", "configs/fading_m4.json", "--trials", "500", "--seed", "1",
+            "--workers", "1", "--out", str(out),
+        ])
+        with open(out / "roc.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        p_fa = [float(row["p_fa"]) for row in rows]
+        p_md = [float(row["p_md"]) for row in rows]
+        assert len(rows) == 101
+        assert all(b <= a for a, b in zip(p_fa, p_fa[1:]))
+        assert all(b >= a for a, b in zip(p_md, p_md[1:]))
+
+    def test_boundary_workload(self, tmp_path):
+        # the boundary workload's invocation, as the benchmark passes it
+        out = tmp_path / "out"
+        self.launch(tmp_path, [], [
+            "boundary", "configs/fading_m2.json", "--draws", "2000", "--seed", "1",
+            "--workers", "1", "--out", str(out),
+        ])
+        rep = json.loads((out / "boundary.json").read_text())
+        assert rep["spot_mismatches"] == rep["failures"] == 0
+        assert rep["ci"][0] <= rep["analytic_bound"]
 
 
 class TestReadme:

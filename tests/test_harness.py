@@ -286,6 +286,16 @@ class TestCsv:
         parsed = [float(s) for s in lines[1:]]
         assert parsed == values
 
+    def test_numpy_scalar_cells_round_trip(self, tmp_path):
+        # numpy 2 float scalars subclass float but repr as np.float64(...)
+        path = tmp_path / "np.csv"
+        rows = [(np.float64(0.1), np.int64(3)), (np.float64(1.0) / 3.0, np.int64(-7))]
+        write_csv(path, ["x", "k"], rows)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x,k"
+        parsed = [(float(x), int(k)) for x, k in (ln.split(",") for ln in lines[1:])]
+        assert parsed == [(float(x), int(k)) for x, k in rows]
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_any_floats(self, values):

@@ -256,6 +256,15 @@ class TestPowerIntegral:
         want = mp_mixture_density(z, n, 1.0, lo, hi, 1.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 2.0), (2.0, 2.5)])
+    def test_flat_exponent_matches_closed_form(self, v_lo, v_hi):
+        # n = 1 and z = 0 integrate 1/v with r = 0: the exponent in t = log v
+        # is constant, so every node term is equal and none sits at a peak
+        width = v_hi - v_lo
+        got = log_mixture_density_uniform(0.0, 1, 1.0, v_lo - 1.0, v_hi - 1.0, width)
+        want = -math.log(width) + math.log(math.log(v_hi / v_lo))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     def test_batch_matches_single_evaluation(self):
         # a z gives the same bytes alone and inside a batch that crosses two
         # set-up chunk boundaries and several node blocks, and ends in a short
