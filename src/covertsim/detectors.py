@@ -1,7 +1,7 @@
 """The warden's detectors: sufficient statistics and the mixture likelihood
-ratio tests for the three constructions (uniform jam power over an AWGN link,
-constant jam power over a one-block faded link, constant jam power over a
-multi-block faded link).
+ratio tests.  Over AWGN links the statistic is a uniform-window mixture of
+the total power; over a faded jammer link with M >= 1 blocks it is the
+left-to-right sum of the per-block terms ``log_lrt_block_term``.
 
 All likelihood ratios are handled as logarithms and compared against
 log(gamma) with gamma = P(H0)/P(H1); the raw ratio overflows for slot lengths
@@ -165,7 +165,7 @@ def log_lrt_awgn(z, cfg):
 
 
 def log_lrt_m1(z, cfg, sigma_a2=None):
-    """Log LRT for the one-block faded jammer link (exponential power prior).
+    """Log LRT for the one-block faded jammer link: its one block term.
 
     ``sigma_a2`` overrides the configured signal power; the genie
     configuration passes |h|^2 * sigma_a2 here, one per z.  Vectorized over z.
@@ -177,32 +177,26 @@ def log_lrt_m1(z, cfg, sigma_a2=None):
 
 
 def log_lrt_mblock(Z, cfg, sigma_a2=None):
-    """Log LRT for the multi-block faded jammer link.
+    """Log LRT for the faded jammer link over cfg.M blocks, M = 1 included.
 
-    The joint likelihoods factor over blocks, so the log ratio is the
-    prefactor sum(sigma_a2_m)/zeta plus the difference of the per-block
-    integral sums, each block with shape n/M.  ``Z`` is one length-M block
-    power vector or a (trials, M) array of them, with one statistic per row;
-    ``sigma_a2`` broadcasts against ``Z``.
+    The likelihoods factor over blocks, so the log ratio is the left-to-right
+    sum over blocks of ``log_lrt_block_term``, each block with shape n/M.
+    ``Z`` is one length-M block power vector or a (trials, M) array of them,
+    with one statistic per row; ``sigma_a2`` broadcasts against ``Z``.
     """
-    if cfg.variant != MBLOCK_PRODUCT:
-        raise ConfigError(f"config variant is {cfg.variant}, expected {MBLOCK_PRODUCT}")
+    if cfg.variant == AWGN_UNIFORM:
+        raise ConfigError(f"config variant is {cfg.variant}, expected a faded jammer link")
     Z = np.asarray(Z, dtype=float)
     if Z.ndim not in (1, 2) or Z.shape[-1] != cfg.M:
         raise ConfigError(f"expected length-{cfg.M} block power vectors, got shape {Z.shape}")
-    sa = np.broadcast_to(
-        np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float), Z.shape
-    )
-    k = cfg.block_size
-    prefactor = _ltr_sum(sa / cfg.zeta)
-    top = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2 + sa, cfg.zeta))
-    bottom = _ltr_sum(log_integral_block(Z, k, cfg.sigma_w2, cfg.zeta))
-    return (prefactor + top) - bottom
+    sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
+    return _ltr_sum(log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta))
 
 
 def log_lr(cfg, blocks, haw2=None):
-    """Per-row log LRT of a (rows, cfg.M) array of block powers, for every
-    variant; a scalar variant's one block is the total power.
+    """Per-row log LRT of a (rows, cfg.M) array of block powers: the
+    uniform-window mixture of the total power over AWGN links, the block-term
+    sum of ``log_lrt_mblock`` over a faded jammer link.
 
     ``haw2`` holds the matching |h_aw|^2 gains.  It is read only under the
     genie configuration, which scales sigma_a2 by it, and must then be given.
@@ -212,9 +206,6 @@ def log_lr(cfg, blocks, haw2=None):
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 2 or blocks.shape[1] != cfg.M:
         raise ConfigError(f"expected a (rows, {cfg.M}) block power array, got shape {blocks.shape}")
-    sa = haw2 * cfg.sigma_a2 if cfg.genie else None
-    if cfg.variant == MBLOCK_PRODUCT:
-        return log_lrt_mblock(blocks, cfg, sigma_a2=sa)
     if cfg.variant == AWGN_UNIFORM:
         return log_lrt_awgn(blocks[:, 0], cfg)
-    return log_lrt_m1(blocks[:, 0], cfg, sigma_a2=None if sa is None else sa[:, 0])
+    return log_lrt_mblock(blocks, cfg, sigma_a2=haw2 * cfg.sigma_a2 if cfg.genie else None)

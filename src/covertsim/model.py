@@ -157,24 +157,24 @@ class Scenario:
     def from_dict(data):
         try:
             geometry = Geometry(
-                d_aw=float(data["d_aw"]), d_ab=float(data["d_ab"]),
-                d_jw=float(data["d_jw"]), d_jb=float(data["d_jb"]),
-                alpha=float(data["alpha"]),
+                d_aw=_number(data, "d_aw"), d_ab=_number(data, "d_ab"),
+                d_jw=_number(data, "d_jw"), d_jb=_number(data, "d_jb"),
+                alpha=_number(data, "alpha"),
             )
             # older configs carry a slot count "T"; it is ignored so they still load
-            slots = SlotStructure(n=_whole(data, "n"), M=_whole(data, "M"), p=float(data["p"]))
-            noise = NoiseLevels(sigma_w2=float(data["sigma_w2"]), sigma_b2=float(data["sigma_b2"]))
+            slots = SlotStructure(n=_whole(data, "n"), M=_whole(data, "M"), p=_number(data, "p"))
+            noise = NoiseLevels(sigma_w2=_number(data, "sigma_w2"), sigma_b2=_number(data, "sigma_b2"))
             jam = data["jammer"]
-            jammer = JammerStrategy(kind=str(jam["kind"]), power=float(jam["power"]))
+            jammer = JammerStrategy(kind=str(jam["kind"]), power=_number(jam, "power", "jammer."))
             ch = data["channels"]
             channels = Channels(aw=str(ch["aw"]), ab=str(ch["ab"]), jw=str(ch["jw"]), jb=str(ch["jb"]))
             return Scenario(
                 geometry=geometry, slots=slots, channels=channels,
-                jammer=jammer, noise=noise, P_f=float(data["P_f"]),
+                jammer=jammer, noise=noise, P_f=_number(data, "P_f"),
             )
         except KeyError as exc:
             raise ConfigError(f"missing scenario field: {exc.args[0]}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed scenario value: {exc}") from exc
@@ -193,9 +193,17 @@ class Scenario:
         return Scenario.from_dict(data)
 
 
+def _number(data, key, owner=""):
+    """data[key] as a float; a bool, a string or any other non-number is rejected."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{owner}{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(data, key):
     """data[key] as an int; a fractional value is rejected, not truncated."""
-    value = float(data[key])
+    value = _number(data, key)
     if not value.is_integer():
         raise ConfigError(f"{key} must be a whole number, got {data[key]!r}")
     return int(value)

@@ -7,7 +7,7 @@ multi-block detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -120,18 +120,17 @@ def _relative_violations(grid, values):
 def check_lrt_monotone(cfg, grid):
     """Monotonicity checks for one detector configuration, one per axis.
 
-    For the scalar statistics the log LRT is evaluated on a geometric grid
-    of total powers.  For the multi-block detector each axis is swept with
-    the other block powers pinned at their typical scale (n/M)(sigma_w2 +
-    zeta); list index m is axis m.  A check's worst_at is the grid point
-    where its worst relative step starts.
+    Over AWGN links the log LRT is evaluated on a geometric grid of total
+    powers.  Over a faded jammer link, M = 1 included, each block axis is
+    swept with the other block powers pinned at their typical scale
+    (n/M)(sigma_w2 + zeta); list index m is axis m.  A check's worst_at is
+    the grid point where its worst relative step starts.
     """
     if grid.points < 2:
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
-    if cfg.variant != detectors.MBLOCK_PRODUCT:
-        lrt = detectors.log_lr(replace(cfg, genie=False), (xs * cfg.n)[:, None])
-        return [_relative_violations(xs, lrt)]
+    if cfg.variant == detectors.AWGN_UNIFORM:
+        return [_relative_violations(xs, detectors.log_lr(cfg, (xs * cfg.n)[:, None]))]
 
     k = cfg.block_size
     fixed = k * (cfg.sigma_w2 + cfg.zeta)

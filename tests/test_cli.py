@@ -52,6 +52,16 @@ class TestErrors:
         path.write_text(json.dumps(data))
         assert run_cli(["roc", str(path), "--trials", "10"]) == 2
 
+    @pytest.mark.parametrize("field, value", [("n", True), ("jammer.power", "1")])
+    def test_non_number_field_value(self, tmp_path, capsys, field, value):
+        data = awgn_scenario().to_dict()
+        owner, _, name = field.rpartition(".")
+        (data[owner] if owner else data)[name] = value
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["roc", str(path), "--trials", "10", "--out", str(tmp_path)]) == 2
+        assert f"config error: {field} must be a number" in capsys.readouterr().err
+
     def test_bad_n_list(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--n-list", "64,x", "--trials", "10"]) == 2
@@ -499,6 +509,17 @@ class TestBenchmarkLauncher:
         rep = json.loads((out / "boundary.json").read_text())
         assert rep["spot_mismatches"] == rep["failures"] == 0
         assert rep["ci"][0] <= rep["analytic_bound"]
+
+    @pytest.mark.parametrize("config", ["awgn", "fading_m4"])
+    def test_check_workload(self, tmp_path, config):
+        # the certify workload's check invocations, as the benchmark passes them
+        out = tmp_path / "out"
+        self.launch(tmp_path, [], [
+            "check", f"configs/{config}.json", "--seed", "1", "--workers", "1",
+            "--out", str(out),
+        ])
+        checks = json.loads((out / "check.json").read_text())["checks"]
+        assert checks and all(c["passed"] for c in checks.values())
 
 
 class TestReadme:

@@ -176,6 +176,18 @@ class TestMBlockLrt:
             )
             assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
 
+    @pytest.mark.parametrize("genie", [False, True], ids=["plain", "genie"])
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    def test_log_lr_is_the_left_to_right_block_term_sum(self, M, genie):
+        cfg = m1_cfg(n=400) if M == 1 else mblock_cfg(n=400, M=M)
+        cfg = dataclasses.replace(cfg, genie=genie)
+        rng = np.random.default_rng(31)
+        Z = cfg.block_size * rng.uniform(0.5, 3.0, size=(50, M))
+        haw2 = rng.exponential(size=(50, M))
+        sa = haw2 * cfg.sigma_a2 if genie else cfg.sigma_a2
+        terms = log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta)
+        assert detectors.log_lr(cfg, Z, haw2).tobytes() == detectors._ltr_sum(terms).tobytes()
+
     def test_per_block_signal_powers(self):
         cfg = mblock_cfg(n=200, M=2, sigma_a2=0.0125)
         uniform = log_lrt_mblock([100.0, 120.0], cfg)

@@ -157,6 +157,11 @@ class TestScenario:
         {"channels": {"aw": "awgn", "ab": "awgn", "jw": "rician", "jb": "awgn"}},
         {"n": 200.9},               # would truncate to 200
         {"n": 200, "M": 2.5},       # would truncate to 2, which divides n
+        {"n": True},                # a JSON boolean is not a count
+        {"P_f": False},
+        {"d_aw": "2.0"},            # nor is a string a number
+        {"jammer": {"kind": "uniform_per_slot", "power": "1"}},
+        {"d_aw": 10**400},          # an integer no float can hold
     ])
     def test_invalid_configs_rejected(self, mutant):
         data = awgn_scenario().to_dict()

@@ -171,7 +171,7 @@ def spot_draws(cfg, rows, seed):
 
 
 def lrt_along_axis(cfg, X, m, x_m):
-    """The joint log LRT of each row of X with its block m moved to x_m."""
+    """log_lrt_mblock of each row of X with its block m moved to x_m."""
     Y = np.array(X, dtype=float)
     Y[:, m] = x_m
     return detectors.log_lrt_mblock(cfg.block_size * Y, cfg)
@@ -182,8 +182,8 @@ class TestBoundaryRoot:
     as the single-axis sign tests of the boundary-mass spot checks see it."""
 
     def test_root_sits_on_boundary(self):
-        # a hit brackets log gamma with the joint statistic, which the
-        # factorized evaluation does not use
+        # a hit brackets log gamma with log_lrt_mblock's left-to-right sum of
+        # the block terms, not the term-plus-others sum the sign tests form
         cfg = mblock_cfg(n=200, M=2)
         X = spot_draws(cfg, 40, seed=1)
         delta = 0.1
