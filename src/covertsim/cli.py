@@ -206,8 +206,6 @@ def _boundary_rows(region):
 def cmd_boundary(args):
     scenario, digest = _load(args.config)
     cfg = detectors.config_for_scenario(scenario)
-    if cfg.variant != detectors.MBLOCK_PRODUCT:
-        raise ConfigError("boundary mass needs a multi-block fading config (M > 1)")
     delta = args.delta
     if delta is None:
         delta = theory.delta_for_boundary_mass(args.eps, cfg.M, cfg.zeta)

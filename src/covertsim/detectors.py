@@ -15,12 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AWGN, FADING, UNIFORM_PER_SLOT, ConfigError, Scenario
+from .model import AWGN, AWGN_UNIFORM, M1_EXPONENTIAL, MBLOCK_PRODUCT, ConfigError, detector_variant
 from .numerics import log_integral_block, log_mixture_density_uniform
-
-AWGN_UNIFORM = "awgn_uniform"
-M1_EXPONENTIAL = "m1_exponential"
-MBLOCK_PRODUCT = "mblock_product"
 
 
 @dataclass(frozen=True)
@@ -59,32 +55,22 @@ class LrtConfig:
         return self.n // self.M
 
 
-def config_for_scenario(scenario: Scenario, genie=None):
-    """Build the matching detector configuration for a scenario.
+def config_for_scenario(scenario, genie=None):
+    """Build the detector configuration for the variant
+    ``model.detector_variant`` picks, raising its ConfigError for a scenario
+    with none.
 
     ``genie=None`` resolves automatically: a faded transmitter-to-warden link
     forces the genie configuration, in which the warden is granted the fading
     coefficients (conceding extra knowledge only strengthens a covertness
     claim).
     """
-    ch = scenario.channels
+    variant = detector_variant(scenario)
     slots = scenario.slots
-    if scenario.jammer.kind == UNIFORM_PER_SLOT:
-        if ch.jw != AWGN or ch.aw != AWGN:
-            raise ConfigError(
-                "uniform per-slot jam power is analyzed with AWGN links on the warden side"
-            )
-        variant = AWGN_UNIFORM
-    elif ch.jw == FADING:
-        variant = M1_EXPONENTIAL if slots.M == 1 else MBLOCK_PRODUCT
-    else:
-        raise ConfigError(
-            "constant jam power over an AWGN jammer link gives the warden a known "
-            "noise floor; no covert detector variant is defined for it"
-        )
+    signal_fades = scenario.channels.aw != AWGN
     if genie is None:
-        genie = ch.aw == FADING
-    if genie and ch.aw != FADING:
+        genie = signal_fades
+    if genie and not signal_fades:
         raise ConfigError("genie configuration requires a faded transmitter-to-warden link")
     p = slots.p
     return LrtConfig(

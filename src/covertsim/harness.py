@@ -167,7 +167,7 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed):
     """Best-threshold error sums across slot lengths at one constant covert
     power chosen by the selection recipe for this scenario.  Returns P_f and
     one (n, ErrorRates) pair per slot length."""
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
     if n_list != sorted(n_list):
         raise ValueError("n list must be sorted ascending")
     P_f = model.select_covert_params(scenario, epsilon).P_f
@@ -176,7 +176,7 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed):
     for n in n_list:
         sc = model.with_updates(base, n=n)
         cfg = detectors.config_for_scenario(sc)
-        rows.append((n, willie_min_error(sc, cfg, trials, seed).rates))
+        rows.append((sc.slots.n, willie_min_error(sc, cfg, trials, seed).rates))
     return base.P_f, rows
 
 

@@ -1,5 +1,6 @@
 """Scenario configuration: geometry, slot structure, channel kinds, jammer
-strategy, and the constructive recipes that pick a covert transmit power.
+strategy, the one switch deciding which construction a scenario is
+(``detector_variant``), and the recipes that pick its covert transmit power.
 
 All values are per-complex-sample energies/variances in consistent (arbitrary)
 units.  A scenario is an immutable value object; derived quantities such as
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 AWGN = "awgn"
@@ -23,6 +25,10 @@ CONSTANT_POWER = "constant_power"
 _JAMMER_KINDS = (UNIFORM_PER_SLOT, CONSTANT_POWER)
 
 LINKS = ("aw", "ab", "jw", "jb")
+
+AWGN_UNIFORM = "awgn_uniform"
+M1_EXPONENTIAL = "m1_exponential"
+MBLOCK_PRODUCT = "mblock_product"
 
 
 class ConfigError(ValueError):
@@ -196,7 +202,7 @@ class Scenario:
 def _number(data, key, owner=""):
     """data[key] as a float; a bool, a string or any other non-number is rejected."""
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{owner}{key} must be a number, got {value!r}")
     return float(value)
 
@@ -264,18 +270,36 @@ def select_covert_params_fading(epsilon, zeta, d_aw, alpha):
     return CovertParams(sigma_a2=sigma_a2, P_f=sigma_a2 * d_aw ** alpha)
 
 
-def select_covert_params(scenario, epsilon):
-    """Dispatch on the scenario's jammer strategy and warden-side channels.
+def detector_variant(scenario):
+    """The scenario's construction, which fixes both its detector and its
+    covert-power recipe: uniform jam power over AWGN warden-side links, or a
+    constant-power jammer over a faded jammer-to-warden link with M = 1 or
+    M > 1 blocks.  Any other scenario raises ConfigError."""
+    ch = scenario.channels
+    if scenario.jammer.kind == UNIFORM_PER_SLOT:
+        if ch.jw != AWGN or ch.aw != AWGN:
+            raise ConfigError(
+                "uniform per-slot jam power is analyzed with AWGN links on the warden side"
+            )
+        return AWGN_UNIFORM
+    if ch.jw == FADING:
+        return M1_EXPONENTIAL if scenario.slots.M == 1 else MBLOCK_PRODUCT
+    raise ConfigError(
+        "constant jam power over an AWGN jammer link gives the warden a known "
+        "noise floor; no covert detector variant is defined for it"
+    )
 
-    A faded jammer link over M blocks gets the fading recipe at epsilon/M,
-    i.e. sigma_a2 = zeta*epsilon/(8M).  The warden's error floor as n grows
-    is exp(-M*sigma_a2/zeta), or (1 + sigma_a2/zeta)**-M when it knows the
-    signal fading; both stay at or above 1 - epsilon.  The budget
-    zeta*epsilon/8 that ignores M falls below it at large M (at epsilon =
-    0.1, from M = 9 on).
-    """
+
+def select_covert_params(scenario, epsilon):
+    """The uniform recipe for ``AWGN_UNIFORM``; for a faded jammer link over
+    M blocks the fading recipe at epsilon/M, i.e. sigma_a2 = zeta*epsilon/(8M).
+    A scenario with no ``detector_variant`` raises its ConfigError.  As n
+    grows the warden's error floor is exp(-M*sigma_a2/zeta), or
+    (1 + sigma_a2/zeta)**-M when it knows the signal fading; both stay at or
+    above 1 - epsilon.  The budget zeta*epsilon/8 that ignores M falls below
+    it at large M (at epsilon = 0.1, from M = 9 on)."""
     g = scenario.geometry
-    if scenario.jammer.kind == UNIFORM_PER_SLOT and scenario.channels.jw == AWGN:
+    if detector_variant(scenario) == AWGN_UNIFORM:
         return select_covert_params_awgn(epsilon, scenario.zeta, g.d_aw, g.alpha)
     return select_covert_params_fading(
         epsilon / scenario.slots.M, scenario.zeta, g.d_aw, g.alpha
@@ -283,10 +307,8 @@ def select_covert_params(scenario, epsilon):
 
 
 def with_updates(scenario, n=None, P_f=None):
-    """Return a copy of the scenario with slot size / power replaced."""
-    slots = scenario.slots if n is None else replace(scenario.slots, n=int(n))
-    return replace(
-        scenario,
-        slots=slots,
-        P_f=scenario.P_f if P_f is None else float(P_f),
-    )
+    """Return a copy of the scenario with slot size / power replaced, each
+    checked as a config file's field is (a whole n, no bools)."""
+    slots = scenario.slots if n is None else replace(scenario.slots, n=_whole({"n": n}, "n"))
+    P_f = scenario.P_f if P_f is None else _number({"P_f": P_f}, "P_f")
+    return replace(scenario, slots=slots, P_f=P_f)

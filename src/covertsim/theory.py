@@ -117,14 +117,21 @@ def _relative_violations(grid, values):
     return GridCheck(worst >= -_TOL, worst, float(grid[worst_idx]))
 
 
+def _block_term(cfg, x):
+    """``log_lrt_block_term`` at normalized block powers x (block power k*x)."""
+    k = cfg.block_size
+    return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
+
+
 def check_lrt_monotone(cfg, grid):
     """Monotonicity checks for one detector configuration, one per axis.
 
     Over AWGN links the log LRT is evaluated on a geometric grid of total
     powers.  Over a faded jammer link, M = 1 included, each block axis is
     swept with the other block powers pinned at their typical scale
-    (n/M)(sigma_w2 + zeta); list index m is axis m.  A check's worst_at is
-    the grid point where its worst relative step starts.
+    (n/M)(sigma_w2 + zeta); list index m is axis m.  The statistic is
+    symmetric in the blocks, so every axis gives the same scan.  A check's
+    worst_at is the grid point where its worst relative step starts.
     """
     if grid.points < 2:
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
@@ -132,19 +139,10 @@ def check_lrt_monotone(cfg, grid):
     if cfg.variant == detectors.AWGN_UNIFORM:
         return [_relative_violations(xs, detectors.log_lr(cfg, (xs * cfg.n)[:, None]))]
 
-    k = cfg.block_size
-    fixed = k * (cfg.sigma_w2 + cfg.zeta)
-    terms = detectors.log_lrt_block_term(
-        np.append(xs * k, fixed), k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
-    )
-    checks = []
-    for axis in range(cfg.M):
-        # each per-block term carries its own sigma_a2/zeta offset, so their
-        # plain sum is the full log LRT
-        grid_terms = np.full((xs.size, cfg.M), terms[-1])
-        grid_terms[:, axis] = terms[:-1]
-        checks.append(_relative_violations(xs, detectors._ltr_sum(grid_terms)))
-    return checks
+    # the moved block's term plus the left-to-right sum of the M - 1 pinned ones
+    terms = _block_term(cfg, np.append(xs, cfg.sigma_w2 + cfg.zeta))
+    scan = terms[:-1] + detectors._ltr_sum(np.full(cfg.M - 1, terms[-1]))
+    return [_relative_violations(xs, scan)] * cfg.M
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +175,13 @@ def _axis_crossings(cfg, X, delta, log_gamma):
     exactly when a boundary root lies within d; broken where it falls along
     the axis instead.
     """
-    k = cfg.block_size
     d = delta * (1.0 - 1e-9)
-
-    def term(x):
-        return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
-
-    terms = term(X)
+    terms = _block_term(cfg, X)
     others = np.stack(
         [detectors._ltr_sum(np.delete(terms, m, axis=1)) for m in range(cfg.M)], axis=-1
     )
-    lo = term(np.clip(X - d, 0.0, None)) + others
-    hi = term(X + d) + others
+    lo = _block_term(cfg, np.clip(X - d, 0.0, None)) + others
+    hi = _block_term(cfg, X + d) + others
     hit = (lo < log_gamma) & (log_gamma < hi)
     broken = lo - hi > _TOL * np.maximum(1.0, np.abs(hi))
     return hit, broken
@@ -223,7 +216,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     to gate on.
     """
     if cfg.variant != detectors.MBLOCK_PRODUCT:
-        raise ConfigError("boundary mass is defined for the multi-block detector")
+        raise ConfigError("boundary mass needs a multi-block fading config (M > 1)")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if draws < 1:

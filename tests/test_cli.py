@@ -79,9 +79,10 @@ class TestErrors:
         assert run_cli([args[0], cfgp, *args[1:], "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
-    def test_boundary_needs_multi_block(self, tmp_path):
+    def test_boundary_needs_multi_block(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["boundary", cfgp, "--draws", "10", "--out", str(tmp_path)]) == 2
+        assert "boundary mass needs a multi-block fading config (M > 1)" in capsys.readouterr().err
 
     def test_bad_workers(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))

@@ -281,6 +281,34 @@ class TestConfigDispatch:
         with pytest.raises(ConfigError):
             config_for_scenario(sc2, genie=True)  # genie needs faded signal link
 
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("aw", [model.AWGN, model.FADING])
+    @pytest.mark.parametrize("jw", [model.AWGN, model.FADING])
+    @pytest.mark.parametrize("kind", [model.UNIFORM_PER_SLOT, model.CONSTANT_POWER])
+    def test_recipe_and_detector_share_one_switch(self, kind, jw, aw, M):
+        sc = model.Scenario(
+            geometry=model.Geometry(d_aw=1.5, d_jw=1.2),
+            slots=model.SlotStructure(n=400, M=M),
+            channels=model.Channels(aw=aw, jw=jw),
+            jammer=model.JammerStrategy(kind=kind, power=2.0),
+        )
+        try:
+            variant = config_for_scenario(sc).variant
+        except ConfigError as exc:
+            # the recipe rejects the scenario too, with the detector's message
+            with pytest.raises(ConfigError) as got:
+                model.select_covert_params(sc, 0.1)
+            assert str(got.value) == str(exc)
+            return
+        args = (sc.zeta, sc.geometry.d_aw, sc.geometry.alpha)
+        uniform = model.select_covert_params_awgn(0.1, *args)
+        # the parameters chosen where a detector exists are unchanged
+        want = uniform if kind == model.UNIFORM_PER_SLOT and jw == model.AWGN else (
+            model.select_covert_params_fading(0.1 / M, *args))
+        got = model.select_covert_params(sc, 0.1)
+        assert got == want
+        assert (got == uniform) == (variant == AWGN_UNIFORM)
+
     def test_variant_requires_single_block(self):
         with pytest.raises(ConfigError):
             LrtConfig(variant=M1_EXPONENTIAL, n=100, M=2, sigma_w2=1.0,

@@ -195,6 +195,12 @@ class TestCovertnessCurve:
         with pytest.raises(ValueError):
             covertness_curve(awgn_scenario(), 0.1, [128, 64], trials=10, seed=1)
 
+    def test_fractional_slot_length_rejected(self):
+        with pytest.raises(ConfigError, match="n must be a whole number"):
+            covertness_curve(awgn_scenario(), 0.1, [1000.7], trials=10, seed=1)
+        _, [(n, _)] = covertness_curve(awgn_scenario(n=64), 0.1, [64.0], trials=10, seed=1)
+        assert type(n) is int and n == 64
+
 
 def sampled(sc, hypothesis, trials, seed):
     trial0 = 0 if hypothesis == synth.H0 else _H1_TRIAL_OFFSET

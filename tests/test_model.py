@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -223,3 +224,16 @@ class TestScenario:
         sc2 = model.with_updates(sc, n=4000, P_f=0.5)
         assert sc2.slots.n == 4000 and sc2.P_f == 0.5
         assert sc2.slots.p == sc.slots.p and sc2.geometry == sc.geometry
+        # an integral float is a whole count, as in a config file, and a
+        # numpy integer is a count too
+        for n in (4000.0, np.int64(4000)):
+            assert type(model.with_updates(sc, n=n).slots.n) is int
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 1000.7, "n must be a whole number"),     # would truncate to 1000
+        ("n", True, "n must be a number"),             # would be a 1-sample slot
+        ("P_f", True, "P_f must be a number"),         # would be P_f = 1.0
+    ])
+    def test_with_updates_checks_fields_as_the_loader_does(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            model.with_updates(awgn_scenario(n=1000), **{field: value})

@@ -118,6 +118,14 @@ class TestLrtMonotone:
         # the worst step is reported at the grid point where it starts
         assert all(r.worst_at in grid.values()[:-1] for r in reports)
 
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_every_axis_gives_the_same_scan(self, M):
+        # the statistic is symmetric in the blocks, so moving any one of them
+        # with the others pinned must give the same report, bit for bit
+        reports = theory.check_lrt_monotone(mblock_cfg(n=1200, M=M), theory.GridSpec(points=400))
+        assert len(reports) == M
+        assert all(r == reports[0] for r in reports)
+
 
 def scalar_boundary_root(cfg, x_others, log_gamma, tol=1e-10, max_expand=25):
     """A per-draw, per-axis root finder with its scalar bisection inlined:
