@@ -55,23 +55,18 @@ class LrtConfig:
         return self.n // self.M
 
 
-def config_for_scenario(scenario, genie=None):
+def config_for_scenario(scenario):
     """Build the detector configuration for the variant
     ``model.detector_variant`` picks, raising its ConfigError for a scenario
     with none.
 
-    ``genie=None`` resolves automatically: a faded transmitter-to-warden link
-    forces the genie configuration, in which the warden is granted the fading
+    The scenario fixes every field.  A faded transmitter-to-warden link gives
+    the genie configuration, in which the warden is granted the fading
     coefficients (conceding extra knowledge only strengthens a covertness
-    claim).
+    claim); an AWGN one gives the plain configuration.
     """
     variant = detector_variant(scenario)
     slots = scenario.slots
-    signal_fades = scenario.channels.aw != AWGN
-    if genie is None:
-        genie = signal_fades
-    if genie and not signal_fades:
-        raise ConfigError("genie configuration requires a faded transmitter-to-warden link")
     p = slots.p
     return LrtConfig(
         variant=variant,
@@ -81,7 +76,7 @@ def config_for_scenario(scenario, genie=None):
         zeta=scenario.zeta,
         sigma_a2=scenario.sigma_a2,
         log_gamma=math.log((1.0 - p) / p),
-        genie=genie,
+        genie=scenario.channels.aw != AWGN,
     )
 
 
@@ -150,16 +145,13 @@ def log_lrt_awgn(z, cfg):
     return num - den
 
 
-def log_lrt_m1(z, cfg, sigma_a2=None):
-    """Log LRT for the one-block faded jammer link: its one block term.
-
-    ``sigma_a2`` overrides the configured signal power; the genie
-    configuration passes |h|^2 * sigma_a2 here, one per z.  Vectorized over z.
+def log_lrt_m1(z, cfg):
+    """Log LRT for the one-block faded jammer link: its one block term at the
+    configured signal power.  Vectorized over z.
     """
     if cfg.variant != M1_EXPONENTIAL:
         raise ConfigError(f"config variant is {cfg.variant}, expected {M1_EXPONENTIAL}")
-    sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
-    return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, sa, cfg.zeta)
+    return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
 
 
 def log_lrt_mblock(Z, cfg, sigma_a2=None):

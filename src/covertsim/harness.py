@@ -10,7 +10,7 @@ monotone rather than monotone in expectation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,16 +64,10 @@ class SampleSet:
 
 
 def _check_match(scenario, cfg):
-    want = detectors.config_for_scenario(scenario, genie=cfg.genie)
-    mismatches = []
-    for name in ("variant", "n", "M"):
-        if getattr(want, name) != getattr(cfg, name):
-            mismatches.append(name)
-    for name in ("sigma_w2", "zeta", "sigma_a2"):
-        if not math.isclose(getattr(want, name), getattr(cfg, name), rel_tol=1e-12):
-            mismatches.append(name)
-    if mismatches:
-        raise ConfigError(f"detector does not match scenario: {', '.join(mismatches)} differ")
+    want = detectors.config_for_scenario(scenario)
+    differ = [f.name for f in fields(want) if getattr(cfg, f.name) != getattr(want, f.name)]
+    if differ:
+        raise ConfigError(f"detector does not match scenario: {', '.join(differ)} differ")
 
 
 def lrt_power_threshold(cfg, z_lo, z_hi):

@@ -180,7 +180,7 @@ class Scenario:
             )
         except KeyError as exc:
             raise ConfigError(f"missing scenario field: {exc.args[0]}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed scenario value: {exc}") from exc
@@ -200,11 +200,15 @@ class Scenario:
 
 
 def _number(data, key, owner=""):
-    """data[key] as a float; a bool, a string or any other non-number is rejected."""
+    """data[key] as a float; a bool, a string, any other non-number and an
+    integer too large for a float are rejected."""
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{owner}{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{owner}{key} is too large for a float") from None
 
 
 def _whole(data, key):

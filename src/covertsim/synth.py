@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CONSTANT_POWER, FADING, UNIFORM_PER_SLOT, ConfigError, path_gain
+from .model import FADING, UNIFORM_PER_SLOT, path_gain
 
 H0 = "H0"
 H1 = "H1"
@@ -91,10 +91,8 @@ def generate_jammer_slot(strategy, n, rng):
         raise ValueError("n must be >= 1")
     if strategy.kind == UNIFORM_PER_SLOT:
         p_t = float(rng.uniform(0.0, strategy.power))
-    elif strategy.kind == CONSTANT_POWER:
+    else:  # constant power; the strategy has validated the kind
         p_t = float(strategy.power)
-    else:
-        raise ConfigError(f"unknown jammer kind {strategy.kind}")
     return p_t, _complex_normal(rng, p_t, n)
 
 

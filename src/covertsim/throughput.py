@@ -47,14 +47,6 @@ def _sinr_per_power(scenario, samples, seed):
     return sinr
 
 
-def sinr_samples(scenario, samples, seed):
-    """Vector of SINR draws over the receiver-side fading: P_f times the
-    draws of _sinr_per_power, 8 bytes per draw."""
-    sinr = _sinr_per_power(scenario, samples, seed)
-    sinr *= scenario.P_f
-    return sinr
-
-
 def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
     """Empirical outage capacity in bits per symbol at each transmit power
     in pf_values, all over one set of fading draws.
@@ -67,8 +59,9 @@ def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
     index up by one; an index below 1 reads the smallest draw.  One partition
     of the draws serves every P_f, since x -> log2(1 + P_f x) is
-    nondecreasing in floating point: each rate is the one sinr_samples gives
-    for that P_f, bit for bit, at 8 bytes per draw for any number of powers.
+    nondecreasing in floating point: each rate is the one a partition of
+    P_f times the draws gives, bit for bit, at 8 bytes per draw for any number
+    of powers.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")

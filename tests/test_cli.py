@@ -69,7 +69,9 @@ class TestErrors:
     @pytest.mark.parametrize("config, args, message", [
         ("bob", ["capacity", "--samples", "2000", "--pf-list", "0.1,abc"], "bad P_f list '0.1,abc'"),
         ("awgn", ["covertness", "--trials", "10", "--n-list", ","], "n list is empty"),
-    ], ids=["pf_list_bad_item", "n_list_empty"])
+        ("awgn", ["covertness", "--trials", "10", "--n-list", "1" + "0" * 400],
+         "n is too large for a float"),
+    ], ids=["pf_list_bad_item", "n_list_empty", "n_list_huge"])
     def test_bad_comma_list(self, tmp_path, capsys, config, args, message):
         scenario = {
             "awgn": awgn_scenario(n=64),

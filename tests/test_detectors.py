@@ -147,12 +147,6 @@ class TestM1Lrt:
         scale = np.maximum(1.0, np.abs(vals[:-1]))
         assert (diffs / scale).min() >= -1e-9
 
-    def test_genie_override(self):
-        cfg = m1_cfg(sigma_a2=0.0125)
-        assert log_lrt_m1(120.0, cfg, sigma_a2=0.05) == log_lrt_m1(
-            120.0, m1_cfg(sigma_a2=0.05)
-        )
-
 
 class TestMBlockLrt:
     def test_single_block_reduces_exactly(self):
@@ -216,7 +210,8 @@ class TestLogLr:
         (awgn_cfg(n=100), lambda Z, g, cfg: log_lrt_awgn(Z[:, 0], cfg)),
         (m1_cfg(n=100), lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg)),
         (_genie(m1_cfg(n=100)),
-         lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg, sigma_a2=g[:, 0] * cfg.sigma_a2)),
+         lambda Z, g, cfg: log_lrt_block_term(
+             Z[:, 0], cfg.n, cfg.sigma_w2, g[:, 0] * cfg.sigma_a2, cfg.zeta)),
         (mblock_cfg(n=200, M=2), lambda Z, g, cfg: log_lrt_mblock(Z, cfg)),
         (_genie(mblock_cfg(n=200, M=2)),
          lambda Z, g, cfg: log_lrt_mblock(Z, cfg, sigma_a2=g * cfg.sigma_a2)),
@@ -277,9 +272,6 @@ class TestConfigDispatch:
         )
         with pytest.raises(ConfigError):
             config_for_scenario(sc)  # constant power over AWGN link
-        sc2 = fading_scenario()
-        with pytest.raises(ConfigError):
-            config_for_scenario(sc2, genie=True)  # genie needs faded signal link
 
     @pytest.mark.parametrize("M", [1, 2, 4])
     @pytest.mark.parametrize("aw", [model.AWGN, model.FADING])
@@ -293,7 +285,7 @@ class TestConfigDispatch:
             jammer=model.JammerStrategy(kind=kind, power=2.0),
         )
         try:
-            variant = config_for_scenario(sc).variant
+            cfg = config_for_scenario(sc)
         except ConfigError as exc:
             # the recipe rejects the scenario too, with the detector's message
             with pytest.raises(ConfigError) as got:
@@ -307,7 +299,9 @@ class TestConfigDispatch:
             model.select_covert_params_fading(0.1 / M, *args))
         got = model.select_covert_params(sc, 0.1)
         assert got == want
-        assert (got == uniform) == (variant == AWGN_UNIFORM)
+        assert (got == uniform) == (cfg.variant == AWGN_UNIFORM)
+        # the warden is granted the signal fading exactly when there is some
+        assert cfg.genie == (aw == model.FADING)
 
     def test_variant_requires_single_block(self):
         with pytest.raises(ConfigError):

@@ -233,6 +233,8 @@ class TestScenario:
         ("n", 1000.7, "n must be a whole number"),     # would truncate to 1000
         ("n", True, "n must be a number"),             # would be a 1-sample slot
         ("P_f", True, "P_f must be a number"),         # would be P_f = 1.0
+        pytest.param("n", 10**400, "n is too large for a float", id="n-huge"),
+        pytest.param("P_f", 10**400, "P_f is too large for a float", id="P_f-huge"),
     ])
     def test_with_updates_checks_fields_as_the_loader_does(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

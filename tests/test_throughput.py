@@ -15,9 +15,14 @@ def bob_fading():
     return model.load_scenario(configs / "bob_fading.json")
 
 
+def sinr_draws(scenario, samples, seed):
+    """SINR draws at the scenario's transmit power."""
+    return throughput._sinr_per_power(scenario, samples, seed) * scenario.P_f
+
+
 def reference_sinr(scenario, samples, seed):
-    """The out-of-place expression that sinr_samples evaluates in place, on
-    one long standard-exponential draw per faded link."""
+    """The out-of-place expression that _sinr_per_power evaluates in place,
+    on one long standard-exponential draw per faded link, at P_f."""
     rng = np.random.Generator(
         np.random.Philox(key=[int(seed) % 2**64, throughput._SINR_RNG_SALT]))
     g = scenario.geometry
@@ -57,7 +62,7 @@ class TestSinr:
         # part of one slice of jammer-link draws, two full slices and a short
         # one, and many slices
         for samples in (throughput._SLICE // 3, 2 * throughput._SLICE + 3, 100_001):
-            got = throughput.sinr_samples(sc, samples, seed)
+            got = sinr_draws(sc, samples, seed)
             want = reference_sinr(sc, samples, seed)
             assert got.tobytes() == want.tobytes()
             rates = np.sort(np.log2(1.0 + want))
@@ -66,12 +71,12 @@ class TestSinr:
 
     def test_silent_transmitter(self):
         sc = awgn_scenario(P_f=0.0)
-        assert np.all(throughput.sinr_samples(sc, 100, seed=1) == 0.0)
+        assert np.all(sinr_draws(sc, 100, 1) == 0.0)
 
     def test_reference_ratio(self):
         # all-AWGN receiver links: every draw is the closed-form SINR
         sc = awgn_scenario(P_f=0.025, P_max=1.0)
-        assert throughput.sinr_samples(sc, 100, seed=1) == pytest.approx(np.full(100, 0.0125))
+        assert sinr_draws(sc, 100, 1) == pytest.approx(np.full(100, 0.0125))
 
     def test_jammer_free_reduction(self):
         sc = model.Scenario(
@@ -79,7 +84,7 @@ class TestSinr:
             jammer=model.JammerStrategy(kind=model.CONSTANT_POWER, power=0.0),
             P_f=0.4,
         )
-        assert throughput.sinr_samples(sc, 100, seed=1) == pytest.approx(
+        assert sinr_draws(sc, 100, 1) == pytest.approx(
             np.full(100, 0.4 / 2.0**3 / 1.0))
 
     def test_fading_coefficients_scale(self):
@@ -87,7 +92,7 @@ class TestSinr:
         # AWGN value times |h|^2, a unit-mean exponential
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading", P_j=0.0)
         n = 100_000
-        gains = throughput.sinr_samples(sc, n, seed=4) / 0.0125
+        gains = sinr_draws(sc, n, 4) / 0.0125
         assert abs(gains.mean() - 1.0) < 4.0 / math.sqrt(n)
         assert abs(np.mean(gains > math.log(2.0)) - 0.5) < 0.01
 
@@ -129,14 +134,14 @@ class TestOutageCapacity:
         # 0.07 * 10000 is 700.0000000000001 in binary; the 700th order
         # statistic is the one asked for
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
-        rates = np.sort(np.log2(1.0 + throughput.sinr_samples(sc, 10_000, seed=4)))
+        rates = np.sort(np.log2(1.0 + sinr_draws(sc, 10_000, 4)))
         assert throughput.outage_capacity(sc, 0.07, 10_000, seed=4) == rates[699]
 
     def test_tiny_outage_reads_smallest_draw(self):
         # q * samples below 1 asks for the first order statistic, however
         # small q is; it never wraps round to the largest draw
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
-        rates = np.sort(np.log2(1.0 + throughput.sinr_samples(sc, 100_000, seed=1)))
+        rates = np.sort(np.log2(1.0 + sinr_draws(sc, 100_000, 1)))
         tiny = throughput.outage_capacity(sc, 1e-16, 100_000, seed=1)
         assert tiny == throughput.outage_capacity(sc, 1e-5, 100_000, seed=1) == rates[0]
 
