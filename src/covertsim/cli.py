@@ -86,7 +86,7 @@ def _add_common(p):
 
 def cmd_covertness(args):
     scenario, digest = _load(args.config)
-    n_list = sorted(_parse_list(args.n_list, int, "n")) if args.n_list else [scenario.slots.n]
+    n_list = [scenario.slots.n] if args.n_list is None else sorted(_parse_list(args.n_list, int, "n"))
     P_f, rows = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
     out_csv = os.path.join(args.out, "curve.csv")
     harness.write_csv(

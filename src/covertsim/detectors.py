@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AWGN, AWGN_UNIFORM, M1_EXPONENTIAL, MBLOCK_PRODUCT, ConfigError, detector_variant
+from .model import AWGN, AWGN_UNIFORM, MBLOCK_PRODUCT, ConfigError, detector_variant
 from .numerics import log_integral_block, log_mixture_density_uniform
 
 
@@ -37,11 +37,11 @@ class LrtConfig:
     genie: bool = False
 
     def __post_init__(self):
-        if self.variant not in (AWGN_UNIFORM, M1_EXPONENTIAL, MBLOCK_PRODUCT):
+        if self.variant not in (AWGN_UNIFORM, MBLOCK_PRODUCT):
             raise ConfigError(f"unknown detector variant {self.variant}")
         if self.n < 1 or self.M < 1 or self.n % self.M:
             raise ConfigError("need M >= 1 dividing n")
-        if self.variant in (AWGN_UNIFORM, M1_EXPONENTIAL) and self.M != 1:
+        if self.variant == AWGN_UNIFORM and self.M != 1:
             raise ConfigError(f"{self.variant} requires M = 1")
         if self.sigma_w2 <= 0 or self.zeta <= 0:
             raise ConfigError("sigma_w2 and zeta must be positive")
@@ -56,15 +56,11 @@ class LrtConfig:
 
 
 def config_for_scenario(scenario):
-    """Build the detector configuration for the variant
-    ``model.detector_variant`` picks, raising its ConfigError for a scenario
-    with none.
-
-    The scenario fixes every field.  A faded transmitter-to-warden link gives
-    the genie configuration, in which the warden is granted the fading
-    coefficients (conceding extra knowledge only strengthens a covertness
-    claim); an AWGN one gives the plain configuration.
-    """
+    """The detector configuration for the variant ``model.detector_variant``
+    picks (its ConfigError for a scenario with none); the scenario fixes every
+    field.  A faded transmitter-to-warden link gives the genie configuration:
+    the warden is granted the fading coefficients, which only strengthens a
+    covertness claim."""
     variant = detector_variant(scenario)
     slots = scenario.slots
     p = slots.p
@@ -146,11 +142,10 @@ def log_lrt_awgn(z, cfg):
 
 
 def log_lrt_m1(z, cfg):
-    """Log LRT for the one-block faded jammer link: its one block term at the
-    configured signal power.  Vectorized over z.
-    """
-    if cfg.variant != M1_EXPONENTIAL:
-        raise ConfigError(f"config variant is {cfg.variant}, expected {M1_EXPONENTIAL}")
+    """Log LRT for the faded jammer link with M = 1: its one block term at
+    the configured signal power.  Vectorized over z."""
+    if cfg.variant != MBLOCK_PRODUCT or cfg.M != 1:
+        raise ConfigError(f"expected {MBLOCK_PRODUCT} with M = 1, got {cfg.variant} with M = {cfg.M}")
     return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
 
 

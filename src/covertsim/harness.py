@@ -71,26 +71,27 @@ def _check_match(scenario, cfg):
 
 
 def lrt_power_threshold(cfg, z_lo, z_hi):
-    """Total power z* where the scalar log LRT crosses log gamma.
+    """Total power z* where a one-block log LRT crosses log gamma.
 
     Returns +inf when log gamma exceeds the LRT everywhere on the bracket
     (the test never fires) and -inf when it is below it everywhere.
     """
-    if cfg.variant == detectors.MBLOCK_PRODUCT:
-        raise ConfigError("the power threshold form applies to the scalar variants")
+    if cfg.M > 1:
+        raise ConfigError("the power threshold form applies to one-block configs (M = 1)")
     f = lambda z: detectors.log_lr(cfg, [[z]])[0]
     return bisect_monotone(f, cfg.log_gamma, z_lo, z_hi, tol=1e-9)
 
 
 def collect_statistics(scenario, cfg, trials, seed):
     """Per-trial detector statistics for `trials` H0 trials and `trials`
-    H1 trials, deterministic in (seed, trial index)."""
+    H1 trials, deterministic in (seed, trial index): the power z/n when M = 1
+    and there is no genie, where a power threshold is the LRT, else log L."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_match(scenario, cfg)
     b0, h0 = synth.sample_block_powers(scenario, synth.H0, trials, seed, 0)
     b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET)
-    if cfg.variant == detectors.MBLOCK_PRODUCT or cfg.genie:
+    if cfg.M > 1 or cfg.genie:
         s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
         return SampleSet(s0, s1, kind="loglr", lrt_gamma_threshold=cfg.log_gamma)
     z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)  # total power over every block

@@ -27,7 +27,6 @@ _JAMMER_KINDS = (UNIFORM_PER_SLOT, CONSTANT_POWER)
 LINKS = ("aw", "ab", "jw", "jb")
 
 AWGN_UNIFORM = "awgn_uniform"
-M1_EXPONENTIAL = "m1_exponential"
 MBLOCK_PRODUCT = "mblock_product"
 
 
@@ -44,7 +43,10 @@ def path_gain(d, alpha):
         raise ConfigError(f"distance must be positive, got {d}")
     if alpha < 2:
         raise ConfigError(f"path-loss exponent must be >= 2, got {alpha}")
-    return float(d) ** (-float(alpha))
+    try:
+        return float(d) ** (-float(alpha))
+    except OverflowError:
+        raise ConfigError(f"path gain of distance {d} at alpha {alpha} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,12 @@ class Geometry:
     alpha: float = 2.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha >= 2):
+            raise ConfigError("alpha must be finite and >= 2")
         for name in ("d_aw", "d_ab", "d_jw", "d_jb"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive and finite")
-        if not (math.isfinite(self.alpha) and self.alpha >= 2):
-            raise ConfigError("alpha must be finite and >= 2")
+            path_gain(getattr(self, name), self.alpha)  # a gain that overflows is rejected here
 
 
 @dataclass(frozen=True)
@@ -276,9 +279,10 @@ def select_covert_params_fading(epsilon, zeta, d_aw, alpha):
 
 def detector_variant(scenario):
     """The scenario's construction, which fixes both its detector and its
-    covert-power recipe: uniform jam power over AWGN warden-side links, or a
-    constant-power jammer over a faded jammer-to-warden link with M = 1 or
-    M > 1 blocks.  Any other scenario raises ConfigError."""
+    covert-power recipe: ``AWGN_UNIFORM``, uniform jam power over AWGN
+    warden-side links, or ``MBLOCK_PRODUCT``, a constant-power jammer over a
+    faded jammer-to-warden link with any M >= 1 blocks (``slots.M``).  Any
+    other scenario raises ConfigError."""
     ch = scenario.channels
     if scenario.jammer.kind == UNIFORM_PER_SLOT:
         if ch.jw != AWGN or ch.aw != AWGN:
@@ -287,7 +291,7 @@ def detector_variant(scenario):
             )
         return AWGN_UNIFORM
     if ch.jw == FADING:
-        return M1_EXPONENTIAL if scenario.slots.M == 1 else MBLOCK_PRODUCT
+        return MBLOCK_PRODUCT
     raise ConfigError(
         "constant jam power over an AWGN jammer link gives the warden a known "
         "noise floor; no covert detector variant is defined for it"

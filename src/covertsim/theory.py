@@ -215,7 +215,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     axis along which the statistic falls counts in failures, for the caller
     to gate on.
     """
-    if cfg.variant != detectors.MBLOCK_PRODUCT:
+    if cfg.variant != detectors.MBLOCK_PRODUCT or cfg.M < 2:
         raise ConfigError("boundary mass needs a multi-block fading config (M > 1)")
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError(f"delta must be positive and finite, got {delta}")

@@ -62,6 +62,15 @@ class TestErrors:
         assert run_cli(["roc", str(path), "--trials", "10", "--out", str(tmp_path)]) == 2
         assert f"config error: {field} must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["covertness", "check"])
+    def test_overflowing_path_gain(self, tmp_path, capsys, command):
+        data = fading_scenario(n=64).to_dict()
+        data["d_jw"] = 1e-200  # d**-2 overflows a float
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(data))
+        assert run_cli([command, str(path), "--out", str(tmp_path)]) == 2
+        assert "config error: path gain of distance 1e-200" in capsys.readouterr().err
+
     def test_bad_n_list(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--n-list", "64,x", "--trials", "10"]) == 2
@@ -69,9 +78,10 @@ class TestErrors:
     @pytest.mark.parametrize("config, args, message", [
         ("bob", ["capacity", "--samples", "2000", "--pf-list", "0.1,abc"], "bad P_f list '0.1,abc'"),
         ("awgn", ["covertness", "--trials", "10", "--n-list", ","], "n list is empty"),
+        ("awgn", ["covertness", "--trials", "10", "--n-list", ""], "n list is empty"),
         ("awgn", ["covertness", "--trials", "10", "--n-list", "1" + "0" * 400],
          "n is too large for a float"),
-    ], ids=["pf_list_bad_item", "n_list_empty", "n_list_huge"])
+    ], ids=["pf_list_bad_item", "n_list_empty", "n_list_blank", "n_list_huge"])
     def test_bad_comma_list(self, tmp_path, capsys, config, args, message):
         scenario = {
             "awgn": awgn_scenario(n=64),
@@ -81,8 +91,10 @@ class TestErrors:
         assert run_cli([args[0], cfgp, *args[1:], "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
-    def test_boundary_needs_multi_block(self, tmp_path, capsys):
-        cfgp = write_config(tmp_path, awgn_scenario(n=64))
+    @pytest.mark.parametrize("scenario", [awgn_scenario(n=64), fading_scenario(n=64, M=1)],
+                             ids=["awgn", "fading_m1"])
+    def test_boundary_needs_multi_block(self, tmp_path, capsys, scenario):
+        cfgp = write_config(tmp_path, scenario)
         assert run_cli(["boundary", cfgp, "--draws", "10", "--out", str(tmp_path)]) == 2
         assert "boundary mass needs a multi-block fading config (M > 1)" in capsys.readouterr().err
 

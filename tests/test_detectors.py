@@ -7,7 +7,6 @@ import pytest
 from covertsim import detectors, model, synth
 from covertsim.detectors import (
     AWGN_UNIFORM,
-    M1_EXPONENTIAL,
     MBLOCK_PRODUCT,
     LrtConfig,
     block_powers,
@@ -38,7 +37,7 @@ def awgn_cfg(n=100, sigma_a2=0.025, zeta=1.0, sigma_w2=1.0, log_gamma=0.0):
 
 def m1_cfg(n=100, sigma_a2=0.0125, zeta=1.0, sigma_w2=1.0, log_gamma=0.0):
     return LrtConfig(
-        variant=M1_EXPONENTIAL, n=n, M=1, sigma_w2=sigma_w2, zeta=zeta,
+        variant=MBLOCK_PRODUCT, n=n, M=1, sigma_w2=sigma_w2, zeta=zeta,
         sigma_a2=sigma_a2, log_gamma=log_gamma,
     )
 
@@ -255,8 +254,9 @@ class TestConfigDispatch:
         assert cfg.log_gamma == pytest.approx(math.log(0.7 / 0.3))
 
     def test_single_block_fading(self):
+        # one block is the M = 1 case of the faded construction, not a third one
         cfg = config_for_scenario(fading_scenario(n=400, M=1))
-        assert cfg.variant == M1_EXPONENTIAL and not cfg.genie
+        assert cfg.variant == MBLOCK_PRODUCT and cfg.M == 1 and not cfg.genie
 
     def test_multi_block_fading(self):
         cfg = config_for_scenario(fading_scenario(n=400, M=4))
@@ -304,12 +304,24 @@ class TestConfigDispatch:
         assert cfg.genie == (aw == model.FADING)
 
     def test_variant_requires_single_block(self):
-        with pytest.raises(ConfigError):
-            LrtConfig(variant=M1_EXPONENTIAL, n=100, M=2, sigma_w2=1.0,
+        # the uniform-window detector reads the total power: one block only
+        with pytest.raises(ConfigError, match="requires M = 1"):
+            LrtConfig(variant=AWGN_UNIFORM, n=100, M=2, sigma_w2=1.0,
                       zeta=1.0, sigma_a2=0.0, log_gamma=0.0)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ConfigError, match="unknown detector variant"):
+            LrtConfig(variant="exponential", n=100, M=1, sigma_w2=1.0,
+                      zeta=1.0, sigma_a2=0.0, log_gamma=0.0)
+
+    @pytest.mark.parametrize("cfg", [awgn_cfg(), mblock_cfg(n=200, M=2)],
+                             ids=["awgn_uniform", "mblock_M2"])
+    def test_m1_statistic_needs_one_faded_block(self, cfg):
+        with pytest.raises(ConfigError, match="with M = 1"):
+            log_lrt_m1(100.0, cfg)
 
     @pytest.mark.parametrize("sigma_a2", [-0.1, math.nan, math.inf])
     def test_signal_power_must_be_finite_and_nonnegative(self, sigma_a2):
         with pytest.raises(ConfigError):
-            LrtConfig(variant=M1_EXPONENTIAL, n=100, M=1, sigma_w2=1.0,
+            LrtConfig(variant=MBLOCK_PRODUCT, n=100, M=1, sigma_w2=1.0,
                       zeta=1.0, sigma_a2=sigma_a2, log_gamma=0.0)

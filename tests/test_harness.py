@@ -13,6 +13,7 @@ from covertsim.harness import (
     _rates_at,
     collect_statistics,
     covertness_curve,
+    lrt_power_threshold,
     sweep_thresholds,
     willie_min_error,
     write_csv,
@@ -68,7 +69,7 @@ class TestErrorRates:
             collect_statistics(sc, cfg, trials=10, seed=1)
 
     @pytest.mark.parametrize("aw, M, field, value", [
-        ("awgn", 1, "variant", detectors.MBLOCK_PRODUCT),
+        ("awgn", 1, "variant", detectors.AWGN_UNIFORM),  # uniform detector, faded jammer link
         ("awgn", 1, "n", 128),
         ("awgn", 2, "M", 4),
         ("awgn", 1, "sigma_w2", 2.0),
@@ -83,6 +84,22 @@ class TestErrorRates:
         cfg = dataclasses.replace(detectors.config_for_scenario(sc), **{field: value})
         with pytest.raises(ConfigError, match=f": {field} differ"):
             collect_statistics(sc, cfg, trials=10, seed=1)
+
+    @pytest.mark.parametrize("M", [1, 2, 4])
+    @pytest.mark.parametrize("aw", [model.AWGN, model.FADING])
+    def test_power_statistic_exactly_for_one_block_without_genie(self, aw, M):
+        # a threshold on the received power is the LRT only with one block and
+        # no signal fading granted to the warden; otherwise the statistic is log L
+        sc = fading_scenario(n=64, M=M, P_f=0.0125, aw=aw)
+        cfg = detectors.config_for_scenario(sc)
+        ss = collect_statistics(sc, cfg, trials=5, seed=1)
+        assert (ss.kind == "power") == (cfg.M == 1 and not cfg.genie)
+        assert ss.kind in ("power", "loglr")
+
+    def test_power_threshold_refuses_several_blocks(self):
+        cfg = detectors.config_for_scenario(fading_scenario(n=64, M=2))
+        with pytest.raises(ConfigError, match="one-block"):
+            lrt_power_threshold(cfg, 1.0, 1000.0)
 
 
 class TestSweep:

@@ -30,6 +30,10 @@ class TestPathGain:
         with pytest.raises(ConfigError):
             model.path_gain(d, 2.0)
 
+    def test_overflowing_gain_rejected(self):
+        with pytest.raises(ConfigError, match="overflows a float"):
+            model.path_gain(1e-200, 2.0)
+
     def test_small_exponent_rejected(self):
         with pytest.raises(ConfigError):
             model.path_gain(1.0, 1.5)
@@ -200,6 +204,15 @@ class TestScenario:
         assert model.Scenario.from_json(sc.to_json()) == sc
         # saving a shipped config rewrites it byte for byte
         assert sc.to_json() + "\n" == path.read_text()
+
+    @pytest.mark.parametrize("field", ["d_aw", "d_ab", "d_jw", "d_jb"])
+    def test_overflowing_path_gain_rejected_at_load(self, field):
+        data = fading_scenario().to_dict()
+        data[field] = 1e-150  # a gain of 1e300 still fits
+        assert getattr(model.Scenario.from_dict(data).geometry, field) == 1e-150
+        data[field] = 1e-200  # the gain d**-2 = 1e400 does not
+        with pytest.raises(ConfigError, match="overflows a float"):
+            model.Scenario.from_dict(data)
 
     def test_missing_field_rejected(self):
         data = awgn_scenario().to_dict()
