@@ -4,5 +4,3 @@ Monte Carlo error-rate estimation, structural-property certification, and
 receiver-side throughput."""
 
 __version__ = "0.1.0"
-
-from . import detectors, harness, model, numerics, synth, theory, throughput  # noqa: E402,F401

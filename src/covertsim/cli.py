@@ -46,22 +46,33 @@ def _load(config_path):
     return model.Scenario.from_json(raw), hashlib.sha256(raw).hexdigest()
 
 
-def _manifest(out_dir, command, scenario, seed, digest, outputs, extra=None):
-    data = {
-        "command": command,
+def _write(args, scenario, digest, artifacts, **extra):
+    """Write each artifact into --out under its file name, then manifest.json.
+
+    A (header, rows) pair becomes a CSV whose rows are streamed, with
+    full-precision cells (str of a Python or numpy float is its shortest
+    round-tripping repr, of a numpy integer its digits); anything else is
+    written as JSON.  The manifest names the run and lists the artifacts.
+    """
+    manifest = {
+        "command": args.command,
         "scenario": scenario.to_dict(),
-        "seed": seed,
+        "seed": args.seed,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config_sha256": digest,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted(artifacts),
+        **extra,
     }
-    if extra:
-        data.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-    return path
+    for name, body in {**artifacts, "manifest.json": manifest}.items():
+        with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as fh:
+            if isinstance(body, tuple):
+                header, rows = body
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(map(str, row)) + "\n")
+            else:
+                json.dump(body, fh, indent=2)
 
 
 def _parse_list(text, convert, name):
@@ -84,17 +95,13 @@ def _add_common(p):
                    help="accepted for compatibility; must be >= 1 and changes nothing")
 
 
-def cmd_covertness(args):
-    scenario, digest = _load(args.config)
+def cmd_covertness(args, scenario, digest):
     n_list = [scenario.slots.n] if args.n_list is None else sorted(_parse_list(args.n_list, int, "n"))
     P_f, rows = harness.covertness_curve(scenario, args.eps, n_list, args.trials, args.seed)
-    out_csv = os.path.join(args.out, "curve.csv")
-    harness.write_csv(
-        out_csv, ["n", "threshold", "min_sum", "ci_lo", "ci_hi"],
+    _write(args, scenario, digest, {"curve.csv": (
+        ["n", "threshold", "min_sum", "ci_lo", "ci_hi"],
         [(n, r.threshold, r.sum, *r.ci_sum) for n, r in rows],
-    )
-    _manifest(args.out, "covertness", scenario, args.seed, digest, [out_csv],
-              extra={"epsilon": args.eps, "trials": args.trials, "P_f": P_f})
+    )}, epsilon=args.eps, trials=args.trials, P_f=P_f)
     for n, r in rows:
         lo, hi = r.ci_sum
         print(f"n={n}: min(P_FA+P_MD)={r.sum:.4f} "
@@ -102,8 +109,7 @@ def cmd_covertness(args):
     return EXIT_OK
 
 
-def cmd_roc(args):
-    scenario, digest = _load(args.config)
+def cmd_roc(args, scenario, digest):
     cfg = detectors.config_for_scenario(scenario)
     ss = harness.collect_statistics(scenario, cfg, args.trials, args.seed)
     # quantiles of the sorted pooled statistics, ties kept, so two statistics
@@ -112,15 +118,11 @@ def cmd_roc(args):
     points = min(args.grid_points, len(pooled))
     grid = pooled[np.linspace(0, len(pooled) - 1, points).astype(int)]
     rates = harness.sweep_thresholds(ss, grid)
-    out_csv = os.path.join(args.out, "roc.csv")
-    harness.write_csv(
-        out_csv,
+    _write(args, scenario, digest, {"roc.csv": (
         ["threshold", "p_fa", "p_md", "ci_fa_lo", "ci_fa_hi", "ci_md_lo", "ci_md_hi"],
         [(r.threshold, r.p_fa, r.p_md, *r.ci_fa, *r.ci_md) for r in rates],
-    )
-    _manifest(args.out, "roc", scenario, args.seed, digest, [out_csv],
-              extra={"trials": args.trials, "statistic": ss.kind})
-    print(f"wrote {len(rates)} operating points to {out_csv}")
+    )}, trials=args.trials, statistic=ss.kind)
+    print(f"wrote {len(rates)} operating points to {os.path.join(args.out, 'roc.csv')}")
     return EXIT_OK
 
 
@@ -165,8 +167,7 @@ def _check_report(scenario, grid_points):
     return cfg, results
 
 
-def cmd_check(args):
-    scenario, digest = _load(args.config)
+def cmd_check(args, scenario, digest):
     cfg, results = _check_report(scenario, args.grid_points)
     report = {}
     all_pass = True
@@ -180,10 +181,7 @@ def cmd_check(args):
         }
         print(f"{name}: {'PASS' if passed else 'FAIL'}"
               f" (worst {rep.worst_violation:.3e})")
-    out_json = os.path.join(args.out, "check.json")
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump({"variant": cfg.variant, "checks": report}, fh, indent=2)
-    _manifest(args.out, "check", scenario, args.seed, digest, [out_json])
+    _write(args, scenario, digest, {"check.json": {"variant": cfg.variant, "checks": report}})
     if not all_pass:
         raise NumericalError("one or more structural checks failed")
     return EXIT_OK
@@ -203,28 +201,24 @@ def _boundary_rows(region):
             yield (i, *x, int(hit))
 
 
-def cmd_boundary(args):
-    scenario, digest = _load(args.config)
+def cmd_boundary(args, scenario, digest):
     cfg = detectors.config_for_scenario(scenario)
     delta = args.delta
     if delta is None:
         delta = theory.delta_for_boundary_mass(args.eps, cfg.M, cfg.zeta)
     region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, args.draws, args.seed)
-    out_csv = os.path.join(args.out, "boundary.csv")
     header = ["draw"] + [f"x{m + 1}" for m in range(cfg.M)] + ["in_region"]
-    harness.write_csv(out_csv, header, _boundary_rows(region))
-    out_json = os.path.join(args.out, "boundary.json")
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump({
+    _write(args, scenario, digest, {
+        "boundary.csv": (header, _boundary_rows(region)),
+        "boundary.json": {
             "M": cfg.M, "n": cfg.n, "delta": delta,
             "log_gamma": cfg.log_gamma, "draws": args.draws,
             "failures": region.failures, "mass": region.mass,
             "ci": list(region.ci), "analytic_bound": region.analytic_bound,
             "spot_checks": region.spot_checks,
             "spot_mismatches": region.spot_mismatches,
-        }, fh, indent=2)
-    _manifest(args.out, "boundary", scenario, args.seed, digest,
-              [out_csv, out_json], extra={"delta": delta, "draws": args.draws})
+        },
+    }, delta=delta, draws=args.draws)
     print(f"boundary mass {region.mass:.4f} "
           f"[{region.ci[0]:.4f}, {region.ci[1]:.4f}], bound {region.analytic_bound:.4f}")
     if region.failures or region.spot_mismatches:
@@ -235,8 +229,7 @@ def cmd_boundary(args):
     return EXIT_OK
 
 
-def cmd_capacity(args):
-    scenario, digest = _load(args.config)
+def cmd_capacity(args, scenario, digest):
     pf_values = [scenario.P_f] if args.pf_list is None else _parse_list(args.pf_list, float, "P_f")
     n = scenario.slots.n if args.n is None else args.n
     # with_updates validates each P_f; one set of fading draws serves them all
@@ -245,10 +238,9 @@ def cmd_capacity(args):
                                          pf_values)
     rows = [(pf, scenario.jammer.power, args.outage, rate, throughput.covert_bits(n, rate))
             for pf, rate in zip(pf_values, rates)]
-    out_csv = os.path.join(args.out, "capacity.csv")
-    harness.write_csv(out_csv, ["P_f", "P_j", "outage_prob", "R", "bits"], rows)
-    _manifest(args.out, "capacity", scenario, args.seed, digest, [out_csv],
-              extra={"samples": args.samples, "n": n})
+    _write(args, scenario, digest,
+           {"capacity.csv": (["P_f", "P_j", "outage_prob", "R", "bits"], rows)},
+           samples=args.samples, n=n)
     for pf, pj, q, rate, bits in rows:
         print(f"P_f={pf:g}: R={rate:.6g} bits/symbol, {bits} bits in n={n}")
     return EXIT_OK
@@ -313,7 +305,7 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out!r}: {exc.strerror}") from exc
-        return args.fn(args)
+        return args.fn(args, *_load(args.config))
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -173,16 +173,3 @@ def covertness_curve(scenario, epsilon, n_list, trials, seed):
         cfg = detectors.config_for_scenario(sc)
         rows.append((sc.slots.n, willie_min_error(sc, cfg, trials, seed).rates))
     return base.P_f, rows
-
-
-# ---------------------------------------------------------------------------
-# artifacts
-
-
-def write_csv(path, header, rows):
-    """CSV with full-precision floats: str of a Python or numpy float is its
-    shortest round-tripping repr, of a numpy integer its digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass, replace
 
 AWGN = "awgn"
@@ -44,9 +45,12 @@ def path_gain(d, alpha):
     if alpha < 2:
         raise ConfigError(f"path-loss exponent must be >= 2, got {alpha}")
     try:
-        return float(d) ** (-float(alpha))
+        gain = float(d) ** (-float(alpha))
     except OverflowError:
         raise ConfigError(f"path gain of distance {d} at alpha {alpha} overflows a float") from None
+    if gain < sys.float_info.min:  # zero or subnormal
+        raise ConfigError(f"path gain of distance {d} at alpha {alpha} underflows a float")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class Geometry:
         for name in ("d_aw", "d_ab", "d_jw", "d_jb"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive and finite")
-            path_gain(getattr(self, name), self.alpha)  # a gain that overflows is rejected here
+            path_gain(getattr(self, name), self.alpha)  # rejects a gain out of float range
 
 
 @dataclass(frozen=True)

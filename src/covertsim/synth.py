@@ -48,13 +48,30 @@ def substream(seed, trial, purpose):
 
 @dataclass(frozen=True)
 class TrialRng:
-    """Hands out the per-purpose substreams of one Monte Carlo trial."""
+    """Hands out the per-purpose substreams of one Monte Carlo trial.
+
+    Every stream is the same owned generator, built on the first call and
+    re-keyed in place after that, drawing what ``substream(seed, trial,
+    purpose)`` draws.  So a stream is valid only until the next ``stream()``
+    call on the same TrialRng: consume one purpose before asking for the next.
+    """
 
     seed: int
     trial: int
+    _gen: Optional[np.random.Generator] = field(default=None, init=False, compare=False,
+                                                repr=False)
+    _fresh: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def stream(self, purpose):
-        return substream(self.seed, self.trial, purpose)
+        if self._gen is None:
+            gen = substream(self.seed, self.trial, purpose)
+            object.__setattr__(self, "_gen", gen)
+            # its counter, key and empty buffer; only the purpose word changes
+            object.__setattr__(self, "_fresh", gen.bit_generator.state)
+        else:
+            self._fresh["state"]["counter"][3] = purpose
+            self._gen.bit_generator.state = self._fresh
+        return self._gen
 
 
 def _complex_normal(rng, variance, size):

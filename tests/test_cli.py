@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -6,10 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertsim import cli, detectors, harness, model, theory
 
@@ -62,14 +65,19 @@ class TestErrors:
         assert run_cli(["roc", str(path), "--trials", "10", "--out", str(tmp_path)]) == 2
         assert f"config error: {field} must be a number" in capsys.readouterr().err
 
+    # d**-2 overflows a float at d = 1e-200 and rounds to 0 at d = 1e200
+    @pytest.mark.parametrize("field, value, message", [
+        ("d_jw", 1e-200, "path gain of distance 1e-200 at alpha 2.0 overflows a float"),
+        ("d_aw", 1e200, "path gain of distance 1e+200 at alpha 2.0 underflows a float"),
+    ], ids=["overflow", "underflow"])
     @pytest.mark.parametrize("command", ["covertness", "check"])
-    def test_overflowing_path_gain(self, tmp_path, capsys, command):
+    def test_path_gain_out_of_float_range(self, tmp_path, capsys, command, field, value, message):
         data = fading_scenario(n=64).to_dict()
-        data["d_jw"] = 1e-200  # d**-2 overflows a float
-        path = tmp_path / "near.json"
+        data[field] = value
+        path = tmp_path / "far.json"
         path.write_text(json.dumps(data))
         assert run_cli([command, str(path), "--out", str(tmp_path)]) == 2
-        assert "config error: path gain of distance 1e-200" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_bad_n_list(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
@@ -327,9 +335,9 @@ class TestBoundary:
         region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, draws, 4)
         rows = [(i, *x, int(hit)) for i, (x, hit) in
                 enumerate(zip(region.draw_x.tolist(), region.draw_in_region.tolist()))]
-        want = tmp_path / "want.csv"
-        harness.write_csv(want, ["draw", "x1", "x2", "in_region"], rows)
-        assert (out / "boundary.csv").read_bytes() == want.read_bytes()
+        want = "".join(",".join(map(str, row)) + "\n"
+                       for row in [("draw", "x1", "x2", "in_region"), *rows])
+        assert (out / "boundary.csv").read_text() == want
 
     def test_worker_flag_does_not_change_output(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
@@ -400,6 +408,68 @@ class TestArtifactsMatchLibrary:
             cfg.M, cfg.n, delta, cfg.log_gamma, 300]
 
 
+def write_artifacts(out, artifacts):
+    args = argparse.Namespace(out=str(out), command="test", seed=0)
+    cli._write(args, awgn_scenario(), "0" * 64, artifacts)
+
+
+class TestWriter:
+    def test_full_precision_round_trip(self, tmp_path):
+        values = [0.1 + 0.2, 1.0 / 3.0, 2.0**-52, 123456.789012345678]
+        write_artifacts(tmp_path, {"vals.csv": (["x"], [(v,) for v in values])})
+        lines = (tmp_path / "vals.csv").read_text().splitlines()
+        assert lines[0] == "x"
+        parsed = [float(s) for s in lines[1:]]
+        assert parsed == values
+
+    def test_numpy_scalar_cells_round_trip(self, tmp_path):
+        # numpy 2 float scalars subclass float but repr as np.float64(...)
+        rows = [(np.float64(0.1), np.int64(3)), (np.float64(1.0) / 3.0, np.int64(-7))]
+        write_artifacts(tmp_path, {"np.csv": (["x", "k"], rows)})
+        lines = (tmp_path / "np.csv").read_text().splitlines()
+        assert lines[0] == "x,k"
+        parsed = [(float(x), int(k)) for x, k in (ln.split(",") for ln in lines[1:])]
+        assert parsed == [(float(x), int(k)) for x, k in rows]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_any_floats(self, values):
+        with tempfile.TemporaryDirectory() as out:
+            write_artifacts(out, {"v.csv": (["v"], [(v,) for v in values])})
+            with open(os.path.join(out, "v.csv")) as fh:
+                parsed = [float(s) for s in fh.read().splitlines()[1:]]
+        assert parsed == values
+
+    def test_json_artifact_and_manifest(self, tmp_path):
+        write_artifacts(tmp_path, {"b.json": {"x": [1, 2.5]}, "a.csv": (["h"], iter([(1,)]))})
+        assert (tmp_path / "b.json").read_text() == json.dumps({"x": [1, 2.5]}, indent=2)
+        assert (tmp_path / "a.csv").read_text() == "h\n1\n"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert list(manifest) == ["command", "scenario", "seed", "tool_version", "timestamp",
+                                  "config_sha256", "outputs"]
+        assert manifest["outputs"] == ["a.csv", "b.json"]
+
+    @pytest.mark.parametrize("config, args", [
+        ("awgn", ["covertness", "--n-list", "64", "--trials", "50"]),
+        ("awgn", ["roc", "--trials", "50", "--grid-points", "11"]),
+        ("m2", ["check", "--grid-points", "40"]),
+        ("m2", ["boundary", "--draws", "100"]),
+        ("bob", ["capacity", "--samples", "2000"]),
+    ], ids=["covertness", "roc", "check", "boundary", "capacity"])
+    def test_manifest_lists_every_artifact(self, tmp_path, config, args):
+        scenario = {
+            "awgn": awgn_scenario(n=64),
+            "m2": fading_scenario(n=64, M=2, P_f=0.0125),
+            "bob": fading_scenario(n=400, M=1, P_f=0.0125, ab="fading", jb="fading"),
+        }[config]
+        cfgp = write_config(tmp_path, scenario)
+        out = tmp_path / "out"
+        assert run_cli([args[0], cfgp, *args[1:], "--seed", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == args[0]
+        assert manifest["outputs"] == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
 class TestCapacity:
     def test_silent_power_rows_zero(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(
@@ -449,6 +519,17 @@ class TestConsoleEntry:
             capture_output=True, text=True, check=True, env=child_env(),
         )
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_loads_no_submodule(self):
+        # every caller imports the submodule it needs, so the package alone
+        # must not pay for numpy
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covertsim; print('numpy' in sys.modules,"
+             " sorted(m for m in sys.modules if m.startswith('covertsim.')))"],
+            capture_output=True, text=True, check=True, env=child_env(),
+        )
+        assert proc.stdout.strip() == "False []"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from covertsim import detectors, model, synth
 from covertsim.harness import (
@@ -16,7 +16,6 @@ from covertsim.harness import (
     lrt_power_threshold,
     sweep_thresholds,
     willie_min_error,
-    write_csv,
 )
 from covertsim.model import ConfigError
 
@@ -294,40 +293,3 @@ class TestStatisticsCollection:
             blocks[5, 0], cfg.n, cfg.sigma_w2, haw2[5, 0] * cfg.sigma_a2, cfg.zeta,
         )
         assert ss.stats_h1[5] == direct
-
-
-class TestCsv:
-    def test_full_precision_round_trip(self, tmp_path):
-        path = tmp_path / "vals.csv"
-        values = [0.1 + 0.2, 1.0 / 3.0, 2.0**-52, 123456.789012345678]
-        write_csv(path, ["x"], [(v,) for v in values])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x"
-        parsed = [float(s) for s in lines[1:]]
-        assert parsed == values
-
-    def test_numpy_scalar_cells_round_trip(self, tmp_path):
-        # numpy 2 float scalars subclass float but repr as np.float64(...)
-        path = tmp_path / "np.csv"
-        rows = [(np.float64(0.1), np.int64(3)), (np.float64(1.0) / 3.0, np.int64(-7))]
-        write_csv(path, ["x", "k"], rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,k"
-        parsed = [(float(x), int(k)) for x, k in (ln.split(",") for ln in lines[1:])]
-        assert parsed == [(float(x), int(k)) for x, k in rows]
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_round_trip_any_floats(self, values):
-        import os
-        import tempfile
-
-        fd, path = tempfile.mkstemp(suffix=".csv")
-        os.close(fd)
-        try:
-            write_csv(path, ["v"], [(v,) for v in values])
-            with open(path) as fh:
-                parsed = [float(s) for s in fh.read().splitlines()[1:]]
-            assert parsed == values
-        finally:
-            os.unlink(path)

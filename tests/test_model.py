@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -30,9 +31,13 @@ class TestPathGain:
         with pytest.raises(ConfigError):
             model.path_gain(d, 2.0)
 
-    def test_overflowing_gain_rejected(self):
-        with pytest.raises(ConfigError, match="overflows a float"):
-            model.path_gain(1e-200, 2.0)
+    # a gain of 1e400 overflows, 1e-400 rounds to 0.0 and 1e-310 is subnormal
+    @pytest.mark.parametrize("d, message", [
+        (1e-200, "overflows"), (1e200, "underflows"), (1e155, "underflows"),
+    ])
+    def test_gain_out_of_float_range_rejected(self, d, message):
+        with pytest.raises(ConfigError, match=re.escape(f"distance {d} at alpha 2.0 {message}")):
+            model.path_gain(d, 2.0)
 
     def test_small_exponent_rejected(self):
         with pytest.raises(ConfigError):
@@ -205,13 +210,17 @@ class TestScenario:
         # saving a shipped config rewrites it byte for byte
         assert sc.to_json() + "\n" == path.read_text()
 
+    # gains d**-2 of 1e300 and 1e-300 are normal floats, 1e400 and 1e-400 are not
+    @pytest.mark.parametrize("loads, rejected, message", [
+        (1e-150, 1e-200, "overflows a float"), (1e150, 1e200, "underflows a float"),
+    ], ids=["overflow", "underflow"])
     @pytest.mark.parametrize("field", ["d_aw", "d_ab", "d_jw", "d_jb"])
-    def test_overflowing_path_gain_rejected_at_load(self, field):
+    def test_path_gain_out_of_float_range_rejected_at_load(self, field, loads, rejected, message):
         data = fading_scenario().to_dict()
-        data[field] = 1e-150  # a gain of 1e300 still fits
-        assert getattr(model.Scenario.from_dict(data).geometry, field) == 1e-150
-        data[field] = 1e-200  # the gain d**-2 = 1e400 does not
-        with pytest.raises(ConfigError, match="overflows a float"):
+        data[field] = loads
+        assert getattr(model.Scenario.from_dict(data).geometry, field) == loads
+        data[field] = rejected
+        with pytest.raises(ConfigError, match=message):
             model.Scenario.from_dict(data)
 
     def test_missing_field_rejected(self):

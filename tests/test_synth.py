@@ -179,6 +179,48 @@ class TestDeterminism:
         assert not np.array_equal(g1, g3)
         assert not np.array_equal(g1, g4)
 
+    @pytest.mark.parametrize("hypothesis", [H0, H1])
+    @pytest.mark.parametrize("sc", [
+        awgn_scenario(n=64),
+        fading_scenario(n=64, M=4),
+        fading_scenario(n=64, M=4, aw="fading"),
+    ], ids=["awgn", "fading_m4", "genie"])
+    def test_reused_generator_matches_fresh_substreams(self, sc, hypothesis):
+        # TrialRng re-keys one generator; a build from fresh substreams is
+        # the oracle, byte for byte, with every word of seed and trial in use
+        seed, trial = 2**63 + 5, 2**40
+        fresh = types.SimpleNamespace(stream=lambda purpose: synth.substream(seed, trial, purpose))
+        want = synth.synthesize_willie_slot(sc, hypothesis, fresh)
+        rng = TrialRng(seed, trial)
+        for _ in range(2):  # the second build starts from a used generator
+            got = synth.synthesize_willie_slot(sc, hypothesis, rng)
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.latents.jam_power == want.latents.jam_power
+            assert {k: v.tobytes() for k, v in got.latents.fading.items()} == {
+                k: v.tobytes() for k, v in want.latents.fading.items()}
+            assert np.array_equal(got.latents.sigma_j2, want.latents.sigma_j2)
+
+    def test_stream_after_buffered_uint32_is_fresh(self):
+        seed, trial = 2**63 + 5, 2**40
+        rng = TrialRng(seed, trial)
+        g = rng.stream(synth.JAMMER)
+        g.standard_normal(3)
+        g.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count leaves half a word
+        assert g.bit_generator.state["has_uint32"] == 1
+        for purpose in (synth.NOISE_W, synth.JAMMER):
+            got, want = rng.stream(purpose), synth.substream(seed, trial, purpose)
+            for draw in (lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32),
+                         lambda r: r.standard_normal(3)):
+                assert draw(got).tobytes() == draw(want).tobytes()
+
+    def test_streams_of_one_trial_alias(self):
+        # a stream is valid only until the next stream() call on its TrialRng
+        rng = TrialRng(1, 2)
+        assert rng.stream(synth.NOISE_W) is rng.stream(synth.JAMMER)
+        # the owned generator is not part of the value
+        assert rng == TrialRng(1, 2) and hash(rng) == hash(TrialRng(1, 2))
+        assert repr(rng) == "TrialRng(seed=1, trial=2)"
+
     def test_stream_values_pinned(self):
         # the first draws of every purpose are part of the reproducibility
         # contract: changing the counter layout or a purpose value breaks it
