@@ -2,7 +2,8 @@
 CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 usage or config problem (any ValueError, such as an
-out-of-range argument), 3 numerical failure.
+out-of-range argument or an artifact that cannot be written), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def _write(args, scenario, digest, artifacts, **extra):
     A (header, rows) pair becomes a CSV whose rows are streamed, with
     full-precision cells (str of a Python or numpy float is its shortest
     round-tripping repr, of a numpy integer its digits); anything else is
-    written as JSON.  The manifest names the run and lists the artifacts.
+    written as JSON.  The manifest names the run and lists the artifacts.  A
+    file that cannot be written is a ConfigError.
     """
     manifest = {
         "command": args.command,
@@ -65,14 +67,18 @@ def _write(args, scenario, digest, artifacts, **extra):
         **extra,
     }
     for name, body in {**artifacts, "manifest.json": manifest}.items():
-        with open(os.path.join(args.out, name), "w", newline="", encoding="utf-8") as fh:
-            if isinstance(body, tuple):
-                header, rows = body
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(map(str, row)) + "\n")
-            else:
-                json.dump(body, fh, indent=2)
+        path = os.path.join(args.out, name)
+        try:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                if isinstance(body, tuple):
+                    header, rows = body
+                    fh.write(",".join(header) + "\n")
+                    for row in rows:
+                        fh.write(",".join(map(str, row)) + "\n")
+                else:
+                    json.dump(body, fh, indent=2)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _parse_list(text, convert, name):
@@ -126,7 +132,7 @@ def cmd_roc(args, scenario, digest):
     return EXIT_OK
 
 
-def _check_report(scenario, grid_points):
+def cmd_check(args, scenario, digest):
     cfg = detectors.config_for_scenario(scenario)
     sa = cfg.sigma_a2
     if sa <= 0:
@@ -161,28 +167,16 @@ def _check_report(scenario, grid_points):
         control, passed=not control.passed
     )
 
-    grid = theory.GridSpec(points=grid_points)
+    grid = theory.GridSpec(points=args.grid_points)
     for axis, rep in enumerate(theory.check_lrt_monotone(cfg, grid)):
         results[f"lrt_monotone_axis{axis}"] = rep
-    return cfg, results
 
-
-def cmd_check(args, scenario, digest):
-    cfg, results = _check_report(scenario, args.grid_points)
-    report = {}
-    all_pass = True
     for name, rep in results.items():
-        passed = bool(rep.passed)
-        all_pass &= passed
-        report[name] = {
-            "passed": passed,
-            "worst_violation": float(rep.worst_violation),
-            "worst_at": None if rep.worst_at is None else float(rep.worst_at),
-        }
-        print(f"{name}: {'PASS' if passed else 'FAIL'}"
+        print(f"{name}: {'PASS' if rep.passed else 'FAIL'}"
               f" (worst {rep.worst_violation:.3e})")
+    report = {name: dataclasses.asdict(rep) for name, rep in results.items()}
     _write(args, scenario, digest, {"check.json": {"variant": cfg.variant, "checks": report}})
-    if not all_pass:
+    if not all(rep.passed for rep in results.values()):
         raise NumericalError("one or more structural checks failed")
     return EXIT_OK
 

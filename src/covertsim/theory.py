@@ -28,8 +28,12 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class GridCheck:
-    """Result of checking that a quantity is nondecreasing along a grid: its
-    most negative step and the grid point each checker reports it at."""
+    """Result of checking that a quantity is nondecreasing along a grid.
+
+    ``worst_violation`` is the first most negative step, or 0.0 when no step
+    fell (a NaN step falls); ``worst_at`` is the grid point where that step
+    ends, or None.  The check passes when the step is at least -_TOL.
+    """
 
     passed: bool
     worst_violation: float
@@ -84,13 +88,16 @@ def check_lr_order(density0, density1, grid):
     ratio = np.where(l0 == -np.inf, np.inf, np.where(l1 == -np.inf, -np.inf, l1 - l0))
     with np.errstate(invalid="ignore"):  # inf - inf, overwritten with 0
         steps = np.where(ratio[1:] == ratio[:-1], 0.0, np.diff(ratio))
-    i = int(np.argmin(steps)) if steps.size else 0
-    violated = steps.size > 0 and steps[i] < 0
-    worst = steps[i] if violated else 0.0
-    return GridCheck(
-        passed=worst >= -_TOL, worst_violation=worst,
-        worst_at=float(xs[i + 1]) if violated else None,
-    )
+    return _verdict(xs, steps)
+
+
+def _verdict(xs, steps):
+    """The GridCheck of the steps between the values at grid points xs."""
+    i = int(np.argmin(steps)) if steps.size else 0  # a NaN step is the argmin
+    if not steps.size or steps[i] >= 0:
+        return GridCheck(True, 0.0, None)
+    worst = float(steps[i])
+    return GridCheck(worst >= -_TOL, worst, float(xs[i + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +115,6 @@ class GridSpec:
         return np.geomspace(0.1, 10.0, self.points)
 
 
-def _relative_violations(grid, values):
-    diffs = np.diff(values)
-    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
-    rel = diffs / scale
-    worst_idx = int(np.argmin(rel)) if rel.size else 0
-    worst = float(rel[worst_idx]) if rel.size else 0.0
-    return GridCheck(worst >= -_TOL, worst, float(grid[worst_idx]))
-
-
 def _block_term(cfg, x):
     """``log_lrt_block_term`` at normalized block powers x (block power k*x)."""
     k = cfg.block_size
@@ -130,19 +128,20 @@ def check_lrt_monotone(cfg, grid):
     powers.  Over a faded jammer link, M = 1 included, each block axis is
     swept with the other block powers pinned at their typical scale
     (n/M)(sigma_w2 + zeta); list index m is axis m.  The statistic is
-    symmetric in the blocks, so every axis gives the same scan.  A check's
-    worst_at is the grid point where its worst relative step starts.
+    symmetric in the blocks, so every axis gives the same scan.  Each step
+    is taken relative to max(1, |v_i|, |v_{i+1}|) of the values it joins.
     """
     if grid.points < 2:
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
-    if cfg.variant == detectors.AWGN_UNIFORM:
-        return [_relative_violations(xs, detectors.log_lr(cfg, (xs * cfg.n)[:, None]))]
-
-    # the moved block's term plus the left-to-right sum of the M - 1 pinned ones
-    terms = _block_term(cfg, np.append(xs, cfg.sigma_w2 + cfg.zeta))
-    scan = terms[:-1] + detectors._ltr_sum(np.full(cfg.M - 1, terms[-1]))
-    return [_relative_violations(xs, scan)] * cfg.M
+    if cfg.variant == detectors.AWGN_UNIFORM:  # M = 1
+        scan = detectors.log_lr(cfg, (xs * cfg.n)[:, None])
+    else:
+        # the moved block's term plus the left-to-right sum of the M - 1 pinned ones
+        terms = _block_term(cfg, np.append(xs, cfg.sigma_w2 + cfg.zeta))
+        scan = terms[:-1] + detectors._ltr_sum(np.full(cfg.M - 1, terms[-1]))
+    scale = np.maximum(1.0, np.maximum(np.abs(scan[:-1]), np.abs(scan[1:])))
+    return [_verdict(xs, np.diff(scan) / scale)] * cfg.M
 
 
 # ---------------------------------------------------------------------------

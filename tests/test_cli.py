@@ -124,6 +124,22 @@ class TestErrors:
         assert "config error: cannot create output directory" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args, blocked", [
+        (["covertness", "configs/awgn.json", "--trials", "10"], "curve.csv"),
+        (["check", "configs/awgn.json"], "manifest.json"),
+    ], ids=["artifact", "manifest"])
+    def test_unwritable_artifact(self, tmp_path, args, blocked):
+        # a directory in an artifact's place is a usage problem, not a crash
+        (tmp_path / blocked).mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "covertsim.cli", *args, "--out", str(tmp_path)],
+            cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 2
+        assert f"config error: cannot write {tmp_path / blocked}: Is a directory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("config, args", [
         ("awgn", ["covertness", "--trials", "0"]),
         ("awgn", ["roc", "--trials", "0"]),
@@ -304,6 +320,16 @@ class TestCheck:
     def test_needs_positive_power(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=1, P_f=0.0))
         assert run_cli(["check", cfgp, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("config", ["awgn", "fading_m1", "fading_m4"])
+    def test_worst_at_named_exactly_when_a_step_fell(self, tmp_path, config):
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert run_cli(["check", str(cfgp), "--out", str(tmp_path)]) == 0
+        checks = json.loads((tmp_path / "check.json").read_text())["checks"]
+        assert len(checks) >= 5
+        for entry in checks.values():
+            assert list(entry) == ["passed", "worst_violation", "worst_at"]
+            assert (entry["worst_at"] is None) == (entry["worst_violation"] == 0.0)
 
 
 class TestBoundary:

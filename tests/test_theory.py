@@ -6,7 +6,7 @@ import pytest
 
 from covertsim import detectors, theory
 from covertsim.model import ConfigError
-from covertsim.numerics import NumericalError, QuadratureError
+from covertsim.numerics import LogDensity, NumericalError, QuadratureError
 
 from test_detectors import awgn_cfg, m1_cfg, mblock_cfg
 
@@ -87,6 +87,19 @@ class TestLrOrder:
         assert (rep.passed, rep.worst_violation, rep.worst_at) == (
             worst >= -1e-9, worst, worst_at)
 
+    def test_nan_step_fails(self):
+        # a log density that is NaN at one grid point makes two NaN steps;
+        # a NaN step falls, and the first one is the worst
+        grid = np.linspace(-1.0, 1.0, 5)
+        d0 = theory.gaussian_logdensity(0.0, 1.0)
+        d1 = LogDensity(
+            fn=lambda x: np.where(x == 0.0, np.nan, d0(x)), lo=-math.inf, hi=math.inf,
+        )
+        rep = theory.check_lr_order(d0, d1, grid)
+        assert not rep.passed
+        assert math.isnan(rep.worst_violation)
+        assert rep.worst_at == 0.0
+
     def test_grid_validation(self):
         d = theory.gaussian_logdensity(0.0, 1.0)
         with pytest.raises(ValueError):
@@ -114,9 +127,45 @@ class TestLrtMonotone:
         grid = theory.GridSpec(points=120)
         reports = theory.check_lrt_monotone(mblock_cfg(n=300, M=3), grid)
         assert len(reports) == 3
-        assert all(r.passed for r in reports)
-        # the worst step is reported at the grid point where it starts
-        assert all(r.worst_at in grid.values()[:-1] for r in reports)
+        # every axis rises, so no step fell and no grid point is named
+        assert all(r == theory.GridCheck(True, 0.0, None) for r in reports)
+
+    @pytest.mark.parametrize("cfg", [awgn_cfg(n=100), m1_cfg(n=100), mblock_cfg(n=300, M=3)],
+                             ids=["awgn", "m1", "m3"])
+    @pytest.mark.parametrize("wavy", [False, True], ids=["shipped", "wavy"])
+    def test_matches_pointwise_reference(self, cfg, wavy, monkeypatch):
+        # the relative-step scan, one point at a time; "wavy" swaps in a block
+        # term (and an AWGN statistic) that falls between its rises
+        if wavy:
+            monkeypatch.setattr(detectors, "log_lrt_block_term",
+                                lambda z, k, *args: np.sin(4.0 * z / k) + z / k)
+            monkeypatch.setattr(detectors, "log_lrt_awgn",
+                                lambda z, cfg: np.sin(4.0 * z / cfg.n) + z / cfg.n)
+        grid = theory.GridSpec(points=150)
+        xs = grid.values()
+        if cfg.variant == detectors.AWGN_UNIFORM:
+            values = detectors.log_lr(cfg, (xs * cfg.n)[:, None]).tolist()
+        else:
+            k = cfg.block_size
+            *moved, pinned = detectors.log_lrt_block_term(
+                k * np.append(xs, cfg.sigma_w2 + cfg.zeta), k, cfg.sigma_w2, cfg.sigma_a2,
+                cfg.zeta).tolist()
+            others = sum([pinned] * (cfg.M - 1))  # left to right
+            values = [t + others for t in moved]
+        worst, worst_at = 0.0, None
+        for x, a, b in zip(xs[1:].tolist(), values, values[1:]):
+            step = (b - a) / max(1.0, abs(a), abs(b))
+            if step < worst:
+                worst, worst_at = step, x
+        want = theory.GridCheck(worst >= -1e-9, worst, worst_at)
+        assert theory.check_lrt_monotone(cfg, grid) == [want] * cfg.M
+        assert want.passed != wavy
+
+    @pytest.mark.parametrize("cfg", [awgn_cfg(n=100), m1_cfg(n=100), mblock_cfg(n=300, M=3)],
+                             ids=["awgn", "m1", "m3"])
+    def test_two_point_rising_scan(self, cfg):
+        reports = theory.check_lrt_monotone(cfg, theory.GridSpec(points=2))
+        assert reports == [theory.GridCheck(True, 0.0, None)] * cfg.M
 
     @pytest.mark.parametrize("M", [2, 3, 4])
     def test_every_axis_gives_the_same_scan(self, M):
@@ -367,3 +416,17 @@ class TestBoundaryMass:
     def test_rejects_scalar_variants(self):
         with pytest.raises(ConfigError):
             theory.estimate_boundary_mass(m1_cfg(), 0.01, 0.0, 100, 1)
+
+    def test_genie_evaluated_at_configured_power(self):
+        # the genie configuration is read only with per-trial gains; the
+        # boundary has none and takes the statistic at the configured power
+        cfg = mblock_cfg(n=200, M=2)
+        genie = dataclasses.replace(cfg, genie=True)
+        delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
+        a, b = (theory.estimate_boundary_mass(c, delta, cfg.log_gamma, 1000, seed=5,
+                                              spot_checks=50) for c in (cfg, genie))
+        assert (a.mass, a.ci, a.failures, a.spot_checks, a.spot_mismatches) == (
+            b.mass, b.ci, b.failures, b.spot_checks, b.spot_mismatches)
+        assert a.draw_x.tobytes() == b.draw_x.tobytes()
+        assert a.draw_in_region.tobytes() == b.draw_in_region.tobytes()
+        assert 0 < a.mass and a.spot_checks == 50
