@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -175,6 +176,9 @@ def cmd_check(args, scenario, digest):
         print(f"{name}: {'PASS' if rep.passed else 'FAIL'}"
               f" (worst {rep.worst_violation:.3e})")
     report = {name: dataclasses.asdict(rep) for name, rep in results.items()}
+    for entry in report.values():  # strict JSON has no NaN or infinity
+        if not math.isfinite(entry["worst_violation"]):
+            entry["worst_violation"] = None
     _write(args, scenario, digest, {"check.json": {"variant": cfg.variant, "checks": report}})
     if not all(rep.passed for rep in results.values()):
         raise NumericalError("one or more structural checks failed")

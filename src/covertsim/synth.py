@@ -91,35 +91,6 @@ def _complex_normal(rng, variance, size):
     return scale * (re + 1j * im)
 
 
-def generate_codeword(n, P_f, rng):
-    """Codeword symbols: i.i.d. complex Gaussian with per-symbol variance P_f."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _complex_normal(rng, P_f, n)
-
-
-def generate_jammer_slot(strategy, n, rng):
-    """One slot of jamming: returns (slot power P_t, n complex samples).
-
-    Uniform-per-slot draws P_t ~ Uniform[0, power] first, then the samples;
-    constant-power uses P_t = power always.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if strategy.kind == UNIFORM_PER_SLOT:
-        p_t = float(rng.uniform(0.0, strategy.power))
-    else:  # constant power; the strategy has validated the kind
-        p_t = float(strategy.power)
-    return p_t, _complex_normal(rng, p_t, n)
-
-
-def sample_fading(M, rng):
-    """Per-block fading coefficients: i.i.d. complex Gaussian, E|h|^2 = 1."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    return _complex_normal(rng, 1.0, M)
-
-
 @dataclass
 class Latents:
     """Hidden channel state recorded for oracle checks only.
@@ -142,46 +113,46 @@ class Observation:
     latents: Latents
 
 
-def _expand_blocks(h, n, M):
-    # sample i (1-based) lives in block floor((i-1)*M/n) + 1
-    return np.repeat(h, n // M)
-
-
 def synthesize_willie_slot(scenario, hypothesis, rng):
-    """Warden-side observation of the slot of interest."""
+    """Warden-side observation of the slot of interest: noise, jamming at slot
+    power P_t (uniform per slot: drawn before the jam samples) and, under H1,
+    codeword symbols of variance P_f.  A faded link holds one coefficient,
+    E|h|^2 = 1, over each block's n/M samples."""
     if hypothesis not in (H0, H1):
         raise ValueError(f"hypothesis must be {H0} or {H1}")
-    n = scenario.slots.n
-    M = scenario.slots.M
+    n, M = scenario.slots.n, scenario.slots.M
     g = scenario.geometry
 
     latents = Latents()
     samples = _complex_normal(rng.stream(NOISE_W), scenario.noise.sigma_w2, n)
 
-    p_t, jam = generate_jammer_slot(scenario.jammer, n, rng.stream(JAMMER))
+    jam_rng = rng.stream(JAMMER)
+    if scenario.jammer.kind == UNIFORM_PER_SLOT:
+        p_t = float(jam_rng.uniform(0.0, scenario.jammer.power))
+    else:  # constant power; the scenario has validated the kind
+        p_t = float(scenario.jammer.power)
+    jam = _complex_normal(jam_rng, p_t, n)
     latents.jam_power = p_t
     jam_amp = math.sqrt(path_gain(g.d_jw, g.alpha))
     if scenario.channels.jw == FADING:
-        h_jam = sample_fading(M, rng.stream(FADE_JW))
+        h_jam = _complex_normal(rng.stream(FADE_JW), 1.0, M)
         latents.fading["jw"] = h_jam
-        samples += jam_amp * _expand_blocks(h_jam, n, M) * jam
+        samples += jam_amp * np.repeat(h_jam, n // M) * jam
         latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * path_gain(g.d_jw, g.alpha)
     else:
         samples += jam_amp * jam
 
-    if hypothesis == H1:
-        f = generate_codeword(n, scenario.P_f, rng.stream(CODEWORD))
-        tx_amp = math.sqrt(path_gain(g.d_aw, g.alpha))
-        if scenario.channels.aw == FADING:
-            h_tx = sample_fading(M, rng.stream(FADE_AW))
-            latents.fading["aw"] = h_tx
-            samples += tx_amp * _expand_blocks(h_tx, n, M) * f
-        else:
-            samples += tx_amp * f
-    elif scenario.channels.aw == FADING:
+    if scenario.channels.aw == FADING:
         # the channel fades whether or not it carries a signal; record it so
         # genie-style checks can condition on the same draw under H0
-        latents.fading["aw"] = sample_fading(M, rng.stream(FADE_AW))
+        latents.fading["aw"] = _complex_normal(rng.stream(FADE_AW), 1.0, M)
+    if hypothesis == H1:
+        f = _complex_normal(rng.stream(CODEWORD), scenario.P_f, n)
+        tx_amp = math.sqrt(path_gain(g.d_aw, g.alpha))
+        if scenario.channels.aw == FADING:
+            samples += tx_amp * np.repeat(latents.fading["aw"], n // M) * f
+        else:
+            samples += tx_amp * f
 
     return Observation(samples=samples, M=M, latents=latents)
 

@@ -115,31 +115,26 @@ class GridSpec:
         return np.geomspace(0.1, 10.0, self.points)
 
 
-def _block_term(cfg, x):
-    """``log_lrt_block_term`` at normalized block powers x (block power k*x)."""
-    k = cfg.block_size
-    return detectors.log_lrt_block_term(k * x, k, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
+def _statistic(cfg, X):
+    """``detectors.log_lr`` at a (rows, M) array X of normalized block powers
+    (block powers k*X), at the configured signal power."""
+    return detectors.log_lr(cfg, cfg.block_size * X, np.ones(X.shape))
 
 
 def check_lrt_monotone(cfg, grid):
-    """Monotonicity checks for one detector configuration, one per axis.
-
-    Over AWGN links the log LRT is evaluated on a geometric grid of total
-    powers.  Over a faded jammer link, M = 1 included, each block axis is
-    swept with the other block powers pinned at their typical scale
-    (n/M)(sigma_w2 + zeta); list index m is axis m.  The statistic is
-    symmetric in the blocks, so every axis gives the same scan.  Each step
-    is taken relative to max(1, |v_i|, |v_{i+1}|) of the values it joins.
+    """Monotonicity checks for one detector configuration, one per axis: the
+    statistic along a geometric grid of normalized powers in its last block,
+    the others pinned at their typical scale sigma_w2 + zeta (over AWGN
+    links, M = 1, the total power).  The statistic is symmetric in the
+    blocks, so every axis gives this scan.  Each step is taken relative to
+    max(1, |v_i|, |v_{i+1}|) of the values it joins.
     """
     if grid.points < 2:
         raise ValueError("a monotonicity scan needs a grid of at least 2 points")
     xs = grid.values()
-    if cfg.variant == detectors.AWGN_UNIFORM:  # M = 1
-        scan = detectors.log_lr(cfg, (xs * cfg.n)[:, None])
-    else:
-        # the moved block's term plus the left-to-right sum of the M - 1 pinned ones
-        terms = _block_term(cfg, np.append(xs, cfg.sigma_w2 + cfg.zeta))
-        scan = terms[:-1] + detectors._ltr_sum(np.full(cfg.M - 1, terms[-1]))
+    X = np.full((xs.size, cfg.M), cfg.sigma_w2 + cfg.zeta)
+    X[:, -1] = xs
+    scan = _statistic(cfg, X)
     scale = np.maximum(1.0, np.maximum(np.abs(scan[:-1]), np.abs(scan[1:])))
     return [_verdict(xs, np.diff(scan) / scale)] * cfg.M
 
@@ -167,20 +162,23 @@ def delta_for_boundary_mass(epsilon, M, zeta):
 def _axis_crossings(cfg, X, delta, log_gamma):
     """Single-axis sign tests for a (rows, M) array of normalized block
     powers.  Entry (i, m) moves only block m of row i, to max(x - d, 0) and
-    to x + d with d = delta(1 - 1e-9), and evaluates the statistic there as
-    the block's term plus the left-to-right sum of the other blocks' terms.
+    to x + d with d = delta(1 - 1e-9), and evaluates the statistic there.
     Returns (hit, broken): hit where the statistic crosses log_gamma between
     the two points, which for a statistic nondecreasing along the axis holds
     exactly when a boundary root lies within d; broken where it falls along
     the axis instead.
     """
     d = delta * (1.0 - 1e-9)
-    terms = _block_term(cfg, X)
-    others = np.stack(
-        [detectors._ltr_sum(np.delete(terms, m, axis=1)) for m in range(cfg.M)], axis=-1
-    )
-    lo = _block_term(cfg, np.clip(X - d, 0.0, None)) + others
-    hi = _block_term(cfg, X + d) + others
+    rows, M = X.shape
+
+    def moved(V):
+        # row (m, i) is row i of X with block m at V[i, m]
+        Y = np.repeat(X[None], M, axis=0)
+        Y[range(M), :, range(M)] = V.T
+        return _statistic(cfg, Y.reshape(M * rows, M)).reshape(M, rows).T
+
+    lo = moved(np.clip(X - d, 0.0, None))
+    hi = moved(X + d)
     hit = (lo < log_gamma) & (log_gamma < hi)
     broken = lo - hi > _TOL * np.maximum(1.0, np.abs(hi))
     return hit, broken
@@ -221,7 +219,6 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     if draws < 1:
         raise ValueError("draws must be >= 1")
     M = cfg.M
-    k = cfg.block_size
     rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _MASS_RNG_SALT]))
     sigma_j2 = rng.exponential(cfg.zeta, size=(draws, M))
     x = cfg.sigma_w2 + sigma_j2
@@ -230,10 +227,9 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     # upper corner only where the lower one lies below log_gamma: no other
     # draw can be in the region.  Each row is computed alone, so the subset
     # gets the bytes it would get in the full batch.
-    lo_stat = detectors.log_lrt_mblock(k * np.clip(x - delta, 0.0, None), cfg)
-    below = lo_stat < log_gamma
+    below = _statistic(cfg, np.clip(x - delta, 0.0, None)) < log_gamma
     in_region = np.zeros(draws, dtype=bool)
-    in_region[below] = log_gamma < detectors.log_lrt_mblock(k * (x[below] + delta), cfg)
+    in_region[below] = log_gamma < _statistic(cfg, x[below] + delta)
     hits = int(np.count_nonzero(in_region))
     mass = hits / draws
     ci = wilson_interval(hits, draws)

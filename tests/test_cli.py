@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertsim import cli, detectors, harness, model, theory
+from covertsim.numerics import LogDensity
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -332,6 +333,37 @@ class TestCheck:
             assert (entry["worst_at"] is None) == (entry["worst_violation"] == 0.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_non_finite_step_written_as_null(self, tmp_path, monkeypatch, capsys, bad):
+        # one value of the unshifted density is broken; strict JSON refuses
+        # the bare tokens NaN and -Infinity, so the step is written as null
+        shifted = theory.shifted_exponential_logdensity
+
+        def broken(shift, mean):
+            d = shifted(shift, mean)
+            if shift:
+                return d
+
+            def fn(x):
+                v = np.array(d.fn(x), dtype=float)
+                v[v.size // 2] = bad
+                return v
+            return LogDensity(fn=fn, lo=d.lo, hi=d.hi)
+
+        monkeypatch.setattr(theory, "shifted_exponential_logdensity", broken)
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / "awgn.json"
+        assert run_cli(["check", str(cfgp), "--out", str(tmp_path)]) == 3
+        assert "lr_order_shifted_exponential: FAIL" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"bare {token}")
+
+        text = (tmp_path / "check.json").read_text()
+        entry = json.loads(text, parse_constant=refuse)["checks"]["lr_order_shifted_exponential"]
+        assert entry["passed"] is False and entry["worst_violation"] is None
+        assert entry["worst_at"] > 0
+
+
 class TestBoundary:
     def test_writes_mass_and_draws(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
@@ -377,7 +409,7 @@ class TestBoundary:
 
     def test_unresolved_spot_check_root_exits_3(self, tmp_path, monkeypatch, capsys):
         # a per-block term that falls along every axis breaks every spot
-        # check; the corner test does not use the per-block term
+        # check; the corner test reads it too and finds no draw in the region
         monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"

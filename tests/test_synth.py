@@ -10,64 +10,115 @@ from covertsim.synth import H0, H1, TrialRng
 from conftest import awgn_scenario, fading_scenario
 
 
-class TestCodeword:
-    def test_zero_power_is_silent(self, rng):
-        f = synth.generate_codeword(100, 0.0, rng)
-        assert np.all(f == 0)
+def _quiet_waveform(n, hypothesis, jammer=None, P_f=0.0, seed=7, trial=0):
+    """One synthesized slot over AWGN links with the noise floor all but off
+    (variance 1e-30), so its samples carry only the jamming and, under H1,
+    the codeword."""
+    sc = model.Scenario(
+        slots=model.SlotStructure(n=n, M=1, p=0.5),
+        jammer=jammer or model.JammerStrategy(kind=model.CONSTANT_POWER, power=0.0),
+        noise=model.NoiseLevels(sigma_w2=1e-30, sigma_b2=1.0),
+        P_f=P_f,
+    )
+    return sc, synth.synthesize_willie_slot(sc, hypothesis, TrialRng(seed, trial))
 
-    def test_empirical_power(self, rng):
-        n = 100_000
-        f = synth.generate_codeword(n, 0.025, rng)
+
+def _codeword(n, P_f):
+    # the H1 samples over a silent jammer, divided by the link amplitude
+    sc, obs = _quiet_waveform(n, H1, P_f=P_f)
+    return obs.samples / math.sqrt(model.path_gain(sc.geometry.d_aw, sc.geometry.alpha))
+
+
+def _latents(sc, trials, seed=13):
+    return [synth.synthesize_willie_slot(sc, H0, TrialRng(seed, t)).latents
+            for t in range(trials)]
+
+
+def _jammer_fading(M, trials):
+    # the jammer link's coefficients of `trials` slots, one row per slot
+    return np.array([lat.fading["jw"] for lat in _latents(fading_scenario(n=M, M=M), trials)])
+
+
+class TestComplexNormal:
+    def test_real_block_drawn_before_imaginary(self, rng):
+        twin = np.random.Generator(np.random.Philox(key=[1234, 99]))
+        x = synth._complex_normal(rng, 2.0, 5)
+        re, im = twin.standard_normal(5), twin.standard_normal(5)
+        assert x.tobytes() == (1.0 * (re + 1j * im)).tobytes()
+
+    def test_negative_variance_rejected(self, rng):
+        with pytest.raises(ValueError):
+            synth._complex_normal(rng, -1.0, 4)
+
+
+class TestCodeword:
+    def test_zero_power_is_silent(self):
+        sc = awgn_scenario(n=100, P_f=0.0)
+        h1 = synth.synthesize_willie_slot(sc, H1, TrialRng(5, 0))
+        h0 = synth.synthesize_willie_slot(sc, H0, TrialRng(5, 0))
+        assert h1.samples.tobytes() == h0.samples.tobytes()
+
+    def test_empirical_power(self):
+        f = _codeword(100_000, 0.025)
         mean_power = np.mean(np.abs(f) ** 2)
         assert 0.025 * 0.98 <= mean_power <= 0.025 * 1.02
 
-    def test_circular_symmetry(self, rng):
+    def test_circular_symmetry(self):
         n = 100_000
-        f = synth.generate_codeword(n, 1.0, rng)
+        f = _codeword(n, 1.0)
         corr = np.mean(f.real * f.imag) / np.mean(np.abs(f) ** 2)
         assert abs(corr) < 3.0 / math.sqrt(n)
 
-    def test_bad_length(self, rng):
-        with pytest.raises(ValueError):
-            synth.generate_codeword(0, 1.0, rng)
-
 
 class TestJammer:
-    def test_constant_power(self, rng):
-        strat = model.JammerStrategy(kind=model.CONSTANT_POWER, power=1.0)
-        powers = [synth.generate_jammer_slot(strat, 4, rng)[0] for _ in range(50)]
-        assert powers == [1.0] * 50
+    def test_constant_power(self):
+        latents = _latents(fading_scenario(n=4, M=1, P_j=1.0), 50)
+        assert [lat.jam_power for lat in latents] == [1.0] * 50
 
-    def test_uniform_slot_power_mean(self, rng):
-        strat = model.JammerStrategy(kind=model.UNIFORM_PER_SLOT, power=2.0)
-        powers = np.array([synth.generate_jammer_slot(strat, 1, rng)[0] for _ in range(100_000)])
+    def test_uniform_slot_power_mean(self):
+        sc = awgn_scenario(n=1, P_max=2.0)
+        powers = np.array([lat.jam_power for lat in _latents(sc, 20_000)])
         assert abs(powers.mean() - 1.0) < 0.02
         assert powers.min() >= 0.0 and powers.max() <= 2.0
 
-    def test_zero_power_budget_silent(self, rng):
-        strat = types.SimpleNamespace(kind=model.UNIFORM_PER_SLOT, power=0.0)
-        p_t, g = synth.generate_jammer_slot(strat, 64, rng)
-        assert p_t == 0.0
-        assert np.all(g == 0)
+    def test_zero_power_budget_silent(self):
+        jammer = model.JammerStrategy(kind=model.UNIFORM_PER_SLOT, power=0.0)
+        _, obs = _quiet_waveform(64, H0, jammer=jammer)
+        assert obs.latents.jam_power == 0.0
+        # the noise floor alone, replayed from its substream
+        noise = synth._complex_normal(synth.substream(7, 0, synth.NOISE_W), 1e-30, 64)
+        assert np.array_equal(obs.samples, noise)
 
-    def test_sample_variance_tracks_slot_power(self, rng):
-        strat = model.JammerStrategy(kind=model.CONSTANT_POWER, power=3.0)
-        _, g = synth.generate_jammer_slot(strat, 100_000, rng)
+    def test_uniform_draw_precedes_the_samples(self):
+        # the slot power and then the samples come from the JAMMER substream
+        jammer = model.JammerStrategy(kind=model.UNIFORM_PER_SLOT, power=3.0)
+        sc, obs = _quiet_waveform(16, H0, jammer=jammer, seed=9, trial=2)
+        replay = synth.substream(9, 2, synth.JAMMER)
+        p_t = replay.uniform(0.0, 3.0)
+        g = synth._complex_normal(replay, p_t, 16)
+        amp = math.sqrt(model.path_gain(sc.geometry.d_jw, sc.geometry.alpha))
+        assert obs.latents.jam_power == p_t
+        assert np.allclose(obs.samples, amp * g, rtol=0, atol=1e-12)
+
+    def test_sample_variance_tracks_slot_power(self):
+        jammer = model.JammerStrategy(kind=model.CONSTANT_POWER, power=3.0)
+        sc, obs = _quiet_waveform(100_000, H0, jammer=jammer)
+        g = obs.samples / math.sqrt(model.path_gain(sc.geometry.d_jw, sc.geometry.alpha))
         assert abs(np.mean(np.abs(g) ** 2) - 3.0) < 0.06
 
 
 class TestFading:
-    def test_unit_mean_power(self, rng):
-        h = synth.sample_fading(100_000, rng)
+    def test_unit_mean_power(self):
+        h = _jammer_fading(100, 1000)
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
 
-    def test_exponential_median(self, rng):
-        h = synth.sample_fading(100_000, rng)
+    def test_exponential_median(self):
+        h = _jammer_fading(100, 1000)
         assert abs(np.mean(np.abs(h) ** 2 > math.log(2.0)) - 0.5) < 0.01
 
-    def test_cross_block_independence(self, rng):
+    def test_cross_block_independence(self):
         trials = 4000
-        draws = np.array([np.abs(synth.sample_fading(4, rng)) ** 2 for _ in range(trials)])
+        draws = np.abs(_jammer_fading(4, trials)) ** 2
         c = np.corrcoef(draws.T)
         off_diag = c[~np.eye(4, dtype=bool)]
         assert np.max(np.abs(off_diag)) < 3.0 / math.sqrt(trials)
@@ -131,7 +182,7 @@ class TestWillieSlot:
         )
         rng = TrialRng(29, 4)
         obs = synth.synthesize_willie_slot(sc, H0, rng)
-        _, g = synth.generate_jammer_slot(sc.jammer, 12, rng.stream(synth.JAMMER))
+        g = synth._complex_normal(rng.stream(synth.JAMMER), sc.jammer.power, 12)
         ratio = obs.samples / g
         per_block = ratio.reshape(3, 4)
         assert np.allclose(per_block, per_block[:, :1], atol=1e-9)
@@ -152,9 +203,39 @@ class TestWillieSlot:
         base = TrialRng(11, 41)
         h1 = synth.synthesize_willie_slot(sc, H1, base)
         h0 = synth.synthesize_willie_slot(sc, H0, base)
-        f = synth.generate_codeword(64, sc.P_f, base.stream(synth.CODEWORD))
+        f = synth._complex_normal(base.stream(synth.CODEWORD), sc.P_f, 64)
         assert not np.array_equal(h1.samples, h0.samples)
         assert np.allclose(h1.samples - h0.samples, f, atol=1e-12)
+
+    @pytest.mark.parametrize("sc, want", [
+        (awgn_scenario(n=64), {
+            H0: ("0x1.08956d9f7c934p+0", "0x1.867faaa4a4dc6p-5"),
+            H1: ("0x1.1c8aa3814f130p+0", "0x1.33498eca8c49ap-5"),
+            "jam_power": "0x1.4d7f73096a0f2p-2", "fading": {}, "sigma_j2": None}),
+        (fading_scenario(n=64, M=4), {
+            H0: ("0x1.85ff0dad46401p-1", "-0x1.c37d51439f0e2p-3"),
+            H1: ("0x1.a2389173e7eb3p-1", "-0x1.d23308a9581c0p-3"),
+            "jam_power": "0x1.0000000000000p+0",
+            "fading": {"jw": ("-0x1.aa930b867568dp-5", "0x1.fb4a5a6c6634ep-1")},
+            "sigma_j2": "0x1.f80332bc4a963p-1"}),
+        (fading_scenario(n=64, M=2, aw="fading"), {
+            H0: ("0x1.620ac309920a2p+0", "0x1.0e8cf5b710752p-4"),
+            H1: ("0x1.57a68ce6d1ecap+0", "0x1.2ebbf1554d2b0p-3"),
+            "jam_power": "0x1.0000000000000p+0",
+            "fading": {"jw": ("-0x1.aa930b867568dp-5", "-0x1.1668cd7cc88b6p-4"),
+                       "aw": ("-0x1.d4022aeba358ep-1", "0x1.5d3a324cd1802p+0")},
+            "sigma_j2": "0x1.e07b36e70ccecp-8"}),
+    ], ids=["awgn", "fading_m4", "genie_m2"])
+    @pytest.mark.parametrize("hypothesis", [H0, H1])
+    def test_first_row_pinned(self, sc, want, hypothesis):
+        # the reference waveform's first sample and latents are part of the
+        # reproducibility contract, as the block-power sampler's are
+        obs = synth.synthesize_willie_slot(sc, hypothesis, TrialRng(5, 3))
+        lat = obs.latents
+        assert (obs.samples[0].real.hex(), obs.samples[0].imag.hex()) == want[hypothesis]
+        assert lat.jam_power.hex() == want["jam_power"]
+        assert {k: (v[0].real.hex(), v[0].imag.hex()) for k, v in lat.fading.items()} == want["fading"]
+        assert (None if lat.sigma_j2 is None else lat.sigma_j2[0].hex()) == want["sigma_j2"]
 
     def test_bad_hypothesis(self):
         with pytest.raises(ValueError):

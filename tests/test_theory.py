@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -238,14 +239,15 @@ class TestBoundaryRoot:
     """Whether a boundary root lies within delta of a draw along one axis,
     as the single-axis sign tests of the boundary-mass spot checks see it."""
 
-    def test_root_sits_on_boundary(self):
-        # a hit brackets log gamma with log_lrt_mblock's left-to-right sum of
-        # the block terms, not the term-plus-others sum the sign tests form
-        cfg = mblock_cfg(n=200, M=2)
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_root_sits_on_boundary(self, M):
+        # the sign tests evaluate the warden's statistic itself, so every hit
+        # brackets log gamma under log_lrt_mblock's left-to-right block sum
+        cfg = mblock_cfg(n=100 * M, M=M)
         X = spot_draws(cfg, 40, seed=1)
         delta = 0.1
         hit, broken = theory._axis_crossings(cfg, X, delta, cfg.log_gamma)
-        assert hit.any() and not broken.any()
+        assert hit.any(axis=0).all() and not broken.any()
         d = delta * (1.0 - 1e-9)
         for m in range(cfg.M):
             rows = X[hit[:, m]]
@@ -346,7 +348,8 @@ class TestBoundaryMass:
 
     def test_spot_check_failures_counted(self, monkeypatch):
         # a per-block term that falls along every axis breaks every spot
-        # check; the corner test does not use the per-block term
+        # check; the corner test reads the same term, and with it falling no
+        # lower corner lies below an upper one, so nothing is in the region
         cfg = mblock_cfg(n=200, M=2)
         monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
         region = theory.estimate_boundary_mass(
@@ -356,16 +359,25 @@ class TestBoundaryMass:
         assert region.spot_mismatches == 0
 
     def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
-        # the corner test does not use the per-block term; only the spot
-        # checks reach this failing kernel, and the error is not swallowed
-        def failing(*args, **kwargs):
-            raise QuadratureError("quadrature window did not close")
+        # the kernel fails only when the spot checks call it: the corner test
+        # evaluates both corners, then the spot checks' error propagates
+        real, calls = detectors.log_lrt_block_term, []
+
+        def failing(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not theory._axis_crossings.__code__:
+                frame = frame.f_back
+            calls.append(frame is not None)
+            if frame is not None:
+                raise QuadratureError("quadrature window did not close")
+            return real(*args)
 
         monkeypatch.setattr(detectors, "log_lrt_block_term", failing)
         with pytest.raises(NumericalError):
             theory.estimate_boundary_mass(
                 mblock_cfg(n=200, M=2), 0.025, 0.0, draws=20, seed=1, spot_checks=5
             )
+        assert calls == [False, False, True]
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_delta(self, delta):
