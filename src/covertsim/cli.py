@@ -117,6 +117,8 @@ def cmd_covertness(args, scenario, digest):
 
 
 def cmd_roc(args, scenario, digest):
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     cfg = detectors.config_for_scenario(scenario)
     ss = harness.collect_statistics(scenario, cfg, args.trials, args.seed)
     # quantiles of the sorted pooled statistics, ties kept, so two statistics

@@ -69,29 +69,26 @@ def log_gamma_density(z, k, s):
     return out if np.ndim(out) else float(out)
 
 
-# Gauss-Legendre panels in t = log v.  A row's coarse estimate uses _PANELS
-# panels and its value twice as many; a row whose two estimates differ by more
-# than _REL_TOL is redone once on four times as many, and raises if that does
-# not settle it; six is the fewest panels that keep the redo off every row the
-# CLI sends, with margin.  The window closes _TAIL_DROP nats below the peak,
-# searched from where a Gaussian of the peak's width falls that far.  Nodes
-# measure the concave exponent from its maximum on the limits (the peak,
-# clipped to them), so it is at most 0 up to rounding and a rule sums its exp
-# times the weights with no other shift.  Rows go through on two levels.  The
-# per-row set-up (peak, limits, width, window edges) is a few floats per row,
-# so it runs on chunks of _CHUNK rows, long enough to spread numpy's per-call
-# cost.  The rules are 15 nodes per panel per row, so they run on blocks of
-# _BLOCK rows within a chunk, and a kernel call allocates one node workspace
-# for one block: three buffers at the redo's 4 * _PANELS panels, written in
-# place by every rule of every block.  A regular pass (coarse, then fine on
-# 2 * _PANELS panels) touches 3 buffers x 128 rows x 180 nodes x 8 bytes, about
-# 0.55 MB, so the nodes stay in a 2 MB L2 cache and no block faults in fresh
-# pages; sizing the workspace by the chunk instead would make it the largest
-# transient of a call.  The 15-point rule is written out as literals, each the
-# shortest repr of np.polynomial.legendre.leggauss(15) and so the same bits (a
-# test holds them to it): computing it at import would load numpy.polynomial
-# and run an eigensolve in every process, about 1.35 MB of resident memory and
-# 3 ms, for fifteen fixed numbers.
+# Gauss-Legendre panels in t = log v.  Each row climbs the ladder of _PANELS,
+# 2 * _PANELS and 4 * _PANELS panels, stops at the first level that agrees
+# with the level below to _REL_TOL and returns that level's value; a row
+# unresolved at the top raises.  Six is the fewest panels that keep every
+# row the CLI sends off the top level, with margin.  The window closes
+# _TAIL_DROP nats below the peak.  Nodes measure the concave exponent from
+# its maximum on the limits (the peak, clipped to them), so it is at most 0
+# up to rounding and a rule sums its exp times the weights with no other
+# shift.  Rows go through in batches of _BATCH, set-up (peak, limits, width,
+# window edges) and ladder on the same rows: enough to spread numpy's
+# per-call cost, few enough that a call's one node workspace, three buffers
+# at the middle level for one batch (3 x 384 rows x 180 nodes x 8 bytes,
+# about 1.66 MB), stays in a 2 MB L2 cache; every rule writes into it in
+# place, so no batch faults in fresh pages.  The top level fits in it unless
+# more than half a batch climbs, and those rows get one of their own.  The
+# 15-point rule is written out as literals, each the shortest repr of
+# np.polynomial.legendre.leggauss(15) and so the same bits (a test holds
+# them to it): computing it at import would load numpy.polynomial and run an
+# eigensolve in every process, about 1.35 MB of resident memory and 3 ms,
+# for fifteen fixed numbers.
 _GL_X = np.array([
     -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
     -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
@@ -107,8 +104,7 @@ _GL_W = np.array([
 _PANELS = 6
 _REL_TOL = 1e-10
 _TAIL_DROP = 60.0
-_CHUNK = 2048
-_BLOCK = 128
+_BATCH = 384
 
 
 def _exponent_drop(s, k, p, q, out=None, scratch=None):
@@ -123,31 +119,38 @@ def _exponent_drop(s, k, p, q, out=None, scratch=None):
 
 
 def _window_edges(k, p, q, width, lo_limit, hi_limit):
-    """The window (lo, hi) in s around the peak.  On each side it ends at the
-    first of the distances width*sqrt(2*_TAIL_DROP)*(1, 2, 4, ...) where the
-    exponent has dropped _TAIL_DROP nats below the peak, or at the
-    integration limit if sooner; by concavity it only falls further out.
-    Both sides search in one loop over the rows stacked twice, the lower
-    side negated.  A row still open after 64 doublings (a NaN row never
-    closes) raises."""
+    """The window (lo, hi) in s around the peak.  Each edge starts at
+    width*sqrt(2*_TAIL_DROP) or the integration limit, whichever is sooner,
+    then doubles (up to the limit) while the exponent there is within
+    _TAIL_DROP nats of the peak, or halves while it is already that far down
+    at half the distance, so a near-flat exponent that falls off a cliff
+    ends at the cliff; by concavity it only falls further out.  Both sides,
+    at the edge and at half of it, search in one loop over the rows stacked
+    four times, the lower side negated; a row still open after 64 steps (a
+    NaN row never closes) raises."""
     rows = len(p)
-    side = np.repeat((-1.0, 1.0), rows)
+    side = np.repeat((-1.0, 1.0, -0.5, 0.5), rows)
     limit = np.concatenate((-lo_limit, hi_limit))
-    p, q = np.concatenate((p, p)), np.concatenate((q, q))
+    p, q = np.concatenate((p, p, p, p)), np.concatenate((q, q, q, q))
     u = np.minimum(math.sqrt(2.0 * _TAIL_DROP) * np.concatenate((width, width)), limit)
     for _ in range(64):
-        still_open = (u != limit) & ~(_exponent_drop(side * u, k, p, q) <= -_TAIL_DROP)
-        if not still_open.any():
+        closed = _exponent_drop(side * np.concatenate((u, u)), k, p, q) <= -_TAIL_DROP
+        grow = (u != limit) & ~closed[: 2 * rows]
+        shrink = closed[2 * rows :]
+        if not (grow | shrink).any():
             return -u[:rows], u[rows:]
-        u = np.where(still_open, np.minimum(2.0 * u, limit), u)
+        u = np.where(grow, np.minimum(2.0 * u, limit), np.where(shrink, 0.5 * u, u))
     raise QuadratureError("quadrature window did not close")
 
 
 def _panel_rule(panels, lo, hi, k, p, q, work):
     """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
     per row, each row summed on its own, in C-contiguous views of the three
-    buffers of work: the nodes, the exponent (then its weighted exp), scratch."""
+    buffers of work: the nodes, the exponent (then its weighted exp), scratch.
+    Rows that do not fit in work get a workspace of their own."""
     rows, nodes = len(lo), panels * _GL_X.size
+    if rows * nodes > work[0].size:
+        work = tuple(np.empty(rows * nodes) for _ in range(3))
     s, vals, scratch = (buf[: rows * nodes].reshape(rows, nodes) for buf in work)
     h = (hi - lo) / panels
     centres = lo[:, None] + h[:, None] * (np.arange(panels) + 0.5)
@@ -162,8 +165,7 @@ def _panel_rule(panels, lo, hi, k, p, q, work):
 
 
 def _log_power_integral_rows(z, k, a, w, r, work):
-    """One set-up chunk: the per-row set-up on all its rows, then the panel
-    rules block by block, each block in the node workspace work."""
+    """One batch: the per-row set-up, then the panel ladder in work."""
     den = (k - 1.0) + np.sqrt((k - 1.0) ** 2 + 4.0 * r * z)
     peak = np.where(den > 0, 2.0 * z / den, np.where(z > 0, np.inf, 0.0))
     v0 = np.clip(peak, a, a + w)
@@ -175,26 +177,22 @@ def _log_power_integral_rows(z, k, a, w, r, work):
     width = np.minimum(width, hi_limit - lo_limit)
     lo, hi = _window_edges(k, p, q, width, lo_limit, hi_limit)
     value = np.empty(len(z))
-    for start in range(0, len(z), _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        b_lo, b_hi, b_p, b_q = lo[blk], hi[blk], p[blk], q[blk]
-        coarse = _panel_rule(_PANELS, b_lo, b_hi, k, b_p, b_q, work)
-        fine = _panel_rule(2 * _PANELS, b_lo, b_hi, k, b_p, b_q, work)
-        # written so that NaN counts as unresolved
-        bad = ~(np.abs(np.expm1(coarse - fine)) <= _REL_TOL)
-        if bad.any():
-            idx = np.nonzero(bad)[0]
-            finer = _panel_rule(4 * _PANELS, b_lo[idx], b_hi[idx], k, b_p[idx], b_q[idx], work)
-            still = ~(np.abs(np.expm1(fine[idx] - finer)) <= _REL_TOL)
-            if still.any():
-                i = start + idx[np.argmax(still)]
-                raise QuadratureError(
-                    f"quadrature unresolved after doubling the panels (z={z[i]:g}, k={k:g},"
-                    f" a={a[i]:g}, w={w:g}, r={r:g})"
-                )
-            fine[idx] = finer
-        value[blk] = fine
-    return (1.0 - k) * np.log(v0) - p - q + value
+    # the rows still climbing, their window, and their last estimate
+    idx, b_lo, b_hi, b_p, b_q, last = np.arange(len(z)), lo, hi, p, q, None
+    for panels in (_PANELS, 2 * _PANELS, 4 * _PANELS):
+        est = _panel_rule(panels, b_lo, b_hi, k, b_p, b_q, work)
+        if last is not None:
+            value[idx] = est
+            # written so that NaN counts as unresolved
+            climb = ~(np.abs(np.expm1(last - est)) <= _REL_TOL)
+            if not climb.any():
+                return (1.0 - k) * np.log(v0) - p - q + value
+            idx, b_lo, b_hi, b_p, b_q, est = (
+                x[climb] for x in (idx, b_lo, b_hi, b_p, b_q, est))
+        last = est
+    i = idx[0]
+    raise QuadratureError(f"quadrature unresolved after doubling the panels (z={z[i]:g},"
+                          f" k={k:g}, a={a[i]:g}, w={w:g}, r={r:g})")
 
 
 def _log_power_integral(z, k, a, w, r):
@@ -203,23 +201,21 @@ def _log_power_integral(z, k, a, w, r):
     z >= 0, k >= 1, a > 0, w > 0 (finite when r = 0), r >= 0; a narrow range
     keeps its accuracy as no rounded a + w enters the limits.  With v = e^t
     the exponent is strictly concave; panels sit around its analytic peak.
-    Rows go through in set-up chunks of _CHUNK rows, and each chunk's panel
-    rules in node blocks of _BLOCK rows; every row is still computed alone,
-    so a z gives the same bytes in any batch.  The call allocates one node
-    workspace, sized for one block (or for all rows, if fewer), that every
-    block of every chunk reuses, so its working memory does not grow with
-    the batch beyond the set-up chunk and the output.  It silences
-    floating-point warnings once: infinite limits, z = 0 and overflowing
-    tails are handled by value, and a NaN row raises.
+    Rows go through in batches of _BATCH, each row still computed alone, so
+    a z gives the same bytes in any batch; one node workspace, sized for the
+    middle level of one batch (or of all rows, if fewer), serves every batch,
+    so working memory does not grow with the batch beyond the output.  It
+    silences floating-point warnings once: infinite limits, z = 0 and
+    overflowing tails are handled by value, and a NaN row raises.
     """
     z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
     out = np.empty(z.shape)
     flat_z, flat_a, flat_out = z.ravel(), a.ravel(), out.reshape(-1)
-    size = min(_BLOCK, flat_z.size) * 4 * _PANELS * _GL_X.size
+    size = min(_BATCH, flat_z.size) * 2 * _PANELS * _GL_X.size
     work = tuple(np.empty(size) for _ in range(3))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, flat_z.size, _CHUNK):
-            part = slice(start, start + _CHUNK)
+        for start in range(0, flat_z.size, _BATCH):
+            part = slice(start, start + _BATCH)
             flat_out[part] = _log_power_integral_rows(
                 flat_z[part], float(k), flat_a[part], float(w), float(r), work
             )

@@ -141,24 +141,28 @@ class TestErrors:
         assert f"config error: cannot write {tmp_path / blocked}: Is a directory" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("config, args", [
-        ("awgn", ["covertness", "--trials", "0"]),
-        ("awgn", ["roc", "--trials", "0"]),
-        ("awgn", ["roc", "--trials", "10", "--grid-points", "0"]),
-        ("m2", ["boundary", "--draws", "0"]),
-        ("m2", ["boundary", "--draws", "10", "--delta", "-1"]),
-        ("m2", ["boundary", "--draws", "10", "--delta", "nan"]),
-        ("m2", ["boundary", "--draws", "10", "--delta", "inf"]),
-        ("bob", ["capacity", "--samples", "10"]),
-        ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"]),
-        ("bob", ["capacity", "--samples", "2000", "--n", "0"]),
-        ("bob", ["capacity", "--samples", "2000", "--pf-list", ","]),
-        ("m2", ["check", "--grid-points", "1"]),
-    ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "boundary_draws",
-            "boundary_delta", "boundary_delta_nan", "boundary_delta_inf",
+    @pytest.mark.parametrize("config, args, message", [
+        ("awgn", ["covertness", "--trials", "0"], "trials must be >= 1"),
+        ("awgn", ["roc", "--trials", "0"], "trials must be >= 1"),
+        ("awgn", ["roc", "--trials", "10", "--grid-points", "0"],
+         "--grid-points must be >= 1, got 0"),
+        ("awgn", ["roc", "--trials", "10", "--grid-points", "-3"],
+         "--grid-points must be >= 1, got -3"),
+        ("m2", ["boundary", "--draws", "0"], "draws must be >= 1"),
+        *(("m2", ["boundary", "--draws", "10", "--delta", delta],
+           "delta must be positive and finite") for delta in ("-1", "nan", "inf")),
+        ("bob", ["capacity", "--samples", "10"], "need at least 1000 fading draws"),
+        ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"],
+         "outage_prob must lie in (0, 1)"),
+        ("bob", ["capacity", "--samples", "2000", "--n", "0"], "n must be >= 1"),
+        ("bob", ["capacity", "--samples", "2000", "--pf-list", ","], "P_f list is empty"),
+        ("m2", ["check", "--grid-points", "1"],
+         "a monotonicity scan needs a grid of at least 2 points"),
+    ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "roc_grid_points_negative",
+            "boundary_draws", "boundary_delta", "boundary_delta_nan", "boundary_delta_inf",
             "capacity_samples", "capacity_outage", "capacity_n_zero",
             "capacity_pf_list_empty", "check_grid_points"])
-    def test_out_of_range_argument(self, tmp_path, capsys, config, args):
+    def test_out_of_range_argument(self, tmp_path, capsys, config, args, message):
         scenario = {
             "awgn": awgn_scenario(n=64),
             "m2": fading_scenario(n=64, M=2, P_f=0.0125),
@@ -167,7 +171,7 @@ class TestErrors:
         cfgp = write_config(tmp_path, scenario)
         argv = [args[0], cfgp, *args[1:], "--out", str(tmp_path / "out")]
         assert run_cli(argv) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestCovertness:
@@ -285,6 +289,21 @@ class TestRoc:
         assert len(bodies[0]) == len(bodies[1]) == 22
         moved = [r0 for r0, r1 in zip(bodies[0], bodies[1]) if r0 != r1]
         assert moved and all(float(r.split(",")[0]) == a for r in moved)
+
+    @pytest.mark.parametrize("args", [
+        ["roc", "--trials", "2000"], ["covertness", "--n-list", "4"],
+    ], ids=["roc", "covertness"])
+    def test_one_sample_per_block_under_strong_jammer(self, tmp_path, capsys, args):
+        # n = M gives one sample per block, and a jam power of 30 sigma_w2
+        # makes each block integral's exponent near flat up to a cliff
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / "fading_m4.json").read_text())
+        data["n"], data["jammer"]["power"] = 4, 30.0
+        cfgp = tmp_path / "strong_jammer.json"
+        cfgp.write_text(json.dumps(data))
+        argv = [args[0], str(cfgp), *args[1:], "--seed", "1", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_writes_monotone_roc(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))

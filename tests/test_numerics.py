@@ -207,7 +207,8 @@ def mp_mixture_density(z, n, sw2, lo, hi, width):
 
 
 def count_refined_rows(monkeypatch):
-    """Make _panel_rule record the row count of each redo on 4 * _PANELS panels."""
+    """Make _panel_rule record the row count of each call at the ladder's top
+    level, 4 * _PANELS panels."""
     refined = []
     panel_rule = numerics._panel_rule
 
@@ -256,6 +257,21 @@ class TestPowerIntegral:
         want = mp_mixture_density(z, n, 1.0, lo, hi, 1.0)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize("z, k, v0, zeta", [
+        # one sample per block (k = 1) under a jam power far above sigma_w2:
+        # the exponent in t = log v is near flat until r e^t falls off a
+        # cliff, and the window must end there, not where a Gaussian of the
+        # peak's width would
+        (0.0, 1, 1.09375, 30.0), (0.0103752, 1, 1.09375, 30.0), (0.00040176, 1, 1.0125, 30.0),
+        (0.0, 1, 0.001, 100.0), (0.1, 1, 0.001, 100.0), (0.0, 1, 0.2236, 10.0),
+        (0.0, 1, 1.0125, 1e4),
+        (0.325, 2, 0.8647, 31.62), (0.0, 2, 0.001, 100.0), (1e-3, 2, 1.0125, 100.0),
+    ])
+    def test_flat_exponent_with_cliff_matches_mpmath(self, z, k, v0, zeta):
+        got = log_integral_block(z, k, v0, zeta)
+        want = mp_block_integral(z, k, v0, zeta)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
     @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 2.0), (2.0, 2.5)])
     def test_flat_exponent_matches_closed_form(self, v_lo, v_hi):
         # n = 1 and z = 0 integrate 1/v with r = 0: the exponent in t = log v
@@ -267,10 +283,10 @@ class TestPowerIntegral:
 
     def test_batch_matches_single_evaluation(self):
         # a z gives the same bytes alone and inside a batch that crosses two
-        # set-up chunk boundaries and several node blocks, and ends in a short
-        # block of a short chunk, also with per-row lower limits
+        # batch boundaries and ends in a short batch, also with per-row lower
+        # limits
         rng = np.random.default_rng(11)
-        size = 2 * numerics._CHUNK + 2 * numerics._BLOCK + 37
+        size = 2 * numerics._BATCH + 37
         zs = rng.permutation(np.concatenate([rng.uniform(0.0, 3e3, size - 3), [0.0, 130.0, 2e5]]))
         v0 = rng.uniform(1.0, 1.1, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
@@ -280,21 +296,35 @@ class TestPowerIntegral:
         alone = [log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0) for z in zs]
         assert mix.tobytes() == np.array(alone).tobytes()
 
-    def test_workspace_reuse_across_chunks_and_redo(self, monkeypatch):
-        # on four coarse panels a share of rows takes the redo on four times
-        # as many; two full set-up chunks and a short one, each cut into node
-        # blocks with a short last block, reuse one workspace, and every row
+    def test_workspace_reuse_across_batches_and_climb(self, monkeypatch):
+        # on four coarse panels a share of rows climbs to four times as many;
+        # two full batches and a short one reuse one workspace, and every row
         # still reads the same bytes as in a call of its own
         monkeypatch.setattr(numerics, "_PANELS", 4)
         refined = count_refined_rows(monkeypatch)
         rng = np.random.default_rng(11)
-        size = 2 * numerics._CHUNK + 2 * numerics._BLOCK + 37
+        size = 2 * numerics._BATCH + 37
         zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
         v0 = rng.uniform(1.0, 1.1, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
-        # a redo is one call per block, so the redone rows lie in several blocks
+        # the top level is one call per batch, so the climbing rows lie in several batches
         assert len(refined) >= 2
         assert 0 < sum(refined) < size
+        alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
+        assert batch.tobytes() == np.array(alone).tobytes()
+
+    def test_most_of_a_batch_climbs(self, monkeypatch):
+        # on three coarse panels most rows at k = 100 climb, more than the
+        # shared workspace holds at the top level; they get a workspace of
+        # their own, and every row still reads the same bytes as alone
+        monkeypatch.setattr(numerics, "_PANELS", 3)
+        refined = count_refined_rows(monkeypatch)
+        rng = np.random.default_rng(11)
+        size = numerics._BATCH + 37
+        zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
+        v0 = rng.uniform(1.0, 1.02, size)
+        batch = log_integral_block(zs, 100, v0, 1.0)
+        assert refined[0] > numerics._BATCH // 2
         alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
         assert batch.tobytes() == np.array(alone).tobytes()
 
@@ -304,8 +334,8 @@ class TestPowerIntegral:
         # call, so calls of different sizes in a row all fit
         monkeypatch.setattr(numerics, "_PANELS", panels)
         rng = np.random.default_rng(panels)
-        sizes = (1, numerics._BLOCK, numerics._BLOCK + 1, numerics._CHUNK,
-                 3 * numerics._CHUNK + 5, 1)
+        sizes = (1, numerics._BATCH // 2, numerics._BATCH // 2 + 1, numerics._BATCH,
+                 3 * numerics._BATCH + 5, 1)
         for size in sizes:
             z = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
             block = log_integral_block(z, 100, 1.01, 1.0)
@@ -315,9 +345,9 @@ class TestPowerIntegral:
                 assert np.all(np.isfinite(out))
 
     def test_working_memory_bounded_by_block(self):
-        # 80,000 rows at k = 400: the output (0.64 MB), one block's node
-        # workspace (1.1 MB) and one set-up chunk's per-row arrays; a
-        # workspace sized for a whole chunk alone would be 17.7 MB
+        # 80,000 rows at k = 400: the output (0.64 MB), one batch's node
+        # workspace (1.66 MB) and its per-row arrays; a workspace sized for
+        # all rows alone would be 346 MB
         rng = np.random.default_rng(3)
         z = (1.0 + rng.exponential(1.0, 80_000)) * rng.gamma(400, 1.0, 80_000)
         tracemalloc.start()
@@ -362,13 +392,22 @@ class TestPowerIntegral:
             log_mixture_density_uniform(z, 10, v0, 0.0, 1.0, 1.0)
 
     def test_unresolved_row_raises(self, monkeypatch):
-        # one coarse panel cannot resolve the peak; doubling once must not
-        # be enough, and the row fails loudly instead of returning NaN
+        # one coarse panel cannot resolve the peak; neither two nor four
+        # settle it, and the row fails loudly instead of returning NaN
         monkeypatch.setattr(numerics, "_PANELS", 1)
         with pytest.raises(QuadratureError):
             log_integral_block(np.array([0.0, 50.0]), 10.0, 1.0, 1.0)
         with pytest.raises(QuadratureError):
             log_mixture_density_uniform(6e3, 1e4, 1.0, 0.0, 1.0, 1.0)
+
+    def test_top_level_failure_names_the_row(self, monkeypatch):
+        # on one coarse panel the rows at z = 0 resolve and z = 50 does not
+        # at four; the error names that row, the fourth of the second batch
+        monkeypatch.setattr(numerics, "_PANELS", 1)
+        z, v0 = np.zeros(numerics._BATCH + 5), np.ones(numerics._BATCH + 5)
+        z[numerics._BATCH + 3], v0[numerics._BATCH + 3] = 50.0, 1.5
+        with pytest.raises(QuadratureError, match=r"\(z=50, k=10, a=1\.5, w=inf, r=1\)$"):
+            log_integral_block(z, 10.0, v0, 1.0)
 
 
 class TestBisect:
