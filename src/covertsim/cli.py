@@ -28,16 +28,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _default_seed():
-    env = os.environ.get("COVERTSIM_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"COVERTSIM_SEED must be an integer, got {env!r}") from exc
-    return 0
-
-
 def _load(config_path):
     # one read: the hash describes exactly the bytes that were parsed
     try:
@@ -95,8 +85,7 @@ def _parse_list(text, convert, name):
 
 def _add_common(p):
     p.add_argument("config", help="scenario config (JSON)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="run seed (default: COVERTSIM_SEED env or 0)")
+    p.add_argument("--seed", type=int, default=0, help="run seed (default: 0)")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; must be >= 1 and changes nothing")
@@ -297,8 +286,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         try:

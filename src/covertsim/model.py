@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 AWGN = "awgn"
 FADING = "fading"
@@ -40,10 +40,10 @@ def path_gain(d, alpha):
 
     Amplitude gain is the square root of this value.
     """
-    if d <= 0:
-        raise ConfigError(f"distance must be positive, got {d}")
-    if alpha < 2:
-        raise ConfigError(f"path-loss exponent must be >= 2, got {alpha}")
+    if not (math.isfinite(d) and d > 0):
+        raise ConfigError(f"distance must be positive and finite, got {d}")
+    if not (math.isfinite(alpha) and alpha >= 2):
+        raise ConfigError(f"path-loss exponent must be finite and >= 2, got {alpha}")
     try:
         gain = float(d) ** (-float(alpha))
     except OverflowError:
@@ -169,18 +169,12 @@ class Scenario:
     @staticmethod
     def from_dict(data):
         try:
-            geometry = Geometry(
-                d_aw=_number(data, "d_aw"), d_ab=_number(data, "d_ab"),
-                d_jw=_number(data, "d_jw"), d_jb=_number(data, "d_jb"),
-                alpha=_number(data, "alpha"),
-            )
-            # older configs carry a slot count "T"; it is ignored so they still load
-            slots = SlotStructure(n=_whole(data, "n"), M=_whole(data, "M"), p=_number(data, "p"))
-            noise = NoiseLevels(sigma_w2=_number(data, "sigma_w2"), sigma_b2=_number(data, "sigma_b2"))
-            jam = data["jammer"]
-            jammer = JammerStrategy(kind=str(jam["kind"]), power=_number(jam, "power", "jammer."))
-            ch = data["channels"]
-            channels = Channels(aw=str(ch["aw"]), ab=str(ch["ab"]), jw=str(ch["jw"]), jb=str(ch["jb"]))
+            # a config with several faults reports the first in this order
+            geometry = _section(Geometry, data)
+            slots = _section(SlotStructure, data)
+            noise = _section(NoiseLevels, data)
+            jammer = _section(JammerStrategy, data["jammer"], "jammer.")
+            channels = _section(Channels, data["channels"], "channels.")
             return Scenario(
                 geometry=geometry, slots=slots, channels=channels,
                 jammer=jammer, noise=noise, P_f=_number(data, "P_f"),
@@ -218,12 +212,20 @@ def _number(data, key, owner=""):
         raise ConfigError(f"{owner}{key} is too large for a float") from None
 
 
-def _whole(data, key):
+def _whole(data, key, owner=""):
     """data[key] as an int; a fractional value is rejected, not truncated."""
-    value = _number(data, key)
+    value = _number(data, key, owner)
     if not value.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {data[key]!r}")
+        raise ConfigError(f"{owner}{key} must be a whole number, got {data[key]!r}")
     return int(value)
+
+
+def _section(cls, data, owner=""):
+    """A cls with each field read from data by its declared type (float,
+    int or str); other keys are ignored, so older configs that carry a slot
+    count "T" still load."""
+    readers = {"float": _number, "int": _whole, "str": lambda d, key, owner: str(d[key])}
+    return cls(**{f.name: readers[f.type](data, f.name, owner) for f in fields(cls)})
 
 
 def load_scenario(path):
@@ -246,15 +248,15 @@ class CovertParams:
     P_f: float
 
 
-def _check_recipe_args(epsilon, zeta, d_aw, alpha):
+def _recipe(epsilon, zeta, d_aw, alpha, share):
+    """The budget sigma_a2 = share*zeta*epsilon at the warden and the
+    transmit power that path_gain(d_aw, alpha) turns into it."""
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if zeta <= 0:
+    if not zeta > 0:
         raise ConfigError("zeta must be positive")
-    if d_aw <= 0:
-        raise ConfigError("d_aw must be positive")
-    if alpha < 2:
-        raise ConfigError("alpha must be >= 2")
+    sigma_a2 = zeta * epsilon * share
+    return CovertParams(sigma_a2, sigma_a2 / path_gain(d_aw, alpha))
 
 
 def select_covert_params_awgn(epsilon, zeta, d_aw, alpha):
@@ -265,9 +267,7 @@ def select_covert_params_awgn(epsilon, zeta, d_aw, alpha):
     lands in the ambiguous power band is at most (sigma_a2 + 2*delta)/zeta =
     epsilon/2.
     """
-    _check_recipe_args(epsilon, zeta, d_aw, alpha)
-    sigma_a2 = zeta * epsilon / 4.0
-    return CovertParams(sigma_a2=sigma_a2, P_f=sigma_a2 * d_aw ** alpha)
+    return _recipe(epsilon, zeta, d_aw, alpha, 0.25)
 
 
 def select_covert_params_fading(epsilon, zeta, d_aw, alpha):
@@ -276,9 +276,7 @@ def select_covert_params_fading(epsilon, zeta, d_aw, alpha):
     The jam power at the warden is exponential with mean zeta, so the recipe
     halves the uniform construction's budget: sigma_a2 = zeta*epsilon/8.
     """
-    _check_recipe_args(epsilon, zeta, d_aw, alpha)
-    sigma_a2 = zeta * epsilon / 8.0
-    return CovertParams(sigma_a2=sigma_a2, P_f=sigma_a2 * d_aw ** alpha)
+    return _recipe(epsilon, zeta, d_aw, alpha, 0.125)
 
 
 def detector_variant(scenario):

@@ -225,17 +225,16 @@ class TestCovertness:
         row = (out / "curve.csv").read_text().splitlines()[1].split(",")
         assert float(row[2]) >= 0.87
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero_and_reads_no_environment(self, tmp_path, monkeypatch):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
-        out_env = tmp_path / "env"
         monkeypatch.setenv("COVERTSIM_SEED", "9")
-        run_cli(["covertness", cfgp, "--n-list", "64", "--trials", "100",
-                 "--out", str(out_env)])
-        monkeypatch.delenv("COVERTSIM_SEED")
-        out_flag = tmp_path / "flag"
-        run_cli(["covertness", cfgp, "--n-list", "64", "--trials", "100",
-                 "--seed", "9", "--out", str(out_flag)])
-        assert (out_env / "curve.csv").read_bytes() == (out_flag / "curve.csv").read_bytes()
+        out_default, out_zero = tmp_path / "default", tmp_path / "zero"
+        assert run_cli(["covertness", cfgp, "--n-list", "64", "--trials", "100",
+                        "--out", str(out_default)]) == 0
+        assert run_cli(["covertness", cfgp, "--n-list", "64", "--trials", "100",
+                        "--seed", "0", "--out", str(out_zero)]) == 0
+        assert (out_default / "curve.csv").read_bytes() == (out_zero / "curve.csv").read_bytes()
+        assert json.loads((out_default / "manifest.json").read_text())["seed"] == 0
 
 
 class TestRoc:

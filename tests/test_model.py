@@ -43,6 +43,20 @@ class TestPathGain:
         with pytest.raises(ConfigError):
             model.path_gain(1.0, 1.5)
 
+    # the recipes invert the gain, so they reject what it rejects
+    @pytest.mark.parametrize("fn, args", [
+        (model.path_gain, (math.nan, 2.0)),
+        (model.path_gain, (1.0, math.nan)),
+        (model.path_gain, (1.0, math.inf)),
+        (model.select_covert_params_fading, (0.1, math.nan, 1.0, 2.0)),
+        (model.select_covert_params_awgn, (0.1, 1.0, math.inf, 2.0)),
+        (model.select_covert_params_awgn, (0.1, 1.0, 1e200, 2.0)),
+    ], ids=["gain-d-nan", "gain-alpha-nan", "gain-alpha-inf",
+            "fading-zeta-nan", "awgn-d-inf", "awgn-d-huge"])
+    def test_non_finite_and_out_of_range_inputs_rejected(self, fn, args):
+        with pytest.raises(ConfigError):
+            fn(*args)
+
     @given(
         d=st.floats(0.01, 100.0),
         bump=st.floats(0.01, 10.0),
@@ -223,10 +237,30 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             model.Scenario.from_dict(data)
 
-    def test_missing_field_rejected(self):
+    # one key per section; a nested key is reported by its own name
+    @pytest.mark.parametrize("field", [
+        "d_jw", "M", "sigma_b2", "jammer.power", "channels.jb", "P_f",
+    ])
+    def test_missing_field_rejected(self, field):
         data = awgn_scenario().to_dict()
-        del data["sigma_w2"]
-        with pytest.raises(ConfigError):
+        owner, _, name = field.rpartition(".")
+        del (data[owner] if owner else data)[name]
+        with pytest.raises(ConfigError, match=f"^missing scenario field: {name}$"):
+            model.Scenario.from_dict(data)
+
+    # one wrong value per reader: whole, number, number too large, str
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 2.5, "n must be a whole number, got 2.5"),
+        ("jammer.power", "1", "jammer.power must be a number, got '1'"),
+        pytest.param("jammer.power", 10**400, "jammer.power is too large for a float",
+                     id="jammer.power-huge"),
+        ("channels.aw", 5, "channel kind for aw must be one of ('awgn', 'fading')"),
+    ])
+    def test_wrong_value_message(self, field, value, message):
+        data = awgn_scenario().to_dict()
+        owner, _, name = field.rpartition(".")
+        (data[owner] if owner else data)[name] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             model.Scenario.from_dict(data)
 
     def test_invalid_json_rejected(self):
