@@ -114,16 +114,16 @@ def total_power(obs):
 def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):
     """Per-block log likelihood ratio under the exponential jam-power prior.
 
-    sigma_a2/zeta + log int_{sigma_w2+sigma_a2}^inf v^-k e^{-z/v} e^{-v/zeta} dv
-                  - log int_{sigma_w2}^inf            v^-k e^{-z/v} e^{-v/zeta} dv
+    sigma_a2/zeta + log I - log (J + I) = sigma_a2/zeta - softplus(log J - log I)
 
-    Vectorized over z; sigma_a2 broadcasts against z.
+    with I = int_{sigma_w2+sigma_a2}^inf and J = int_{sigma_w2}^{sigma_w2+sigma_a2}
+    of v^-k e^{-z/v} e^{-v/zeta} dv.  The softplus is nonnegative, so the term
+    never exceeds its supremum sigma_a2/zeta, and sigma_a2 = 0 gives exactly
+    0.  Vectorized over z; sigma_a2 broadcasts against z.
     """
-    return (
-        sigma_a2 / zeta
-        + log_integral_block(z, k, sigma_w2 + sigma_a2, zeta)
-        - log_integral_block(z, k, sigma_w2, zeta)
-    )
+    log_j = log_integral_block(z, k, sigma_w2, zeta, width=sigma_a2)
+    log_i = log_integral_block(z, k, sigma_w2 + sigma_a2, zeta)
+    return sigma_a2 / zeta - np.logaddexp(0.0, log_j - log_i)
 
 
 def log_lrt_awgn(z, cfg):

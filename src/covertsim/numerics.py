@@ -69,26 +69,34 @@ def log_gamma_density(z, k, s):
     return out if np.ndim(out) else float(out)
 
 
-# Gauss-Legendre panels in t = log v.  Each row climbs the ladder of _PANELS,
-# 2 * _PANELS and 4 * _PANELS panels, stops at the first level that agrees
-# with the level below to _REL_TOL and returns that level's value; a row
-# unresolved at the top raises.  Six is the fewest panels that keep every
-# row the CLI sends off the top level, with margin.  The window closes
-# _TAIL_DROP nats below the peak.  Nodes measure the concave exponent from
-# its maximum on the limits (the peak, clipped to them), so it is at most 0
-# up to rounding and a rule sums its exp times the weights with no other
-# shift.  Rows go through in batches of _BATCH, set-up (peak, limits, width,
-# window edges) and ladder on the same rows: enough to spread numpy's
-# per-call cost, few enough that a call's one node workspace, three buffers
-# at the middle level for one batch (3 x 384 rows x 180 nodes x 8 bytes,
-# about 1.66 MB), stays in a 2 MB L2 cache; every rule writes into it in
-# place, so no batch faults in fresh pages.  The top level fits in it unless
-# more than half a batch climbs, and those rows get one of their own.  The
-# 15-point rule is written out as literals, each the shortest repr of
-# np.polynomial.legendre.leggauss(15) and so the same bits (a test holds
-# them to it): computing it at import would load numpy.polynomial and run an
-# eigensolve in every process, about 1.35 MB of resident memory and 3 ms,
-# for fifteen fixed numbers.
+# Gauss-Legendre panels in t = log v.  Each row climbs a ladder of 3, 6, 12
+# and 24 panels (_PANELS times 1, 2, 4, 8) and returns the first level that
+# agrees with the one below, at _COARSE_TOL for 6 against 3 panels and at
+# _REL_TOL above; a row unresolved at 24 raises.  Where the 3- and 6-panel
+# values agree to 1e-6, the 6-panel value was within 7e-13 of a 48-panel one
+# for every k from 30 (1.7e-13 from k = 100), on a sweep of z/k from 1e-4 to
+# 1e4, lower limits from 1e-4 to 100, jam means from 1e-3 to 1e4 and windows
+# from 1e-9 wide to infinite.  No row the CLI sends has them further apart
+# than 3.1e-7; accepting at 1e-8 would send a fifth to a third of those rows
+# up.  Flatter exponents converge later: at k = 4 the two agreed to 4.5e-7
+# with the 6-panel value 1.9e-9 off, so rows below _COARSE_MIN_K start at 6
+# panels and accept at _REL_TOL.  The 24-panel level stays: on a sweep of k
+# from 1 to 1e6, 683 rows at k = 2 to 10 need it.  The window closes
+# _TAIL_DROP nats below the peak.  Nodes measure the concave exponent from its
+# maximum on the limits (the peak, clipped to them), so it is at most 0 up to
+# rounding and a rule sums its exp times the weights with no other shift.
+# Rows go through in batches of _BATCH, set-up (peak, limits, width, window
+# edges) and ladder on the same rows: enough to spread numpy's per-call cost,
+# few enough that a call's one node workspace, three buffers at the 6-panel
+# level for one batch (3 x 384 rows x 90 nodes x 8 bytes, about 0.83 MB),
+# stays in a 2 MB L2 cache; every rule writes into it in place, so no batch
+# faults in fresh pages.  The 12-panel level fits in it unless more than half
+# a batch climbs, the 24-panel level unless more than a quarter does, and
+# those rows get one of their own.  The 15-point rule is written out as
+# literals, each the shortest repr of np.polynomial.legendre.leggauss(15) and
+# so the same bits (a test holds them to it): computing it at import would
+# load numpy.polynomial and run an eigensolve in every process, about 1.35 MB
+# of resident memory and 3 ms, for fifteen fixed numbers.
 _GL_X = np.array([
     -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
     -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
@@ -101,7 +109,9 @@ _GL_W = np.array([
     0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 ])
-_PANELS = 6
+_PANELS = 3
+_COARSE_TOL = 1e-6
+_COARSE_MIN_K = 50
 _REL_TOL = 1e-10
 _TAIL_DROP = 60.0
 _BATCH = 384
@@ -179,56 +189,64 @@ def _log_power_integral_rows(z, k, a, w, r, work):
     value = np.empty(len(z))
     # the rows still climbing, their window, and their last estimate
     idx, b_lo, b_hi, b_p, b_q, last = np.arange(len(z)), lo, hi, p, q, None
-    for panels in (_PANELS, 2 * _PANELS, 4 * _PANELS):
+    ladder, tol = (_PANELS, 2 * _PANELS, 4 * _PANELS, 8 * _PANELS), _COARSE_TOL
+    if k < _COARSE_MIN_K:
+        ladder, tol = ladder[1:], _REL_TOL
+    for panels in ladder:
         est = _panel_rule(panels, b_lo, b_hi, k, b_p, b_q, work)
         if last is not None:
             value[idx] = est
-            # written so that NaN counts as unresolved
-            climb = ~(np.abs(np.expm1(last - est)) <= _REL_TOL)
+            # written so that NaN counts as unresolved and an empty window's
+            # -inf as resolved
+            climb = (est != last) & ~(np.abs(np.expm1(last - est)) <= tol)
             if not climb.any():
                 return (1.0 - k) * np.log(v0) - p - q + value
             idx, b_lo, b_hi, b_p, b_q, est = (
                 x[climb] for x in (idx, b_lo, b_hi, b_p, b_q, est))
+            tol = _REL_TOL
         last = est
     i = idx[0]
     raise QuadratureError(f"quadrature unresolved after doubling the panels (z={z[i]:g},"
-                          f" k={k:g}, a={a[i]:g}, w={w:g}, r={r:g})")
+                          f" k={k:g}, a={a[i]:g}, w={w[i]:g}, r={r:g})")
 
 
 def _log_power_integral(z, k, a, w, r):
-    """log of int_a^(a+w) v**-k * exp(-z/v - r*v) dv, elementwise over z and a.
+    """log of int_a^(a+w) v**-k * exp(-z/v - r*v) dv, elementwise over z, a and w.
 
-    z >= 0, k >= 1, a > 0, w > 0 (finite when r = 0), r >= 0; a narrow range
-    keeps its accuracy as no rounded a + w enters the limits.  With v = e^t
+    z >= 0, k >= 1, a > 0, w >= 0 (finite when r = 0), r >= 0; a narrow range
+    keeps its accuracy as no rounded a + w enters the limits, and w = 0 gives
+    -inf.  With v = e^t
     the exponent is strictly concave; panels sit around its analytic peak.
     Rows go through in batches of _BATCH, each row still computed alone, so
     a z gives the same bytes in any batch; one node workspace, sized for the
-    middle level of one batch (or of all rows, if fewer), serves every batch,
+    6-panel level of one batch (or of all rows, if fewer), serves every batch,
     so working memory does not grow with the batch beyond the output.  It
     silences floating-point warnings once: infinite limits, z = 0 and
     overflowing tails are handled by value, and a NaN row raises.
     """
-    z, a = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(a, dtype=float))
+    z, a, w = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (z, a, w)))
     out = np.empty(z.shape)
-    flat_z, flat_a, flat_out = z.ravel(), a.ravel(), out.reshape(-1)
+    # reshape keeps a broadcast scalar a view where ravel would copy it
+    flat_z, flat_a, flat_w, flat_out = (x.reshape(-1) for x in (z, a, w, out))
     size = min(_BATCH, flat_z.size) * 2 * _PANELS * _GL_X.size
     work = tuple(np.empty(size) for _ in range(3))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, flat_z.size, _BATCH):
             part = slice(start, start + _BATCH)
             flat_out[part] = _log_power_integral_rows(
-                flat_z[part], float(k), flat_a[part], float(w), float(r), work
+                flat_z[part], float(k), flat_a[part], flat_w[part], float(r), work
             )
     return out
 
 
-def log_integral_block(z, k, v0, zeta):
-    """log of int_{v0}^inf v**(-k) * exp(-z/v) * exp(-v/zeta) dv.
+def log_integral_block(z, k, v0, zeta, width=math.inf):
+    """log of int_{v0}^{v0+width} v**(-k) * exp(-z/v) * exp(-v/zeta) dv.
 
     This is the building block of the fading-jammer likelihoods: the scale
     variable v is the per-sample received power, averaged over an exponential
     jam-power prior with mean zeta, above the floor v0.  Vectorized over z;
-    v0 broadcasts against z.  k up to 1e6 is fine.
+    v0 and width broadcast against z, and width = 0 gives -inf.  k up to 1e6
+    is fine.
     """
     z_arr = np.asarray(z, dtype=float)
     if (z_arr < 0).any():
@@ -237,7 +255,9 @@ def log_integral_block(z, k, v0, zeta):
         raise ValueError(f"k must be >= 1, got {k}")
     if (np.asarray(v0) <= 0).any() or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
-    out = _log_power_integral(z_arr, k, v0, math.inf, 1.0 / zeta)
+    if (np.asarray(width) < 0).any():
+        raise ValueError("width must be nonnegative")
+    out = _log_power_integral(z_arr, k, v0, width, 1.0 / zeta)
     return out if out.ndim else float(out)
 
 

@@ -166,7 +166,7 @@ def _axis_crossings(cfg, X, delta, log_gamma):
     Returns (hit, broken): hit where the statistic crosses log_gamma between
     the two points, which for a statistic nondecreasing along the axis holds
     exactly when a boundary root lies within d; broken where it falls along
-    the axis instead.
+    the axis instead, or is NaN at either point.
     """
     d = delta * (1.0 - 1e-9)
     rows, M = X.shape
@@ -180,7 +180,7 @@ def _axis_crossings(cfg, X, delta, log_gamma):
     lo = moved(np.clip(X - d, 0.0, None))
     hi = moved(X + d)
     hit = (lo < log_gamma) & (log_gamma < hi)
-    broken = lo - hi > _TOL * np.maximum(1.0, np.abs(hi))
+    broken = ~(lo - hi <= _TOL * np.maximum(1.0, np.abs(hi)))
     return hit, broken
 
 

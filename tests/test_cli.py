@@ -438,6 +438,19 @@ class TestBoundary:
         assert json.loads((out / "boundary.json").read_text())["failures"] > 0
         assert len((out / "boundary.csv").read_text().splitlines()) == 51
 
+    def test_nan_statistic_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a NaN statistic neither rises nor falls along an axis; the spot
+        # checks count it as broken, as a NaN step fails a monotone scan
+        monkeypatch.setattr(detectors, "log_lrt_block_term",
+                            lambda z, *args: np.full(np.shape(z), np.nan))
+        cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
+        out = tmp_path / "bnd"
+        assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
+                        "--out", str(out)]) == 3
+        # 50 draws, all spot-checked, on 2 axes each
+        assert "fell along 100 spot-check axes" in capsys.readouterr().err
+        assert json.loads((out / "boundary.json").read_text())["failures"] == 100
+
     def test_spot_check_mismatch_exits_3(self, tmp_path, monkeypatch, capsys):
         # every axis reported as crossing the boundary within delta, so
         # every draw outside the region mismatches

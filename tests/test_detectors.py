@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,7 +21,7 @@ from covertsim.detectors import (
 from covertsim.model import ConfigError
 from covertsim.synth import H0, Latents, Observation, TrialRng
 
-from conftest import awgn_scenario, fading_scenario
+from conftest import awgn_scenario, fading_scenario, mp_log_kernel
 
 
 def make_obs(samples, M=1):
@@ -145,6 +146,52 @@ class TestM1Lrt:
         diffs = np.diff(vals)
         scale = np.maximum(1.0, np.abs(vals[:-1]))
         assert (diffs / scale).min() >= -1e-9
+
+
+class TestBlockTerm:
+    """The per-block term sigma_a2/zeta - softplus(log J - log I)."""
+
+    @pytest.mark.parametrize("k", [100, 3200, 1e4, 1e6])
+    def test_never_exceeds_its_supremum(self, k):
+        # z/k up to 1e3, where the term sits at its supremum to the last bits
+        z = k * np.geomspace(0.5, 1e3, 2000)
+        term = log_lrt_block_term(z, k, 1.0, 0.00625, 1.0)
+        assert np.all(term <= 0.00625)
+
+    def test_multi_block_statistic_never_exceeds_its_supremum(self):
+        # M = 2 at n = 6400 under H0, where most rows sit at the ceiling
+        cfg = mblock_cfg(n=6400, M=2, sigma_a2=0.00625)
+        rng = np.random.default_rng(7)
+        k = cfg.block_size
+        Z = (cfg.sigma_w2 + rng.exponential(cfg.zeta, (2000, 2))) * rng.gamma(k, 1.0, (2000, 2))
+        assert np.all(log_lrt_mblock(Z, cfg) <= cfg.M * cfg.sigma_a2 / cfg.zeta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_under_a_vanishing_jammer(self):
+        # zeta = 1e-9: each log integral is about -1e9, the term about -0.008
+        k = 100
+        z = k * np.geomspace(0.5, 1e3, 200)
+        term = log_lrt_block_term(z, k, 1.0, 0.00625, 1e-9)
+        assert np.all(np.isfinite(term)) and np.all(term <= 0.00625 / 1e-9)
+
+    def test_zero_signal_power_gives_exactly_zero(self):
+        # an empty window J: softplus(-inf) = 0, row by row under per-row powers
+        z = 100.0 * np.geomspace(0.1, 10.0, 50)
+        sa = np.where(np.arange(50) % 2, 0.0125, 0.0)
+        term = log_lrt_block_term(z, 100, 1.0, sa, 1.0)
+        assert np.all(term[sa == 0] == 0.0) and np.all(term[sa > 0] != 0.0)
+
+    @pytest.mark.parametrize("z", [100.0, 120.0, 135.0, 150.0])
+    def test_deficit_matches_mpmath(self, z):
+        # sigma_a2 = 1e-48 keeps the deficit log(1 + J/I), from about 1e-47
+        # down to 4e-52, above the rounding of sigma_a2/zeta - term
+        k, sa = 100, 1e-48
+        got = sa - log_lrt_block_term(z, k, 1.0, sa, 1.0)
+        with mp.workdps(100):
+            log_j = mp_log_kernel(z, k, 1.0, sa, 1.0, dps=100)
+            log_i = mp_log_kernel(z, k, 1 + mp.mpf(sa), mp.inf, 1.0, dps=100)
+            want = float(mp.log1p(mp.exp(log_j - log_i)))
+        assert abs(got / want - 1.0) <= 1e-12
 
 
 class TestMBlockLrt:

@@ -1,5 +1,7 @@
+import collections
 import math
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import mpmath as mp
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import beta as beta_dist
 
-from covertsim import numerics
+from conftest import mp_log_kernel
+
+from covertsim import cli, numerics
 from covertsim.numerics import (
     BisectionError,
     LogDensity,
@@ -174,51 +178,25 @@ class TestMixtureDensity:
             log_mixture_density_uniform(-1.0, 4, 1.0, 0.0, 1.0, 1.0)
 
 
-def mp_log_quad(log_f, lo, hi, peak, scale):
-    """log of int_lo^hi exp(log_f(v)) dv by mp.quad at 50 digits, split at
-    the peak and at 1 to 60 scales either side of it."""
-    with mp.workdps(50):
-        lo, hi, peak, scale = (mp.mpf(x) for x in (lo, hi, peak, scale))
-        ref = log_f(peak)
-        pts = {lo, hi, peak}
-        for j in (1, 3, 8, 20, 60):
-            pts.update(p for p in (peak - j * scale, peak + j * scale) if lo < p < hi)
-        return float(ref + mp.log(mp.quad(lambda v: mp.exp(log_f(v) - ref), sorted(pts))))
-
-
-def mp_block_integral(z, k, v0, zeta):
-    with mp.workdps(50):
-        z, k, v0, zeta = (mp.mpf(x) for x in (z, k, v0, zeta))
-        peak = max((-k * zeta + mp.sqrt((k * zeta) ** 2 + 4 * zeta * z)) / 2, v0)
-        return mp_log_quad(lambda v: -k * mp.log(v) - z / v - v / zeta,
-                           v0, mp.inf, peak, min(peak / mp.sqrt(k), zeta))
-
-
 def mp_mixture_density(z, n, sw2, lo, hi, width):
     with mp.workdps(50):
-        z, n, sw2 = mp.mpf(z), mp.mpf(n), mp.mpf(sw2)
-
-        def log_f(theta):
-            s = sw2 + theta
-            return (n - 1) * mp.log(z) - z / s - mp.loggamma(n) - n * mp.log(s)
-
-        peak = min(max(z / n - sw2, mp.mpf(lo)), mp.mpf(hi))
-        return mp_log_quad(log_f, lo, hi, peak, (sw2 + peak) / mp.sqrt(n)) - math.log(width)
+        # theta in [lo, hi] is v in [sw2 + lo, sw2 + hi], added exactly
+        log_v = mp_log_kernel(z, n, mp.mpf(sw2) + lo, mp.mpf(hi) - lo, 0.0)
+        return float((n - 1) * mp.log(z) - mp.loggamma(n) + log_v) - math.log(width)
 
 
-def count_refined_rows(monkeypatch):
-    """Make _panel_rule record the row count of each call at the ladder's top
-    level, 4 * _PANELS panels."""
-    refined = []
+def count_rule_rows(monkeypatch):
+    """Make _panel_rule record the row count of each call, by panel count;
+    the ladder's levels are 1, 2, 4 and 8 times _PANELS panels."""
+    rows = collections.defaultdict(list)
     panel_rule = numerics._panel_rule
 
     def counting(panels, lo, *args):
-        if panels == 4 * numerics._PANELS:
-            refined.append(len(lo))
+        rows[panels].append(len(lo))
         return panel_rule(panels, lo, *args)
 
     monkeypatch.setattr(numerics, "_panel_rule", counting)
-    return refined
+    return rows
 
 
 class TestPowerIntegral:
@@ -241,7 +219,7 @@ class TestPowerIntegral:
     ])
     def test_block_integral_matches_mpmath(self, z, k, v0):
         got = log_integral_block(z, k, v0, 1.0)
-        want = mp_block_integral(z, k, v0, 1.0)
+        want = float(mp_log_kernel(z, k, v0, math.inf, 1.0))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("z, n, lo, hi", [
@@ -266,11 +244,45 @@ class TestPowerIntegral:
         (0.0, 1, 0.001, 100.0), (0.1, 1, 0.001, 100.0), (0.0, 1, 0.2236, 10.0),
         (0.0, 1, 1.0125, 1e4),
         (0.325, 2, 0.8647, 31.62), (0.0, 2, 0.001, 100.0), (1e-3, 2, 1.0125, 100.0),
+        # few samples per block under a jammer 1e4 times the floor, where the
+        # 3- and 6-panel rules agree to 1e-6 while both are 1e-9 or more off
+        (1.395, 4, 0.001, 46.4), (0.06706, 2, 0.00246, 100.0), (0.8635, 5, 0.001, 100.0),
     ])
     def test_flat_exponent_with_cliff_matches_mpmath(self, z, k, v0, zeta):
         got = log_integral_block(z, k, v0, zeta)
-        want = mp_block_integral(z, k, v0, zeta)
+        want = float(mp_log_kernel(z, k, v0, math.inf, 1.0 / zeta))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_random_rows_match_mpmath(self):
+        # a seeded grid: k log-uniform up to 1e6, z/k geometric on [0.05, 20]
+        # or z = 0, lower limits from 0 (an incomplete gamma function when
+        # r = 0) to 1.0125, infinite, unit and narrow windows, r in {0, 1, 2}
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            k = float(round(10.0 ** rng.uniform(0.0, 6.0)))
+            r = float(rng.choice([0.0, 1.0, 2.0]))
+            a = float(rng.choice([0.0, 0.2, 1.0, 1.0125]))
+            w = float(rng.choice([1.0, 0.00625, 1e-9] + ([math.inf] if r > 0 else [])))
+            z = 0.0 if a > 0 and rng.random() < 0.2 else k * 10.0 ** rng.uniform(-1.3, 1.3)
+            got = numerics._log_power_integral(z, k, a, w, r)
+            want = float(mp_log_kernel(z, k, a, w, r))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (z, k, a, w, r)
+
+    def test_incomplete_gamma_row(self):
+        # a = 0 and r = 0: z^(1-k) Gamma(k - 1, z/w), the oracle's closed form
+        for z, k, w in [(3.0, 1.0, 1.0), (50.0, 10.0, 2.0), (900.0, 1000.0, 1.0), (1e6, 1e6, 0.9)]:
+            got = numerics._log_power_integral(z, k, 0.0, w, 0.0)
+            with mp.workdps(50):
+                want = float((1 - k) * mp.log(z) + mp.log(mp.gammainc(k - 1, z / w)))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(float(mp_log_kernel(z, k, 0.0, w, 0.0)) - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_empty_window_is_minus_infinity(self):
+        # width 0 integrates nothing; the row resolves at once instead of climbing
+        got = log_integral_block(np.array([0.0, 120.0, 1e4]), 100, 1.0, 1.0, width=0.0)
+        assert np.all(got == -np.inf)
+        with pytest.raises(ValueError):
+            log_integral_block(1.0, 2.0, 1.0, 1.0, width=-1e-3)
 
     @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 2.0), (2.0, 2.5)])
     def test_flat_exponent_matches_closed_form(self, v_lo, v_hi):
@@ -280,6 +292,17 @@ class TestPowerIntegral:
         got = log_mixture_density_uniform(0.0, 1, 1.0, v_lo - 1.0, v_hi - 1.0, width)
         want = -math.log(width) + math.log(math.log(v_hi / v_lo))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_flat_exponents_skip_the_three_panel_rule(self, monkeypatch):
+        # below _COARSE_MIN_K the exponent is too flat for the 3-panel rule to
+        # vouch for the 6-panel value, so the ladder starts at 6 panels
+        rows = count_rule_rows(monkeypatch)
+        z = np.array([0.0, 1.395, 50.0])
+        log_integral_block(z, numerics._COARSE_MIN_K - 1, 0.001, 46.4)
+        assert min(rows) == 2 * numerics._PANELS
+        rows.clear()
+        log_integral_block(z, numerics._COARSE_MIN_K, 0.001, 46.4)
+        assert min(rows) == numerics._PANELS
 
     def test_batch_matches_single_evaluation(self):
         # a z gives the same bytes alone and inside a batch that crosses two
@@ -297,38 +320,44 @@ class TestPowerIntegral:
         assert mix.tobytes() == np.array(alone).tobytes()
 
     def test_workspace_reuse_across_batches_and_climb(self, monkeypatch):
-        # on four coarse panels a share of rows climbs to four times as many;
-        # two full batches and a short one reuse one workspace, and every row
-        # still reads the same bytes as in a call of its own
-        monkeypatch.setattr(numerics, "_PANELS", 4)
-        refined = count_refined_rows(monkeypatch)
+        # on two coarse panels a share of rows climbs to eight times as many,
+        # few enough at every level to fit the shared workspace; two full
+        # batches and a short one reuse it, and every row still reads the
+        # same bytes as in a call of its own
+        monkeypatch.setattr(numerics, "_PANELS", 2)
+        rows = count_rule_rows(monkeypatch)
         rng = np.random.default_rng(11)
         size = 2 * numerics._BATCH + 37
         zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
-        v0 = rng.uniform(1.0, 1.1, size)
+        v0 = rng.uniform(1.0, 2.0, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
         # the top level is one call per batch, so the climbing rows lie in several batches
+        refined = rows[8 * numerics._PANELS]
         assert len(refined) >= 2
         assert 0 < sum(refined) < size
+        assert max(rows[4 * numerics._PANELS]) <= numerics._BATCH // 2
+        assert max(refined) <= numerics._BATCH // 4
         alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
         assert batch.tobytes() == np.array(alone).tobytes()
 
     def test_most_of_a_batch_climbs(self, monkeypatch):
-        # on three coarse panels most rows at k = 100 climb, more than the
-        # shared workspace holds at the top level; they get a workspace of
-        # their own, and every row still reads the same bytes as alone
-        monkeypatch.setattr(numerics, "_PANELS", 3)
-        refined = count_refined_rows(monkeypatch)
+        # on two coarse panels more rows at k = 100 climb than the shared
+        # workspace holds at the two top levels (half a batch at four times
+        # _PANELS, a quarter at eight times); they get a workspace of their
+        # own, and every row still reads the same bytes as alone
+        monkeypatch.setattr(numerics, "_PANELS", 2)
+        rows = count_rule_rows(monkeypatch)
         rng = np.random.default_rng(11)
         size = numerics._BATCH + 37
         zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
         v0 = rng.uniform(1.0, 1.02, size)
         batch = log_integral_block(zs, 100, v0, 1.0)
-        assert refined[0] > numerics._BATCH // 2
+        assert rows[4 * numerics._PANELS][0] > numerics._BATCH // 2
+        assert rows[8 * numerics._PANELS][0] > numerics._BATCH // 4
         alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
         assert batch.tobytes() == np.array(alone).tobytes()
 
-    @pytest.mark.parametrize("panels", [4, 6, 8])
+    @pytest.mark.parametrize("panels", [2, 3, 4, 6, 8])
     def test_workspace_sized_per_call(self, monkeypatch, panels):
         # the workspace follows the panel count and the row count of each
         # call, so calls of different sizes in a row all fit
@@ -346,8 +375,10 @@ class TestPowerIntegral:
 
     def test_working_memory_bounded_by_block(self):
         # 80,000 rows at k = 400: the output (0.64 MB), one batch's node
-        # workspace (1.66 MB) and its per-row arrays; a workspace sized for
-        # all rows alone would be 346 MB
+        # workspace (0.83 MB) and its per-row arrays, 1.68 MB in all.  The
+        # 0.32 MB margin is less than a copy of the broadcast lower limit
+        # (0.64 MB) or a workspace sized for the 12-panel level (+0.83 MB);
+        # one sized for all rows alone would be 173 MB
         rng = np.random.default_rng(3)
         z = (1.0 + rng.exponential(1.0, 80_000)) * rng.gamma(400, 1.0, 80_000)
         tracemalloc.start()
@@ -356,12 +387,12 @@ class TestPowerIntegral:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5e6
+        assert peak <= 2.0e6
 
     def test_realistic_batches_need_no_refinement(self, monkeypatch):
-        # the coarse and fine estimates agree on every row the detectors
-        # send; the redo on four times the panels is for the odd row only
-        refined = count_refined_rows(monkeypatch)
+        # the 3- and 6-panel estimates agree to _COARSE_TOL on every row the
+        # detectors send; the levels above are for the odd row only
+        rows = count_rule_rows(monkeypatch)
         rng = np.random.default_rng(5)
         size = 2000
 
@@ -379,7 +410,21 @@ class TestPowerIntegral:
             log_mixture_density_uniform(z, 1e4, 1.0, lo, lo + 1.0, 1.0)
         # M = 16 blocks at n = 1e6
         log_integral_block(block_powers(62_500), 62_500, 1.0125, 1.0)
-        assert sum(refined) == 0
+        assert set(rows) == {numerics._PANELS, 2 * numerics._PANELS}
+
+    @pytest.mark.parametrize("command, config, size", [
+        ("boundary", "fading_m2", "--draws"), ("boundary", "fading_m4", "--draws"),
+        ("roc", "fading_m2", "--trials"), ("roc", "fading_m4", "--trials"),
+    ])
+    def test_cli_rows_stay_at_six_panels(self, monkeypatch, tmp_path, capsys, command, config,
+                                         size):
+        # every row the boundary and roc commands send resolves on the first
+        # step of the ladder: no rule above 2 * _PANELS panels runs
+        rows = count_rule_rows(monkeypatch)
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert cli.main([command, str(cfgp), size, "2000", "--seed", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert set(rows) == {numerics._PANELS, 2 * numerics._PANELS}
 
     @pytest.mark.parametrize("z, v0", [
         (np.nan, 1.0), (np.inf, 1.0), ([1.0, np.nan], 1.0), (50.0, np.nan),
@@ -392,22 +437,22 @@ class TestPowerIntegral:
             log_mixture_density_uniform(z, 10, v0, 0.0, 1.0, 1.0)
 
     def test_unresolved_row_raises(self, monkeypatch):
-        # one coarse panel cannot resolve the peak; neither two nor four
-        # settle it, and the row fails loudly instead of returning NaN
+        # one coarse panel cannot resolve the peak; neither two, four nor
+        # eight settle it, and the row fails loudly instead of returning NaN
         monkeypatch.setattr(numerics, "_PANELS", 1)
         with pytest.raises(QuadratureError):
-            log_integral_block(np.array([0.0, 50.0]), 10.0, 1.0, 1.0)
+            log_integral_block(np.array([0.0, 500.0]), 100.0, 1.0, 1.0)
         with pytest.raises(QuadratureError):
-            log_mixture_density_uniform(6e3, 1e4, 1.0, 0.0, 1.0, 1.0)
+            log_mixture_density_uniform(1.2e4, 1e4, 1.0, 0.0, 1.0, 1.0)
 
     def test_top_level_failure_names_the_row(self, monkeypatch):
-        # on one coarse panel the rows at z = 0 resolve and z = 50 does not
-        # at four; the error names that row, the fourth of the second batch
+        # on one coarse panel the rows at z = 0 resolve and z = 500 does not
+        # at eight; the error names that row, the fourth of the second batch
         monkeypatch.setattr(numerics, "_PANELS", 1)
         z, v0 = np.zeros(numerics._BATCH + 5), np.ones(numerics._BATCH + 5)
-        z[numerics._BATCH + 3], v0[numerics._BATCH + 3] = 50.0, 1.5
-        with pytest.raises(QuadratureError, match=r"\(z=50, k=10, a=1\.5, w=inf, r=1\)$"):
-            log_integral_block(z, 10.0, v0, 1.0)
+        z[numerics._BATCH + 3], v0[numerics._BATCH + 3] = 500.0, 1.5
+        with pytest.raises(QuadratureError, match=r"\(z=500, k=100, a=1\.5, w=inf, r=1\)$"):
+            log_integral_block(z, 100.0, v0, 1.0)
 
 
 class TestBisect:

@@ -358,6 +358,22 @@ class TestBoundaryMass:
         assert region.failures == 8 * cfg.M
         assert region.spot_mismatches == 0
 
+    def test_nan_spot_checks_counted(self, monkeypatch):
+        # a statistic NaN only on the upper spot-check points: lo - hi is NaN,
+        # which counts as broken on every axis of every spot-checked draw
+        cfg = mblock_cfg(n=200, M=2)
+        real = theory._statistic
+
+        def nan_above(cfg, X):
+            out = real(cfg, X)
+            return np.where(X.max(axis=1) > 50.0, np.nan, out)
+
+        monkeypatch.setattr(theory, "_statistic", nan_above)
+        X = np.array([[1.0, 1.3], [1.2, 100.0]])
+        hit, broken = theory._axis_crossings(cfg, X, 0.05, cfg.log_gamma)
+        assert broken.tolist() == [[False, False], [True, True]]
+        assert not hit[1].any()
+
     def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
         # the kernel fails only when the spot checks call it: the corner test
         # evaluates both corners, then the spot checks' error propagates
