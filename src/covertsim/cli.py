@@ -177,7 +177,7 @@ def cmd_check(args, scenario, digest):
 
 
 # boundary.csv's rows become Python numbers this many draws at a time
-_CSV_SLICE = 4096
+_CSV_SLICE = 512
 
 
 def _boundary_rows(region):

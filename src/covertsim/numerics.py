@@ -86,17 +86,19 @@ def log_gamma_density(z, k, s):
 # maximum on the limits (the peak, clipped to them), so it is at most 0 up to
 # rounding and a rule sums its exp times the weights with no other shift.
 # Rows go through in batches of _BATCH, set-up (peak, limits, width, window
-# edges) and ladder on the same rows: enough to spread numpy's per-call cost,
-# few enough that a call's one node workspace, three buffers at the 6-panel
-# level for one batch (3 x 384 rows x 90 nodes x 8 bytes, about 0.83 MB),
-# stays in a 2 MB L2 cache; every rule writes into it in place, so no batch
-# faults in fresh pages.  The 12-panel level fits in it unless more than half
-# a batch climbs, the 24-panel level unless more than a quarter does, and
-# those rows get one of their own.  The 15-point rule is written out as
-# literals, each the shortest repr of np.polynomial.legendre.leggauss(15) and
-# so the same bits (a test holds them to it): computing it at import would
-# load numpy.polynomial and run an eigensolve in every process, about 1.35 MB
-# of resident memory and 3 ms, for fifteen fixed numbers.
+# edges) and ladder on the same rows, enough to spread numpy's per-call cost.
+# Every rule streams its panels in place through a call's one node workspace,
+# three buffers of _BATCH x 15 doubles (138 KB, far inside a 2 MB L2 cache),
+# _BATCH // rows panels of all rows a pass (one for a full batch, all for a
+# lone row), so every level and climbing subset fits and no batch faults in
+# fresh pages.  A panel sums its nodes in a fixed tree and the panels add in
+# order, not by numpy's pairwise sum, whose order follows the array's shape,
+# so a row's bytes do not depend on its batch or on _BATCH.  The 15-point rule
+# is written out as literals, each the shortest repr of
+# np.polynomial.legendre.leggauss(15) and so the same bits (a test holds them
+# to it): computing it at import would load numpy.polynomial and run an
+# eigensolve in every process, about 1.35 MB of resident memory and 3 ms, for
+# fifteen fixed numbers.
 _GL_X = np.array([
     -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
     -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
@@ -155,23 +157,30 @@ def _window_edges(k, p, q, width, lo_limit, hi_limit):
 
 def _panel_rule(panels, lo, hi, k, p, q, work):
     """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
-    per row, each row summed on its own, in C-contiguous views of the three
-    buffers of work: the nodes, the exponent (then its weighted exp), scratch.
-    Rows that do not fit in work get a workspace of their own."""
-    rows, nodes = len(lo), panels * _GL_X.size
-    if rows * nodes > work[0].size:
-        work = tuple(np.empty(rows * nodes) for _ in range(3))
-    s, vals, scratch = (buf[: rows * nodes].reshape(rows, nodes) for buf in work)
+    per row, streamed through the buffers of work (nodes, the exponent then its
+    weighted exp, scratch) as (15, m, rows) blocks of m = _BATCH // rows panels
+    (at least one); the sums follow a fixed tree and order, as set out above."""
+    rows, size = len(lo), _GL_X.size
     h = (hi - lo) / panels
-    centres = lo[:, None] + h[:, None] * (np.arange(panels) + 0.5)
-    by_panel = s.reshape(rows, panels, _GL_X.size)
-    np.multiply(0.5 * h[:, None, None], _GL_X, out=by_panel)
-    by_panel += centres[:, :, None]
-    _exponent_drop(s, k, p[:, None], q[:, None], vals, scratch)
-    np.exp(vals, out=vals)
-    weighted = vals.reshape(rows, panels, _GL_X.size)
-    weighted *= _GL_W
-    return np.log(0.5 * h) + np.log(vals.sum(axis=1))
+    step = min(panels, max(1, _BATCH // rows))
+    offsets = _GL_X[:, None, None] * (0.5 * h)
+    centres = lo + h * (np.arange(panels) + 0.5)[:, None]
+    for first in range(0, panels, step):
+        m = min(step, panels - first)
+        s, vals, scratch = (buf[: size * m * rows].reshape(size, m, rows) for buf in work)
+        np.add(offsets, centres[first:first + m], out=s)
+        _exponent_drop(s, k, p, q, vals, scratch)
+        np.exp(vals, out=vals)
+        vals *= _GL_W[:, None, None]
+        # nodes 8-14 onto 0-6, 4-7 onto 0-3, 2-3 onto 0-1, then 1 onto 0
+        vals[:7] += vals[8:]
+        vals[:4] += vals[4:8]
+        vals[:2] += vals[2:4]
+        sums = np.add(vals[0], vals[1], out=vals[0])
+        if first:
+            sums[0] += total
+        total = np.add.accumulate(sums)[-1]
+    return np.log(0.5 * h) + np.log(total)
 
 
 def _log_power_integral_rows(z, k, a, w, r, work):
@@ -218,9 +227,9 @@ def _log_power_integral(z, k, a, w, r):
     -inf.  With v = e^t
     the exponent is strictly concave; panels sit around its analytic peak.
     Rows go through in batches of _BATCH, each row still computed alone, so
-    a z gives the same bytes in any batch; one node workspace, sized for the
-    6-panel level of one batch (or of all rows, if fewer), serves every batch,
-    so working memory does not grow with the batch beyond the output.  It
+    a z gives the same bytes in any batch; one node workspace of three
+    _BATCH x 15 buffers serves every batch and ladder level, so working
+    memory does not grow with the batch beyond the output.  It
     silences floating-point warnings once: infinite limits, z = 0 and
     overflowing tails are handled by value, and a NaN row raises.
     """
@@ -228,8 +237,7 @@ def _log_power_integral(z, k, a, w, r):
     out = np.empty(z.shape)
     # reshape keeps a broadcast scalar a view where ravel would copy it
     flat_z, flat_a, flat_w, flat_out = (x.reshape(-1) for x in (z, a, w, out))
-    size = min(_BATCH, flat_z.size) * 2 * _PANELS * _GL_X.size
-    work = tuple(np.empty(size) for _ in range(3))
+    work = tuple(np.empty(_BATCH * _GL_X.size) for _ in range(3))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, flat_z.size, _BATCH):
             part = slice(start, start + _BATCH)

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,27 @@ class TestBoundary:
         want = "".join(",".join(map(str, row)) + "\n"
                        for row in [("draw", "x1", "x2", "in_region"), *rows])
         assert (out / "boundary.csv").read_text() == want
+
+    def test_csv_rows_hold_one_slice_at_a_time(self, monkeypatch):
+        # 20,000 draws on fading_m2: a 512-draw slice as Python lists traces
+        # about 0.14 MB and peak memory grows with the slice, so the bound
+        # holds one slice but not a 4096-draw one (1.08 MB)
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / "fading_m2.json"
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
+        region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, 20_000, 1)
+
+        def peak_while_consumed():
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in cli._boundary_rows(region)) == 20_000
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_while_consumed() <= 0.4e6
+        monkeypatch.setattr(cli, "_CSV_SLICE", 4096)
+        assert peak_while_consumed() > 0.4e6
 
     def test_worker_flag_does_not_change_output(self, tmp_path):
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))

@@ -319,48 +319,65 @@ class TestPowerIntegral:
         alone = [log_mixture_density_uniform(z, 100, 1.0, 0.025, 1.025, 1.0) for z in zs]
         assert mix.tobytes() == np.array(alone).tobytes()
 
-    def test_workspace_reuse_across_batches_and_climb(self, monkeypatch):
-        # on two coarse panels a share of rows climbs to eight times as many,
-        # few enough at every level to fit the shared workspace; two full
-        # batches and a short one reuse it, and every row still reads the
-        # same bytes as in a call of its own
-        monkeypatch.setattr(numerics, "_PANELS", 2)
-        rows = count_rule_rows(monkeypatch)
-        rng = np.random.default_rng(11)
-        size = 2 * numerics._BATCH + 37
-        zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
-        v0 = rng.uniform(1.0, 2.0, size)
-        batch = log_integral_block(zs, 100, v0, 1.0)
-        # the top level is one call per batch, so the climbing rows lie in several batches
-        refined = rows[8 * numerics._PANELS]
-        assert len(refined) >= 2
-        assert 0 < sum(refined) < size
-        assert max(rows[4 * numerics._PANELS]) <= numerics._BATCH // 2
-        assert max(refined) <= numerics._BATCH // 4
-        alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
-        assert batch.tobytes() == np.array(alone).tobytes()
-
-    def test_most_of_a_batch_climbs(self, monkeypatch):
-        # on two coarse panels more rows at k = 100 climb than the shared
-        # workspace holds at the two top levels (half a batch at four times
-        # _PANELS, a quarter at eight times); they get a workspace of their
-        # own, and every row still reads the same bytes as alone
+    def test_climbing_rows_share_the_workspace(self, monkeypatch):
+        # on two coarse panels more than half of a batch at k = 100 climbs to
+        # four times _PANELS and more than a quarter to eight times; every
+        # level streams through the one 138 KB workspace, so the call traces
+        # about 0.34 MB (with the 421 rows' set-up and window arrays and the
+        # rule's node offsets and panel centres, up to 46 KB each), where a
+        # workspace of their own for the rows at 8 panels would add 0.8 MB;
+        # every row still reads the same bytes as alone
         monkeypatch.setattr(numerics, "_PANELS", 2)
         rows = count_rule_rows(monkeypatch)
         rng = np.random.default_rng(11)
         size = numerics._BATCH + 37
         zs = (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size)
         v0 = rng.uniform(1.0, 1.02, size)
-        batch = log_integral_block(zs, 100, v0, 1.0)
+        tracemalloc.start()
+        try:
+            batch = log_integral_block(zs, 100, v0, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert rows[4 * numerics._PANELS][0] > numerics._BATCH // 2
         assert rows[8 * numerics._PANELS][0] > numerics._BATCH // 4
+        assert peak <= 0.45e6
         alone = [log_integral_block(z, 100, a, 1.0) for z, a in zip(zs, v0)]
         assert batch.tobytes() == np.array(alone).tobytes()
 
+    @pytest.mark.parametrize("batch", [1, 7, numerics._BATCH])
+    def test_rows_keep_their_bytes_under_any_batch_size(self, monkeypatch, batch):
+        # on two coarse panels rows climb through every level; batches of one
+        # row, of seven and of the default (two full batches and a short one)
+        # stream a different number of panels per pass through the shared
+        # workspace, and every row still reads the bytes of a call of its own
+        # at the default batch size
+        monkeypatch.setattr(numerics, "_PANELS", 2)
+        rng = np.random.default_rng(batch)
+        size = 2 * batch + 37
+        spread = 10.0 ** rng.uniform(-1.3, 1.3, size)
+        cases = [
+            (lambda z, a: log_integral_block(z, 10, a, 10.0),
+             10.0 * spread, rng.uniform(0.01, 2.0, size)),
+            (lambda z, a: log_integral_block(z, 100, a, 1.0),
+             (1.0 + rng.exponential(1.0, size)) * rng.gamma(100, 1.0, size),
+             rng.uniform(1.0, 1.02, size)),
+            (lambda z, a: log_mixture_density_uniform(z, 100, 1.0, 0.0, 100.0, 100.0),
+             100.0 * spread, np.zeros(size)),
+        ]
+        alone = [np.array([fn(*row) for row in zip(z, a)]) for fn, z, a in cases]
+        monkeypatch.setattr(numerics, "_BATCH", batch)
+        rows = count_rule_rows(monkeypatch)
+        for (fn, z, a), want in zip(cases, alone):
+            assert fn(z, a).tobytes() == want.tobytes()
+            # the top level is one call per batch: climbing rows lie in several
+            assert len(rows[8 * numerics._PANELS]) >= 2
+            rows.clear()
+
     @pytest.mark.parametrize("panels", [2, 3, 4, 6, 8])
     def test_workspace_sized_per_call(self, monkeypatch, panels):
-        # the workspace follows the panel count and the row count of each
-        # call, so calls of different sizes in a row all fit
+        # every panel count and row count streams through the one workspace,
+        # so calls of different sizes in a row all fit
         monkeypatch.setattr(numerics, "_PANELS", panels)
         rng = np.random.default_rng(panels)
         sizes = (1, numerics._BATCH // 2, numerics._BATCH // 2 + 1, numerics._BATCH,
@@ -374,11 +391,12 @@ class TestPowerIntegral:
                 assert np.all(np.isfinite(out))
 
     def test_working_memory_bounded_by_block(self):
-        # 80,000 rows at k = 400: the output (0.64 MB), one batch's node
-        # workspace (0.83 MB) and its per-row arrays, 1.68 MB in all.  The
-        # 0.32 MB margin is less than a copy of the broadcast lower limit
-        # (0.64 MB) or a workspace sized for the 12-panel level (+0.83 MB);
-        # one sized for all rows alone would be 173 MB
+        # 80,000 rows at k = 400: the output (0.64 MB), the node workspace
+        # (0.14 MB) and one batch's per-row arrays, node offsets and panel
+        # centres, 0.98 MB in all.  The 0.27 MB margin is less than a copy of
+        # the broadcast lower limit (0.64 MB) or a workspace sized for a
+        # batch's whole 6-panel rule (0.83 MB, +0.69 MB); one sized for all
+        # rows alone would be 173 MB
         rng = np.random.default_rng(3)
         z = (1.0 + rng.exponential(1.0, 80_000)) * rng.gamma(400, 1.0, 80_000)
         tracemalloc.start()
@@ -387,7 +405,7 @@ class TestPowerIntegral:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0e6
+        assert peak <= 1.25e6
 
     def test_realistic_batches_need_no_refinement(self, monkeypatch):
         # the 3- and 6-panel estimates agree to _COARSE_TOL on every row the
