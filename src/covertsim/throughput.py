@@ -14,37 +14,49 @@ import numpy as np
 from .model import FADING, path_gain
 
 _SINR_RNG_SALT = 0x51A7
-# |h_jb|^2 is drawn this many at a time into a scratch of 128 KB
+# draws are made, and yielded, this many at a time: 128 KB per buffer
 _SLICE = 16_384
 
 
-def _sinr_per_power(scenario, samples, seed):
+def _sinr_slices(scenario, samples, seed):
     """SINR draws per unit transmit power, g_ab |h_ab|^2 / (g_jb P_j |h_jb|^2
-    + sigma_b2), in one float64 array of length samples.
+    + sigma_b2), _SLICE at a time in one reused float64 buffer; a consumer
+    that keeps a slice must copy it.
 
     |h|^2 is a standard-exponential draw on a faded link and 1 on an AWGN
-    one.  |h_jb|^2 follows |h_ab|^2 in the stream, _SLICE draws at a time in
-    a scratch; sliced draws have the bytes of one long draw.  The jammer
-    counts at its strategy power (the per-slot maximum for the uniform
-    strategy, which lower-bounds the SINR).
+    one.  The stream is that of one Philox generator on [seed,
+    _SINR_RNG_SALT] drawing every |h_ab|^2 and then every |h_jb|^2; two
+    cursors on that key read it slice by slice.  One reads |h_ab|^2 from the
+    start; the other, when both links fade, first passes over the samples
+    |h_ab|^2 draws and then reads |h_jb|^2 alongside.  Sliced draws have the
+    bytes of one long draw.  The jammer counts at its strategy power (the
+    per-slot maximum for the uniform strategy, which lower-bounds the SINR).
     """
-    rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _SINR_RNG_SALT]))
+    key = [int(seed) % 2**64, _SINR_RNG_SALT]
+    ab_rng, jb_rng = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
     g, ch = scenario.geometry, scenario.channels
-    sinr = rng.standard_exponential(samples) if ch.ab == FADING else np.ones(samples)
-    sinr *= path_gain(g.d_ab, g.alpha)
-    scratch = np.empty(min(_SLICE, samples))
+    gain_ab, gain_jb = path_gain(g.d_ab, g.alpha), path_gain(g.d_jb, g.alpha)
+    sinr = np.empty(min(_SLICE, samples))
+    jam = np.empty_like(sinr)
+    if ch.ab == FADING and ch.jb == FADING:
+        for start in range(0, samples, _SLICE):
+            jb_rng.standard_exponential(out=jam[:samples - start])
     for start in range(0, samples, _SLICE):
-        part = sinr[start:start + _SLICE]
-        jam = scratch[:part.size]
-        if ch.jb == FADING:
-            rng.standard_exponential(out=jam)
+        part, scratch = sinr[:samples - start], jam[:samples - start]
+        if ch.ab == FADING:
+            ab_rng.standard_exponential(out=part)
         else:
-            jam.fill(1.0)
-        jam *= scenario.jammer.power
-        jam *= path_gain(g.d_jb, g.alpha)
-        jam += scenario.noise.sigma_b2
-        part /= jam
-    return sinr
+            part.fill(1.0)
+        part *= gain_ab
+        if ch.jb == FADING:
+            jb_rng.standard_exponential(out=scratch)
+        else:
+            scratch.fill(1.0)
+        scratch *= scenario.jammer.power
+        scratch *= gain_jb
+        scratch += scenario.noise.sigma_b2
+        part /= scratch
+        yield part
 
 
 def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
@@ -57,20 +69,33 @@ def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
     Rounds down rather than interpolating, so the reported rate is
     conservative.  The product is rounded to 9 decimals before the ceiling,
     so binary rounding (0.07 * 10000 = 700.0000000000001) cannot push the
-    index up by one; an index below 1 reads the smallest draw.  One partition
+    index up by one; an index below 1 reads the smallest draw.  One selection
     of the draws serves every P_f, since x -> log2(1 + P_f x) is
     nondecreasing in floating point: each rate is the one a partition of
-    P_f times the draws gives, bit for bit, at 8 bytes per draw for any number
-    of powers.
+    P_f times the draws gives, bit for bit.
+
+    Only the idx smallest draws are kept: a buffer of min(samples, idx +
+    max(idx, _SLICE)) floats takes each slice, and when the next does not
+    fit, a partition at idx - 1 keeps the first idx, which hold the idx
+    smallest of all draws so far.  That is 8 * (idx + max(idx, _SLICE))
+    bytes plus two 128 KB slices for any number of powers, and O(samples)
+    work.
     """
     if not 0.0 < outage_prob < 1.0:
         raise ValueError("outage_prob must lie in (0, 1)")
     if samples < 1000:
         raise ValueError("need at least 1000 fading draws")
-    sinr = _sinr_per_power(scenario, samples, seed)
     idx = max(1, math.ceil(round(outage_prob * samples, 9)))
-    sinr.partition(idx - 1)
-    return [float(np.log2(1.0 + pf * sinr[idx - 1])) for pf in pf_values]
+    held = np.empty(min(samples, idx + max(idx, _SLICE)))
+    filled = 0
+    for part in _sinr_slices(scenario, samples, seed):
+        if filled + part.size > held.size:
+            held[:filled].partition(idx - 1)
+            filled = idx
+        held[filled:filled + part.size] = part
+        filled += part.size
+    held[:filled].partition(idx - 1)
+    return [float(np.log2(1.0 + pf * held[idx - 1])) for pf in pf_values]
 
 
 def outage_capacity(scenario, outage_prob, samples, seed):

@@ -606,6 +606,18 @@ class TestCapacity:
             bodies.append((out / "capacity.csv").read_bytes())
         assert bodies[0] == bodies[1]
 
+    def test_rates_pinned(self, tmp_path):
+        # the rates of the benchmark's draw count at --seed 1, so a shifted
+        # receiver stream or a different order statistic shows
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        out = tmp_path / "cap"
+        code = run_cli(["capacity", str(configs / "bob_fading.json"), "--samples", "100000",
+                        "--pf-list", "0.0,0.0125,0.1", "--seed", "1", "--out", str(out)])
+        assert code == 0
+        with open(out / "capacity.csv", newline="") as fh:
+            rates = [float(row["R"]).hex() for row in csv.DictReader(fh)]
+        assert rates == ["0x0.0p+0", "0x1.db51a9e25ae89p-12", "0x1.dacc0f099eee3p-9"]
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

@@ -16,13 +16,16 @@ def bob_fading():
 
 
 def sinr_draws(scenario, samples, seed):
-    """SINR draws at the scenario's transmit power."""
-    return throughput._sinr_per_power(scenario, samples, seed) * scenario.P_f
+    """SINR draws at the scenario's transmit power, from copies of the
+    slices _sinr_slices yields in its one reused buffer."""
+    slices = [part.copy() for part in throughput._sinr_slices(scenario, samples, seed)]
+    return np.concatenate(slices) * scenario.P_f
 
 
 def reference_sinr(scenario, samples, seed):
-    """The out-of-place expression that _sinr_per_power evaluates in place,
-    on one long standard-exponential draw per faded link, at P_f."""
+    """The out-of-place expression that _sinr_slices evaluates in place, on
+    one generator drawing every |h_ab|^2 before every |h_jb|^2, each in one
+    long standard-exponential draw per faded link, at P_f."""
     rng = np.random.Generator(
         np.random.Philox(key=[int(seed) % 2**64, throughput._SINR_RNG_SALT]))
     g = scenario.geometry
@@ -59,8 +62,7 @@ class TestSinr:
     ])
     def test_in_place_pipeline_keeps_bytes(self, scenario, seed):
         sc = scenario()
-        # part of one slice of jammer-link draws, two full slices and a short
-        # one, and many slices
+        # part of one slice, two full slices and a short one, and many slices
         for samples in (throughput._SLICE // 3, 2 * throughput._SLICE + 3, 100_001):
             got = sinr_draws(sc, samples, seed)
             want = reference_sinr(sc, samples, seed)
@@ -102,6 +104,24 @@ class TestOutageCapacity:
         sc = awgn_scenario(P_f=0.025)
         r = throughput.outage_capacity(sc, 0.05, 1000, seed=1)
         assert r == math.log2(1.0 + 0.0125)
+
+    @pytest.mark.parametrize("seed", [1, 7, 2**63 + 5])
+    @pytest.mark.parametrize("ab, jb", [
+        ("fading", "fading"), ("fading", "awgn"), ("awgn", "fading"), ("awgn", "awgn")])
+    def test_selection_matches_full_sort(self, ab, jb, seed):
+        # the held buffer never flushes, flushes once, or flushes often: each
+        # rate is the full sort's order statistic of the reference stream,
+        # bit for bit, at every power
+        sc = fading_scenario(P_f=1.0, ab=ab, jb=jb)
+        pf_values = [0.0, 0.0125, 0.1, 3.0]
+        slice_ = throughput._SLICE
+        for samples in (1000, slice_ - 1, slice_ + 1, 2 * slice_ + 3, 100_001):
+            per_power = reference_sinr(sc, samples, seed)
+            rates = [np.sort(np.log2(1.0 + pf * per_power)) for pf in pf_values]
+            for q in (1e-16, 0.05, 0.5, 0.999999):
+                idx = max(1, math.ceil(round(q * samples, 9)))
+                got = throughput.outage_capacities(sc, q, samples, seed, pf_values)
+                assert got == [r[idx - 1] for r in rates], (samples, q)
 
     def test_silent_transmitter_rate_zero(self):
         sc = fading_scenario(P_f=0.0, ab="fading", jb="fading")
@@ -171,17 +191,20 @@ class TestOutageCapacity:
         assert r_small == r_large
 
     def test_peak_memory_per_draw(self):
-        # one float64 array of the draws' length and one slice of jammer-link
-        # draws, for one power and for several; a fixed 64 KB covers the
-        # generator and the scalars.  A warm-up call first pays the generator
-        # state numpy allocates lazily on the first draw in a process.
-        samples = 200_000
+        # the idx + max(idx, _SLICE) smallest-draw buffer and two slices, for
+        # one power and for several, however many draws stream past; a fixed
+        # 64 KB covers the generators and the scalars.  A warm-up call first
+        # pays the generator state numpy allocates lazily on the first draw
+        # in a process.
         sc = bob_fading()
         throughput.outage_capacity(sc, 0.05, 1000, 1)
-        bound = 8 * samples + 8 * throughput._SLICE + 64 * 1024
-        assert traced_peak(throughput.outage_capacity, sc, 0.05, samples, 1) <= bound
-        peak = traced_peak(throughput.outage_capacities, sc, 0.05, samples, 1, [0.01, 0.02, 0.05])
-        assert peak <= bound
+        for samples in (200_000, 2_000_000):
+            idx = math.ceil(round(0.05 * samples, 9))
+            bound = 8 * (idx + max(idx, throughput._SLICE)) + 16 * throughput._SLICE + 64 * 1024
+            assert traced_peak(throughput.outage_capacity, sc, 0.05, samples, 1) <= bound
+            peak = traced_peak(throughput.outage_capacities, sc, 0.05, samples, 1,
+                               [0.01, 0.02, 0.05])
+            assert peak <= bound
 
     @pytest.mark.parametrize("seed", [1, 11])
     def test_several_powers_share_one_draw_set(self, seed):
