@@ -60,7 +60,19 @@ class SampleSet:
     stats_h0: np.ndarray
     stats_h1: np.ndarray
     kind: str  # "power" (z/n) or "loglr"
-    lrt_gamma_threshold: float
+    cfg: detectors.LrtConfig
+
+    @property
+    def lrt_gamma_threshold(self):
+        """The statistic's value where the LRT crosses log gamma, computed on
+        each read: for "power", lrt_power_threshold over a bracket about the
+        samples, over n (+-inf stays +-inf)."""
+        cfg = self.cfg
+        if self.kind == "loglr":
+            return cfg.log_gamma
+        z_all = np.concatenate([self.stats_h0, self.stats_h1]) * cfg.n
+        lo = max(float(z_all.min()) * 0.5, 1e-9 * cfg.n * cfg.sigma_w2)
+        return lrt_power_threshold(cfg, lo, float(z_all.max()) * 2.0) / cfg.n
 
 
 def _check_match(scenario, cfg):
@@ -93,13 +105,9 @@ def collect_statistics(scenario, cfg, trials, seed):
     b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET)
     if cfg.M > 1 or cfg.genie:
         s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
-        return SampleSet(s0, s1, kind="loglr", lrt_gamma_threshold=cfg.log_gamma)
+        return SampleSet(s0, s1, kind="loglr", cfg=cfg)
     z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)  # total power over every block
-    z_all = np.concatenate([z0, z1])
-    lo = max(float(z_all.min()) * 0.5, 1e-9 * cfg.n * cfg.sigma_w2)
-    hi = float(z_all.max()) * 2.0
-    thr = lrt_power_threshold(cfg, lo, hi) / cfg.n  # +-inf stays +-inf
-    return SampleSet(z0 / cfg.n, z1 / cfg.n, kind="power", lrt_gamma_threshold=thr)
+    return SampleSet(z0 / cfg.n, z1 / cfg.n, kind="power", cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 ``sample_block_powers`` draws the per-block received powers, all that the
 detectors read, from their exact law; ``synthesize_willie_slot`` builds the
 waveform behind that law and is kept as the reference the sampler is tested
-against.  Every (trial, purpose) pair owns a Philox substream of the seed.
+against.  Every random draw in the package, the receiver's fading and the
+boundary-mass draws included, comes from ``substream``: each (trial,
+purpose) pair owns a Philox substream of the seed.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ JAMMER = 1
 FADE_AW = 2
 FADE_JW = 4
 NOISE_W = 6
+FADE_AB = 7
+FADE_JB = 8
+BOUNDARY = 9
 
 _KEY_SALT = 0x9E3779B97F4A7C15
 _U64 = np.uint64
@@ -72,6 +77,16 @@ class TrialRng:
             self._fresh["state"]["counter"][3] = purpose
             self._gen.bit_generator.state = self._fresh
         return self._gen
+
+
+def power_gains(kind, rng, out):
+    """A link's |h|^2 written into out and returned: standard exponential
+    draws from rng on a faded link, 1 on an AWGN one.  Sliced draws into
+    consecutive parts of one buffer have the bytes of one long draw."""
+    if kind == FADING:
+        return rng.standard_exponential(out=out)
+    out.fill(1.0)
+    return out
 
 
 def _complex_normal(rng, variance, size):
@@ -173,20 +188,13 @@ def sample_block_powers(scenario, hypothesis, trials, seed, trial0):
     g = scenario.geometry
     shape = (trials, M)
 
-    def power_gains(link, purpose):
-        # |h|^2 per block: standard exponential on a faded link, 1 otherwise
-        if getattr(scenario.channels, link) == FADING:
-            return substream(seed, trial0, purpose).standard_exponential(shape)
-        return np.ones(shape)
-
     if scenario.jammer.kind == UNIFORM_PER_SLOT:
         p_t = substream(seed, trial0, JAMMER).uniform(0.0, scenario.jammer.power, trials)
     else:  # constant power; the scenario has validated the kind
         p_t = np.full(trials, float(scenario.jammer.power))
-    v = scenario.noise.sigma_w2 + power_gains("jw", FADE_JW) * (
-        p_t[:, None] * path_gain(g.d_jw, g.alpha)
-    )
-    haw2 = power_gains("aw", FADE_AW)
+    hjw2 = power_gains(scenario.channels.jw, substream(seed, trial0, FADE_JW), np.empty(shape))
+    v = scenario.noise.sigma_w2 + hjw2 * (p_t[:, None] * path_gain(g.d_jw, g.alpha))
+    haw2 = power_gains(scenario.channels.aw, substream(seed, trial0, FADE_AW), np.empty(shape))
     if hypothesis == H1:
         v = v + haw2 * (scenario.P_f * path_gain(g.d_aw, g.alpha))
     blocks = substream(seed, trial0, NOISE_W).standard_gamma(scenario.slots.n // M, shape) * v

@@ -12,11 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import detectors
+from . import detectors, synth
 from .model import ConfigError
 from .numerics import LogDensity, log_gamma_density, wilson_interval
 
-_MASS_RNG_SALT = 0xB0DDA17
 # a step of the log likelihood ratio (relative, for the LRTs) below -_TOL
 # fails an ordering or monotonicity check
 _TOL = 1e-9
@@ -219,8 +218,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
     if draws < 1:
         raise ValueError("draws must be >= 1")
     M = cfg.M
-    rng = np.random.Generator(np.random.Philox(key=[int(seed) % 2**64, _MASS_RNG_SALT]))
-    sigma_j2 = rng.exponential(cfg.zeta, size=(draws, M))
+    sigma_j2 = synth.substream(seed, 0, synth.BOUNDARY).exponential(cfg.zeta, (draws, M))
     x = cfg.sigma_w2 + sigma_j2
 
     # the statistic at the lower corner of each draw's delta-cube, and at the

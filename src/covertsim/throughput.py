@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .model import FADING, path_gain
+from . import synth
+from .model import path_gain
 
-_SINR_RNG_SALT = 0x51A7
 # draws are made, and yielded, this many at a time: 128 KB per buffer
 _SLICE = 16_384
 
@@ -23,35 +23,21 @@ def _sinr_slices(scenario, samples, seed):
     + sigma_b2), _SLICE at a time in one reused float64 buffer; a consumer
     that keeps a slice must copy it.
 
-    |h|^2 is a standard-exponential draw on a faded link and 1 on an AWGN
-    one.  The stream is that of one Philox generator on [seed,
-    _SINR_RNG_SALT] drawing every |h_ab|^2 and then every |h_jb|^2; two
-    cursors on that key read it slice by slice.  One reads |h_ab|^2 from the
-    start; the other, when both links fade, first passes over the samples
-    |h_ab|^2 draws and then reads |h_jb|^2 alongside.  Sliced draws have the
-    bytes of one long draw.  The jammer counts at its strategy power (the
-    per-slot maximum for the uniform strategy, which lower-bounds the SINR).
+    |h_ab|^2 and |h_jb|^2 are synth.power_gains of substream(seed, 0,
+    FADE_AB) and substream(seed, 0, FADE_JB), each read from its start, slice
+    by slice, so the draws have the bytes of one long draw per link.  The
+    jammer counts at its strategy power (the per-slot maximum for the uniform
+    strategy, which lower-bounds the SINR).
     """
-    key = [int(seed) % 2**64, _SINR_RNG_SALT]
-    ab_rng, jb_rng = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+    ab_rng, jb_rng = (synth.substream(seed, 0, p) for p in (synth.FADE_AB, synth.FADE_JB))
     g, ch = scenario.geometry, scenario.channels
     gain_ab, gain_jb = path_gain(g.d_ab, g.alpha), path_gain(g.d_jb, g.alpha)
     sinr = np.empty(min(_SLICE, samples))
     jam = np.empty_like(sinr)
-    if ch.ab == FADING and ch.jb == FADING:
-        for start in range(0, samples, _SLICE):
-            jb_rng.standard_exponential(out=jam[:samples - start])
     for start in range(0, samples, _SLICE):
-        part, scratch = sinr[:samples - start], jam[:samples - start]
-        if ch.ab == FADING:
-            ab_rng.standard_exponential(out=part)
-        else:
-            part.fill(1.0)
+        part = synth.power_gains(ch.ab, ab_rng, sinr[:samples - start])
         part *= gain_ab
-        if ch.jb == FADING:
-            jb_rng.standard_exponential(out=scratch)
-        else:
-            scratch.fill(1.0)
+        scratch = synth.power_gains(ch.jb, jb_rng, jam[:samples - start])
         scratch *= scenario.jammer.power
         scratch *= gain_jb
         scratch += scenario.noise.sigma_b2

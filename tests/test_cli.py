@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertsim import cli, detectors, harness, model, theory
-from covertsim.numerics import LogDensity
+from covertsim.numerics import LogDensity, NumericalError
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -238,6 +239,20 @@ class TestCovertness:
         assert json.loads((out_default / "manifest.json").read_text())["seed"] == 0
 
 
+    @pytest.mark.parametrize("config", ["awgn", "fading_m1"])
+    @pytest.mark.parametrize("command", [["covertness", "--n-list", "400,1000"], ["roc"]],
+                             ids=["covertness", "roc"])
+    def test_one_block_commands_bisect_nothing(self, tmp_path, monkeypatch, config, command):
+        # the one-block power threshold is computed only when it is read,
+        # and neither command reads it
+        calls = []
+        monkeypatch.setattr(harness, "bisect_monotone", lambda *args, **kw: calls.append(args))
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert run_cli([command[0], str(cfgp), *command[1:], "--trials", "200",
+                        "--out", str(tmp_path)]) == 0
+        assert calls == []
+
+
 class TestRoc:
     def test_collects_statistics_once(self, tmp_path, monkeypatch):
         # the sweep reuses the sample set the grid was built from
@@ -279,8 +294,7 @@ class TestRoc:
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         bodies = []
         for h0, h1 in ((s0, s1), (np.where(s0 == a, b, s0), np.where(s1 == a, b, s1))):
-            ss = harness.SampleSet(stats_h0=h0, stats_h1=h1, kind="power",
-                                   lrt_gamma_threshold=math.inf)
+            ss = harness.SampleSet(stats_h0=h0, stats_h1=h1, kind="power", cfg=None)
             monkeypatch.setattr(harness, "collect_statistics", lambda *args, ss=ss: ss)
             out = tmp_path / f"roc{len(bodies)}"
             assert run_cli(["roc", cfgp, "--trials", "200", "--grid-points", "21",
@@ -381,6 +395,19 @@ class TestCheck:
         entry = json.loads(text, parse_constant=refuse)["checks"]["lr_order_shifted_exponential"]
         assert entry["passed"] is False and entry["worst_violation"] is None
         assert entry["worst_at"] > 0
+
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 11: under a 1e-9 jammer each kernel row rounds at about 1e-7,"
+        " far above the statistic's steps, so lrt_monotone_axis0 falls by -1.481e-9"))
+    def test_weak_jammer_single_block(self, tmp_path):
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / "fading_m1.json").read_text())
+        data.update(n=1600, P_f=1.25e-11)  # P_f is the recipe's value
+        data["jammer"]["power"] = 1e-9
+        cfgp = tmp_path / "weak.json"
+        cfgp.write_text(json.dumps(data))
+        assert run_cli(["check", str(cfgp), "--out", str(tmp_path / "check")]) == 0
 
 
 class TestBoundary:
@@ -616,7 +643,7 @@ class TestCapacity:
         assert code == 0
         with open(out / "capacity.csv", newline="") as fh:
             rates = [float(row["R"]).hex() for row in csv.DictReader(fh)]
-        assert rates == ["0x0.0p+0", "0x1.db51a9e25ae89p-12", "0x1.dacc0f099eee3p-9"]
+        assert rates == ["0x0.0p+0", "0x1.e41fbdf29a3f0p-12", "0x1.e39525389df5dp-9"]
 
 
 class TestConsoleEntry:
@@ -683,13 +710,34 @@ class TestBenchmarkLauncher:
         assert isinstance(rep["setup_s"], float) and rep["setup_s"] > 0
 
     def test_traced_covertness(self, tmp_path):
+        # covertness never reads the one-block power threshold, so the trace
+        # holds no bisection
         rep = self.launch(tmp_path, ["--trace"], [
             "covertness", "configs/awgn.json", "--n-list", "100", "--trials", "20",
             "--seed", "1", "--out", str(tmp_path / "out"),
         ])
         assert isinstance(rep["setup_s"], float)
-        assert rep["trace"]["f_evals"] > 0
         assert "numerics:bisect_monotone" not in rep["trace"]["absent"]
+        assert rep["trace"]["f_evals"] == 0
+        assert rep["trace"]["groups"]["harness.collect"]["calls"] == 1
+        assert "numerics.bisect" not in rep["trace"]["groups"]
+
+    def test_tracer_counts_the_power_threshold_bisection(self, monkeypatch):
+        # no CLI command bisects any more; the tracer's swap of the f that
+        # harness passes positionally is checked on the call in process
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        tracer = module.Tracer()
+        monkeypatch.setattr(harness, "bisect_monotone", tracer._wrap(
+            "numerics:bisect_monotone", "numerics.bisect", harness.bisect_monotone,
+            NumericalError))
+        cfg = detectors.config_for_scenario(awgn_scenario(n=100, P_f=0.025))
+        z = harness.lrt_power_threshold(cfg, 1.0, 1000.0)
+        monkeypatch.undo()
+        assert z == harness.lrt_power_threshold(cfg, 1.0, 1000.0)
+        assert tracer.f_evals > 2
 
     def test_capacity_workload(self, tmp_path):
         # the certify workload's capacity invocation, as the benchmark passes it

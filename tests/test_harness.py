@@ -129,7 +129,7 @@ class TestSweep:
         rates = _rates_at(np.array([1.0, 2.0]), np.array([1.0, 3.0]), 1.0)
         assert rates.p_fa == 0.5 and rates.p_md == 0.5
         ss = SampleSet(stats_h0=np.array([2.0, 1.0]), stats_h1=np.array([3.0, 1.0]),
-                       kind="power", lrt_gamma_threshold=math.inf)
+                       kind="power", cfg=None)
         assert sweep_thresholds(ss, [1.0]) == [rates]
 
     @given(stat=st.floats(-100, 100), thresholds=st.lists(
@@ -137,7 +137,7 @@ class TestSweep:
     def test_single_flip_across_thresholds(self, stat, thresholds):
         # one trial decides H1 below its statistic and H0 from it upward
         ss = SampleSet(stats_h0=np.array([stat]), stats_h1=np.array([stat]),
-                       kind="power", lrt_gamma_threshold=math.inf)
+                       kind="power", cfg=None)
         decides_h1 = [r.p_fa == 1.0 for r in sweep_thresholds(ss, sorted(thresholds))]
         flips = sum(1 for a, b in zip(decides_h1, decides_h1[1:]) if a != b)
         assert flips <= 1

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covertsim import model, throughput
+from covertsim import model, synth, throughput
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -23,20 +23,18 @@ def sinr_draws(scenario, samples, seed):
 
 
 def reference_sinr(scenario, samples, seed):
-    """The out-of-place expression that _sinr_slices evaluates in place, on
-    one generator drawing every |h_ab|^2 before every |h_jb|^2, each in one
-    long standard-exponential draw per faded link, at P_f."""
-    rng = np.random.Generator(
-        np.random.Philox(key=[int(seed) % 2**64, throughput._SINR_RNG_SALT]))
+    """The out-of-place expression that _sinr_slices evaluates in place, each
+    faded link drawing its |h|^2 in one long standard-exponential draw from
+    its own substream, FADE_AB or FADE_JB, at P_f."""
     g = scenario.geometry
 
-    def link_gain(link):
+    def link_gain(link, purpose):
         if getattr(scenario.channels, link) == model.FADING:
-            return rng.standard_exponential(samples)
+            return synth.substream(seed, 0, purpose).standard_exponential(samples)
         return np.ones(samples)
 
-    gain_ab = link_gain("ab")
-    gain_jb = link_gain("jb")
+    gain_ab = link_gain("ab", synth.FADE_AB)
+    gain_jb = link_gain("jb", synth.FADE_JB)
     interference = gain_jb * scenario.jammer.power * model.path_gain(g.d_jb, g.alpha)
     per_power = gain_ab * model.path_gain(g.d_ab, g.alpha) / (interference + scenario.noise.sigma_b2)
     return scenario.P_f * per_power
@@ -70,6 +68,37 @@ class TestSinr:
             rates = np.sort(np.log2(1.0 + want))
             idx = math.ceil(round(0.05 * samples, 9)) - 1
             assert throughput.outage_capacity(sc, 0.05, samples, seed) == rates[idx]
+
+    @pytest.mark.parametrize("samples", [1000, 2 * throughput._SLICE + 3])
+    def test_each_link_draws_samples_once(self, monkeypatch, samples):
+        # both receiver links fade: each generator ends where one long draw
+        # of samples leaves a fresh substream of its purpose, so the slices
+        # cost 2 * samples exponential draws in all
+        made, substream = {}, synth.substream
+
+        def recording(seed, trial, purpose):
+            made[purpose] = substream(seed, trial, purpose)
+            return made[purpose]
+
+        monkeypatch.setattr(throughput.synth, "substream", recording)
+        for _ in throughput._sinr_slices(bob_fading(), samples, 3):
+            pass
+        monkeypatch.undo()
+        assert sorted(made) == [synth.FADE_AB, synth.FADE_JB]
+        for purpose, rng in made.items():
+            fresh = synth.substream(3, 0, purpose)
+            fresh.standard_exponential(samples)
+            # counter, key and buffer: the state holds small arrays
+            assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+
+    def test_ab_draws_do_not_depend_on_jb_fading(self):
+        # with the jammer silent the SINR is g_ab |h_ab|^2 P_f / sigma_b2
+        # whatever jb is, so equal bytes mean equal |h_ab|^2 draws
+        both, ab_only = (fading_scenario(P_f=0.0125, ab="fading", jb=jb, P_j=0.0)
+                         for jb in ("fading", "awgn"))
+        for samples in (1000, throughput._SLICE + 1):
+            got = sinr_draws(both, samples, 5)
+            assert got.tobytes() == sinr_draws(ab_only, samples, 5).tobytes()
 
     def test_silent_transmitter(self):
         sc = awgn_scenario(P_f=0.0)
