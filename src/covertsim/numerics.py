@@ -87,13 +87,13 @@ def log_gamma_density(z, k, s):
 # rounding and a rule sums its exp times the weights with no other shift.
 # Rows go through in batches of _BATCH, set-up (peak, limits, width, window
 # edges) and ladder on the same rows, enough to spread numpy's per-call cost.
-# Every rule streams its panels in place through a call's one node workspace,
-# three buffers of _BATCH x 15 doubles (138 KB, far inside a 2 MB L2 cache),
-# _BATCH // rows panels of all rows a pass (one for a full batch, all for a
-# lone row), so every level and climbing subset fits and no batch faults in
-# fresh pages.  A panel sums its nodes in a fixed tree and the panels add in
-# order, not by numpy's pairwise sum, whose order follows the array's shape,
-# so a row's bytes do not depend on its batch or on _BATCH.  The 15-point rule
+# Every rule streams its panels one at a time, in place, through a call's one
+# node workspace, three buffers of _BATCH x 15 doubles (138 KB, far inside a
+# 2 MB L2 cache) viewed as 15 x rows, so every level and climbing subset fits
+# and no batch faults in fresh pages.  A panel sums its nodes in a fixed tree
+# and adds to a running total, left to right, not by numpy's pairwise sum,
+# whose order follows the array's shape, so a row's bytes do not depend on its
+# batch or on _BATCH.  The 15-point rule
 # is written out as literals, each the shortest repr of
 # np.polynomial.legendre.leggauss(15) and so the same bits (a test holds them
 # to it): computing it at import would load numpy.polynomial and run an
@@ -157,29 +157,24 @@ def _window_edges(k, p, q, width, lo_limit, hi_limit):
 
 def _panel_rule(panels, lo, hi, k, p, q, work):
     """log of the composite Gauss-Legendre estimate of int_lo^hi exp(drop)
-    per row, streamed through the buffers of work (nodes, the exponent then its
-    weighted exp, scratch) as (15, m, rows) blocks of m = _BATCH // rows panels
-    (at least one); the sums follow a fixed tree and order, as set out above."""
+    per row, one panel at a time through the buffers of work (nodes, the
+    exponent then its weighted exp, scratch) viewed as (15, rows); the sums
+    follow a fixed tree and order, as set out above."""
     rows, size = len(lo), _GL_X.size
     h = (hi - lo) / panels
-    step = min(panels, max(1, _BATCH // rows))
-    offsets = _GL_X[:, None, None] * (0.5 * h)
-    centres = lo + h * (np.arange(panels) + 0.5)[:, None]
-    for first in range(0, panels, step):
-        m = min(step, panels - first)
-        s, vals, scratch = (buf[: size * m * rows].reshape(size, m, rows) for buf in work)
-        np.add(offsets, centres[first:first + m], out=s)
+    s, vals, scratch = (buf[: size * rows].reshape(size, rows) for buf in work)
+    offsets = _GL_X[:, None] * (0.5 * h)
+    total = np.zeros(rows)
+    for panel in range(panels):
+        np.add(offsets, lo + h * (panel + 0.5), out=s)
         _exponent_drop(s, k, p, q, vals, scratch)
         np.exp(vals, out=vals)
-        vals *= _GL_W[:, None, None]
+        vals *= _GL_W[:, None]
         # nodes 8-14 onto 0-6, 4-7 onto 0-3, 2-3 onto 0-1, then 1 onto 0
         vals[:7] += vals[8:]
         vals[:4] += vals[4:8]
         vals[:2] += vals[2:4]
-        sums = np.add(vals[0], vals[1], out=vals[0])
-        if first:
-            sums[0] += total
-        total = np.add.accumulate(sums)[-1]
+        total += np.add(vals[0], vals[1], out=vals[0])
     return np.log(0.5 * h) + np.log(total)
 
 
@@ -228,8 +223,9 @@ def _log_power_integral(z, k, a, w, r):
     the exponent is strictly concave; panels sit around its analytic peak.
     Rows go through in batches of _BATCH, each row still computed alone, so
     a z gives the same bytes in any batch; one node workspace of three
-    _BATCH x 15 buffers serves every batch and ladder level, so working
-    memory does not grow with the batch beyond the output.  It
+    _BATCH x 15 buffers, which each rule fills one panel at a time, serves
+    every batch and ladder level, so working memory does not grow with the
+    batch beyond the output.  It
     silences floating-point warnings once: infinite limits, z = 0 and
     overflowing tails are handled by value, and a NaN row raises.
     """

@@ -196,6 +196,6 @@ def sample_block_powers(scenario, hypothesis, trials, seed, trial0):
     v = scenario.noise.sigma_w2 + hjw2 * (p_t[:, None] * path_gain(g.d_jw, g.alpha))
     haw2 = power_gains(scenario.channels.aw, substream(seed, trial0, FADE_AW), np.empty(shape))
     if hypothesis == H1:
-        v = v + haw2 * (scenario.P_f * path_gain(g.d_aw, g.alpha))
+        v = v + haw2 * scenario.sigma_a2
     blocks = substream(seed, trial0, NOISE_W).standard_gamma(scenario.slots.n // M, shape) * v
     return blocks, haw2 if scenario.channels.aw == FADING else None

@@ -217,9 +217,8 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    M = cfg.M
-    sigma_j2 = synth.substream(seed, 0, synth.BOUNDARY).exponential(cfg.zeta, (draws, M))
-    x = cfg.sigma_w2 + sigma_j2
+    x = synth.substream(seed, 0, synth.BOUNDARY).exponential(cfg.zeta, (draws, cfg.M))
+    x += cfg.sigma_w2
 
     # the statistic at the lower corner of each draw's delta-cube, and at the
     # upper corner only where the lower one lies below log_gamma: no other
@@ -243,7 +242,7 @@ def estimate_boundary_mass(cfg, delta, log_gamma, draws, seed, spot_checks=100):
 
     return BoundaryRegion(
         failures=failures, mass=mass, ci=ci,
-        analytic_bound=2.0 * M * delta / cfg.zeta,
+        analytic_bound=2.0 * cfg.M * delta / cfg.zeta,
         spot_checks=n_spot, spot_mismatches=mismatches,
         draw_x=x, draw_in_region=in_region,
     )

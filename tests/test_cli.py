@@ -689,10 +689,23 @@ class TestConsoleEntry:
         assert proc.returncode == 2
 
 
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded once from its file without running its
+    main; it is registered in sys.modules, where dataclasses look it up."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        sys.modules[key] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[key])
+    return sys.modules[key]
+
+
 class TestBenchmarkLauncher:
     """perfbench/launch.py times model.load_scenario as set-up, and its
     tracer swaps the positional f handed to numerics.bisect_monotone; both
-    must keep working on this source tree."""
+    must keep working on this source tree.  Each benchmark invocation runs
+    as perfbench/run.py passes it and must pass run.py's own output check."""
 
     def launch(self, tmp_path, flags, args):
         root = Path(__file__).resolve().parents[1]
@@ -704,6 +717,17 @@ class TestBenchmarkLauncher:
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(report.read_text())
+
+    def run_invocation(self, tmp_path, workload, command, config):
+        """A benchmark workload's invocation of command on config, launched
+        with the flags run.py adds and checked by run.py's check for it."""
+        invocations = perfbench_module("run").WORKLOADS[workload].invocations
+        inv = next(inv for inv in invocations if inv.args[:2] == (command, config))
+        out = tmp_path / "out"
+        rep = self.launch(tmp_path, [], [
+            *inv.args, "--seed", "1", "--workers", "1", "--out", str(out)])
+        assert inv.check(out) == []
+        return rep
 
     def test_setup_only(self, tmp_path):
         rep = self.launch(tmp_path, ["--setup-only"], ["covertness", "configs/awgn.json"])
@@ -725,11 +749,7 @@ class TestBenchmarkLauncher:
     def test_tracer_counts_the_power_threshold_bisection(self, monkeypatch):
         # no CLI command bisects any more; the tracer's swap of the f that
         # harness passes positionally is checked on the call in process
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        tracer = module.Tracer()
+        tracer = perfbench_module("tracer").Tracer()
         monkeypatch.setattr(harness, "bisect_monotone", tracer._wrap(
             "numerics:bisect_monotone", "numerics.bisect", harness.bisect_monotone,
             NumericalError))
@@ -739,54 +759,28 @@ class TestBenchmarkLauncher:
         assert z == harness.lrt_power_threshold(cfg, 1.0, 1000.0)
         assert tracer.f_evals > 2
 
+    def test_covertness_workload(self, tmp_path):
+        # the mc_awgn workload's invocation: both slot lengths above the floor
+        self.run_invocation(tmp_path, "mc_awgn", "covertness", "configs/awgn.json")
+
     def test_capacity_workload(self, tmp_path):
-        # the certify workload's capacity invocation, as the benchmark passes it
-        out = tmp_path / "out"
-        rep = self.launch(tmp_path, [], [
-            "capacity", "configs/bob_fading.json", "--samples", "100000",
-            "--seed", "1", "--workers", "1", "--out", str(out),
-        ])
+        # the certify workload's capacity invocation: a positive rate per power
+        rep = self.run_invocation(tmp_path, "certify", "capacity", "configs/bob_fading.json")
         assert isinstance(rep["setup_s"], float)
-        with open(out / "capacity.csv", newline="") as fh:
-            rates = [float(row["R"]) for row in csv.DictReader(fh)]
-        assert rates and all(r > 0 for r in rates)
 
     def test_roc_workload(self, tmp_path):
-        # the mc_mblock workload's invocation, as the benchmark passes it
-        out = tmp_path / "out"
-        self.launch(tmp_path, [], [
-            "roc", "configs/fading_m4.json", "--trials", "500", "--seed", "1",
-            "--workers", "1", "--out", str(out),
-        ])
-        with open(out / "roc.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        p_fa = [float(row["p_fa"]) for row in rows]
-        p_md = [float(row["p_md"]) for row in rows]
-        assert len(rows) == 101
-        assert all(b <= a for a, b in zip(p_fa, p_fa[1:]))
-        assert all(b >= a for a, b in zip(p_md, p_md[1:]))
+        # the mc_mblock workload's invocation: 101 rows, monotone in both errors
+        self.run_invocation(tmp_path, "mc_mblock", "roc", "configs/fading_m4.json")
 
     def test_boundary_workload(self, tmp_path):
-        # the boundary workload's invocation, as the benchmark passes it
-        out = tmp_path / "out"
-        self.launch(tmp_path, [], [
-            "boundary", "configs/fading_m2.json", "--draws", "2000", "--seed", "1",
-            "--workers", "1", "--out", str(out),
-        ])
-        rep = json.loads((out / "boundary.json").read_text())
-        assert rep["spot_mismatches"] == rep["failures"] == 0
-        assert rep["ci"][0] <= rep["analytic_bound"]
+        # the boundary workload's invocation: no mismatch or failure, and the
+        # interval's low end under the analytic bound
+        self.run_invocation(tmp_path, "boundary", "boundary", "configs/fading_m2.json")
 
     @pytest.mark.parametrize("config", ["awgn", "fading_m4"])
     def test_check_workload(self, tmp_path, config):
-        # the certify workload's check invocations, as the benchmark passes them
-        out = tmp_path / "out"
-        self.launch(tmp_path, [], [
-            "check", f"configs/{config}.json", "--seed", "1", "--workers", "1",
-            "--out", str(out),
-        ])
-        checks = json.loads((out / "check.json").read_text())["checks"]
-        assert checks and all(c["passed"] for c in checks.values())
+        # the certify workload's check invocations: every check passes
+        self.run_invocation(tmp_path, "certify", "check", f"configs/{config}.json")
 
 
 class TestReadme:

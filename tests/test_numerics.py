@@ -324,9 +324,9 @@ class TestPowerIntegral:
         # four times _PANELS and more than a quarter to eight times; every
         # level streams through the one 138 KB workspace, so the call traces
         # about 0.34 MB (with the 421 rows' set-up and window arrays and the
-        # rule's node offsets and panel centres, up to 46 KB each), where a
-        # workspace of their own for the rows at 8 panels would add 0.8 MB;
-        # every row still reads the same bytes as alone
+        # rule's node offsets, up to 46 KB each), where a workspace of their
+        # own for the rows at 8 panels would add 0.8 MB; every row still
+        # reads the same bytes as alone
         monkeypatch.setattr(numerics, "_PANELS", 2)
         rows = count_rule_rows(monkeypatch)
         rng = np.random.default_rng(11)
@@ -349,9 +349,8 @@ class TestPowerIntegral:
     def test_rows_keep_their_bytes_under_any_batch_size(self, monkeypatch, batch):
         # on two coarse panels rows climb through every level; batches of one
         # row, of seven and of the default (two full batches and a short one)
-        # stream a different number of panels per pass through the shared
-        # workspace, and every row still reads the bytes of a call of its own
-        # at the default batch size
+        # view the shared workspace in different shapes, and every row still
+        # reads the bytes of a call of its own at the default batch size
         monkeypatch.setattr(numerics, "_PANELS", 2)
         rng = np.random.default_rng(batch)
         size = 2 * batch + 37
@@ -392,11 +391,11 @@ class TestPowerIntegral:
 
     def test_working_memory_bounded_by_block(self):
         # 80,000 rows at k = 400: the output (0.64 MB), the node workspace
-        # (0.14 MB) and one batch's per-row arrays, node offsets and panel
-        # centres, 0.98 MB in all.  The 0.27 MB margin is less than a copy of
-        # the broadcast lower limit (0.64 MB) or a workspace sized for a
-        # batch's whole 6-panel rule (0.83 MB, +0.69 MB); one sized for all
-        # rows alone would be 173 MB
+        # (0.14 MB) and one batch's per-row arrays and node offsets, 0.98 MB
+        # in all.  The 0.27 MB margin is less than a copy of the broadcast
+        # lower limit (0.64 MB) or a workspace sized for a batch's whole
+        # 6-panel rule (0.83 MB, +0.69 MB); one sized for all rows alone
+        # would be 173 MB
         rng = np.random.default_rng(3)
         z = (1.0 + rng.exponential(1.0, 80_000)) * rng.gamma(400, 1.0, 80_000)
         tracemalloc.start()

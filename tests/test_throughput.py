@@ -15,17 +15,10 @@ def bob_fading():
     return model.load_scenario(configs / "bob_fading.json")
 
 
-def sinr_draws(scenario, samples, seed):
-    """SINR draws at the scenario's transmit power, from copies of the
-    slices _sinr_slices yields in its one reused buffer."""
-    slices = [part.copy() for part in throughput._sinr_slices(scenario, samples, seed)]
-    return np.concatenate(slices) * scenario.P_f
-
-
 def reference_sinr(scenario, samples, seed):
-    """The out-of-place expression that _sinr_slices evaluates in place, each
-    faded link drawing its |h|^2 in one long standard-exponential draw from
-    its own substream, FADE_AB or FADE_JB, at P_f."""
+    """The out-of-place expression that outage_capacities evaluates in place,
+    each faded link drawing its |h|^2 in one long standard-exponential draw
+    from its own substream, FADE_AB or FADE_JB, at P_f."""
     g = scenario.geometry
 
     def link_gain(link, purpose):
@@ -50,6 +43,17 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def outer_quantiles(samples):
+    """Outage probabilities whose index ceil(q * samples) is 1, the middle
+    and samples."""
+    return (1e-16, 0.5, 1.0 - 0.5 / samples)
+
+
+def rates_at(scenario, samples, seed, quantiles):
+    """The outage capacity at the scenario's P_f, one call per quantile."""
+    return [throughput.outage_capacity(scenario, q, samples, seed) for q in quantiles]
+
+
 class TestSinr:
     @pytest.mark.parametrize("seed", [1, 11])
     @pytest.mark.parametrize("scenario", [
@@ -60,14 +64,15 @@ class TestSinr:
     ])
     def test_in_place_pipeline_keeps_bytes(self, scenario, seed):
         sc = scenario()
-        # part of one slice, two full slices and a short one, and many slices
+        # part of one slice, two full slices and a short one, and many slices:
+        # the smallest, middle and largest rates are the reference's order
+        # statistics, bit for bit
         for samples in (throughput._SLICE // 3, 2 * throughput._SLICE + 3, 100_001):
-            got = sinr_draws(sc, samples, seed)
-            want = reference_sinr(sc, samples, seed)
-            assert got.tobytes() == want.tobytes()
-            rates = np.sort(np.log2(1.0 + want))
-            idx = math.ceil(round(0.05 * samples, 9)) - 1
-            assert throughput.outage_capacity(sc, 0.05, samples, seed) == rates[idx]
+            rates = np.sort(np.log2(1.0 + reference_sinr(sc, samples, seed)))
+            quantiles = outer_quantiles(samples)
+            want = [rates[max(1, math.ceil(round(q * samples, 9))) - 1] for q in quantiles]
+            assert rates_at(sc, samples, seed, quantiles) == want
+            assert want[0] == rates[0] and want[-1] == rates[-1]
 
     @pytest.mark.parametrize("samples", [1000, 2 * throughput._SLICE + 3])
     def test_each_link_draws_samples_once(self, monkeypatch, samples):
@@ -81,8 +86,7 @@ class TestSinr:
             return made[purpose]
 
         monkeypatch.setattr(throughput.synth, "substream", recording)
-        for _ in throughput._sinr_slices(bob_fading(), samples, 3):
-            pass
+        throughput.outage_capacities(bob_fading(), 0.05, samples, 3, [0.01, 0.05])
         monkeypatch.undo()
         assert sorted(made) == [synth.FADE_AB, synth.FADE_JB]
         for purpose, rng in made.items():
@@ -93,21 +97,24 @@ class TestSinr:
 
     def test_ab_draws_do_not_depend_on_jb_fading(self):
         # with the jammer silent the SINR is g_ab |h_ab|^2 P_f / sigma_b2
-        # whatever jb is, so equal bytes mean equal |h_ab|^2 draws
+        # whatever jb is, so equal rates at every quantile mean equal
+        # |h_ab|^2 draws
         both, ab_only = (fading_scenario(P_f=0.0125, ab="fading", jb=jb, P_j=0.0)
                          for jb in ("fading", "awgn"))
         for samples in (1000, throughput._SLICE + 1):
-            got = sinr_draws(both, samples, 5)
-            assert got.tobytes() == sinr_draws(ab_only, samples, 5).tobytes()
+            quantiles = (*outer_quantiles(samples), 0.05, 0.25, 0.75, 0.95)
+            got = rates_at(both, samples, 5, quantiles)
+            assert got == rates_at(ab_only, samples, 5, quantiles)
 
     def test_silent_transmitter(self):
         sc = awgn_scenario(P_f=0.0)
-        assert np.all(sinr_draws(sc, 100, 1) == 0.0)
+        assert rates_at(sc, 1000, 1, outer_quantiles(1000)) == [0.0] * 3
 
     def test_reference_ratio(self):
         # all-AWGN receiver links: every draw is the closed-form SINR
         sc = awgn_scenario(P_f=0.025, P_max=1.0)
-        assert sinr_draws(sc, 100, 1) == pytest.approx(np.full(100, 0.0125))
+        assert rates_at(sc, 1000, 1, outer_quantiles(1000)) == pytest.approx(
+            [math.log2(1.0 + 0.0125)] * 3)
 
     def test_jammer_free_reduction(self):
         sc = model.Scenario(
@@ -115,17 +122,20 @@ class TestSinr:
             jammer=model.JammerStrategy(kind=model.CONSTANT_POWER, power=0.0),
             P_f=0.4,
         )
-        assert sinr_draws(sc, 100, 1) == pytest.approx(
-            np.full(100, 0.4 / 2.0**3 / 1.0))
+        assert rates_at(sc, 1000, 1, outer_quantiles(1000)) == pytest.approx(
+            [math.log2(1.0 + 0.4 / 2.0**3 / 1.0)] * 3)
 
     def test_fading_coefficients_scale(self):
         # jammer off and a faded transmitter link: the SINR draws are the
-        # AWGN value times |h|^2, a unit-mean exponential
+        # AWGN value times |h|^2, a unit-mean exponential, so each rate's
+        # gain is an empirical q-quantile of Exp(1), whose CDF value lies
+        # within 4 binomial standard errors of q
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading", P_j=0.0)
         n = 100_000
-        gains = sinr_draws(sc, n, 4) / 0.0125
-        assert abs(gains.mean() - 1.0) < 4.0 / math.sqrt(n)
-        assert abs(np.mean(gains > math.log(2.0)) - 0.5) < 0.01
+        quantiles = (0.1, 0.5, 0.9)
+        for q, rate in zip(quantiles, rates_at(sc, n, 4, quantiles)):
+            gain = (2.0**rate - 1.0) / 0.0125
+            assert abs(-math.expm1(-gain) - q) <= 4.0 * math.sqrt(q * (1.0 - q) / n)
 
 
 class TestOutageCapacity:
@@ -183,14 +193,14 @@ class TestOutageCapacity:
         # 0.07 * 10000 is 700.0000000000001 in binary; the 700th order
         # statistic is the one asked for
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
-        rates = np.sort(np.log2(1.0 + sinr_draws(sc, 10_000, 4)))
+        rates = np.sort(np.log2(1.0 + reference_sinr(sc, 10_000, 4)))
         assert throughput.outage_capacity(sc, 0.07, 10_000, seed=4) == rates[699]
 
     def test_tiny_outage_reads_smallest_draw(self):
         # q * samples below 1 asks for the first order statistic, however
         # small q is; it never wraps round to the largest draw
         sc = fading_scenario(P_f=0.0125, ab="fading", jb="fading")
-        rates = np.sort(np.log2(1.0 + sinr_draws(sc, 100_000, 1)))
+        rates = np.sort(np.log2(1.0 + reference_sinr(sc, 100_000, 1)))
         tiny = throughput.outage_capacity(sc, 1e-16, 100_000, seed=1)
         assert tiny == throughput.outage_capacity(sc, 1e-5, 100_000, seed=1) == rates[0]
 
@@ -220,7 +230,7 @@ class TestOutageCapacity:
         assert r_small == r_large
 
     def test_peak_memory_per_draw(self):
-        # the idx + max(idx, _SLICE) smallest-draw buffer and two slices, for
+        # the idx + max(idx, _SLICE) smallest-draw buffer and one slice, for
         # one power and for several, however many draws stream past; a fixed
         # 64 KB covers the generators and the scalars.  A warm-up call first
         # pays the generator state numpy allocates lazily on the first draw
@@ -229,7 +239,7 @@ class TestOutageCapacity:
         throughput.outage_capacity(sc, 0.05, 1000, 1)
         for samples in (200_000, 2_000_000):
             idx = math.ceil(round(0.05 * samples, 9))
-            bound = 8 * (idx + max(idx, throughput._SLICE)) + 16 * throughput._SLICE + 64 * 1024
+            bound = 8 * (idx + max(idx, throughput._SLICE)) + 8 * throughput._SLICE + 64 * 1024
             assert traced_peak(throughput.outage_capacity, sc, 0.05, samples, 1) <= bound
             peak = traced_peak(throughput.outage_capacities, sc, 0.05, samples, 1,
                                [0.01, 0.02, 0.05])
