@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import hashlib
 import json
 import math
 import os
@@ -26,16 +25,6 @@ from .numerics import NumericalError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-def _load(config_path):
-    # one read: the hash describes exactly the bytes that were parsed
-    try:
-        with open(config_path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    return model.Scenario.from_json(raw), hashlib.sha256(raw).hexdigest()
 
 
 def _write(args, scenario, digest, artifacts, **extra):
@@ -192,9 +181,7 @@ def _boundary_rows(region):
 
 def cmd_boundary(args, scenario, digest):
     cfg = detectors.config_for_scenario(scenario)
-    delta = args.delta
-    if delta is None:
-        delta = theory.delta_for_boundary_mass(args.eps, cfg.M, cfg.zeta)
+    delta = theory.delta_for_boundary_mass(args.eps, cfg.M, cfg.zeta)
     region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, args.draws, args.seed)
     header = ["draw"] + [f"x{m + 1}" for m in range(cfg.M)] + ["in_region"]
     _write(args, scenario, digest, {
@@ -220,7 +207,7 @@ def cmd_boundary(args, scenario, digest):
 
 def cmd_capacity(args, scenario, digest):
     pf_values = [scenario.P_f] if args.pf_list is None else _parse_list(args.pf_list, float, "P_f")
-    n = scenario.slots.n if args.n is None else args.n
+    n = scenario.slots.n
     # with_updates validates each P_f; one set of fading draws serves them all
     pf_values = [model.with_updates(scenario, P_f=pf).P_f for pf in pf_values]
     rates = throughput.outage_capacities(scenario, args.outage, args.samples, args.seed,
@@ -267,8 +254,7 @@ def build_parser():
     p = sub.add_parser("boundary", help="decision-boundary neighborhood mass (M > 1)")
     _add_common(p)
     p.add_argument("--eps", type=float, default=0.1,
-                   help="target mass; sets delta = eps*zeta/(2M) unless --delta")
-    p.add_argument("--delta", type=float, default=None, help="explicit half-width")
+                   help="target mass; sets delta = eps*zeta/(2M)")
     p.add_argument("--draws", type=int, default=10_000)
     p.set_defaults(fn=cmd_boundary)
 
@@ -277,7 +263,6 @@ def build_parser():
     p.add_argument("--outage", type=float, default=0.05)
     p.add_argument("--samples", type=int, default=100_000, help="fading draws")
     p.add_argument("--pf-list", default=None, help="comma-separated transmit powers")
-    p.add_argument("--n", type=int, default=None, help="slot length for the bit count")
     p.set_defaults(fn=cmd_capacity)
     return parser
 
@@ -292,7 +277,7 @@ def main(argv=None):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out!r}: {exc.strerror}") from exc
-        return args.fn(args, *_load(args.config))
+        return args.fn(args, *model.load_scenario(args.config))
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -76,10 +76,6 @@ def config_for_scenario(scenario):
     )
 
 
-def _sample_powers(samples):
-    return samples.real**2 + samples.imag**2
-
-
 def _ltr_sum(values):
     # left-to-right summation along the last axis; np.add.accumulate is
     # sequential by definition, so a row sums alike alone or in a batch.  An
@@ -99,7 +95,7 @@ def block_powers(obs):
     Sums run left to right within each block, so that repeated runs and the
     total/block decomposition are reproducible bit for bit.
     """
-    return _ltr_sum(_sample_powers(obs.samples).reshape(obs.M, -1))
+    return _ltr_sum((obs.samples.real**2 + obs.samples.imag**2).reshape(obs.M, -1))
 
 
 def total_power(obs):

@@ -1,7 +1,7 @@
 """Monte Carlo estimation of the warden's error probabilities.
 
-Each hypothesis draws the block powers of all its trials at once from
-substreams keyed by (seed, hypothesis, purpose), row t being trial t.
+Each hypothesis draws the block powers of all its trials at once, from the
+substreams that ``synth.sample_block_powers`` assigns to its trials.
 Threshold sweeps and the best-threshold search run on a shared sample set
 (common random numbers), so the reported operating curves are exactly
 monotone rather than monotone in expectation.
@@ -19,7 +19,6 @@ from .model import ConfigError
 from .numerics import bisect_monotone, wilson_interval
 
 DEFAULT_TRIALS = 10_000
-_H1_TRIAL_OFFSET = 1 << 32  # H0 and H1 trials use disjoint substream indices
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,8 @@ def collect_statistics(scenario, cfg, trials, seed):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_match(scenario, cfg)
-    b0, h0 = synth.sample_block_powers(scenario, synth.H0, trials, seed, 0)
-    b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed, _H1_TRIAL_OFFSET)
+    b0, h0 = synth.sample_block_powers(scenario, synth.H0, trials, seed)
+    b1, h1 = synth.sample_block_powers(scenario, synth.H1, trials, seed)
     if cfg.M > 1 or cfg.genie:
         s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
         return SampleSet(s0, s1, kind="loglr", cfg=cfg)

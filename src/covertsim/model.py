@@ -11,6 +11,7 @@ they can never drift out of sync.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -229,9 +230,14 @@ def _section(cls, data, owner=""):
 
 
 def load_scenario(path):
-    """Read a scenario config; perfbench/launch.py times it in every benchmark set-up."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return Scenario.from_json(fh.read())
+    """The scenario in a config file and the SHA-256 of the bytes parsed,
+    read once so that the hash describes exactly what was loaded."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return Scenario.from_json(raw), hashlib.sha256(raw).hexdigest()
 
 
 def save_scenario(scenario, path):

@@ -137,20 +137,20 @@ def _window_edges(k, p, q, width, lo_limit, hi_limit):
     _TAIL_DROP nats of the peak, or halves while it is already that far down
     at half the distance, so a near-flat exponent that falls off a cliff
     ends at the cliff; by concavity it only falls further out.  Both sides,
-    at the edge and at half of it, search in one loop over the rows stacked
-    four times, the lower side negated; a row still open after 64 steps (a
-    NaN row never closes) raises."""
-    rows = len(p)
-    side = np.repeat((-1.0, 1.0, -0.5, 0.5), rows)
-    limit = np.concatenate((-lo_limit, hi_limit))
-    p, q = np.concatenate((p, p, p, p)), np.concatenate((q, q, q, q))
-    u = np.minimum(math.sqrt(2.0 * _TAIL_DROP) * np.concatenate((width, width)), limit)
+    at the edge and at half of it, search in one loop over one (4, rows)
+    array of probes: u holds the (lower, upper) edges as (2, rows), the
+    (4, 1) side column negates the lower side and halves the last two, and p
+    and q broadcast along the rows; a row still open after 64 steps (a NaN
+    row never closes) raises."""
+    side = np.array([[-1.0], [1.0], [-0.5], [0.5]])
+    limit = np.stack((-lo_limit, hi_limit))
+    u = np.minimum(math.sqrt(2.0 * _TAIL_DROP) * width, limit)
     for _ in range(64):
         closed = _exponent_drop(side * np.concatenate((u, u)), k, p, q) <= -_TAIL_DROP
-        grow = (u != limit) & ~closed[: 2 * rows]
-        shrink = closed[2 * rows :]
+        grow = (u != limit) & ~closed[:2]
+        shrink = closed[2:]
         if not (grow | shrink).any():
-            return -u[:rows], u[rows:]
+            return -u[0], u[1]
         u = np.where(grow, np.minimum(2.0 * u, limit), np.where(shrink, 0.5 * u, u))
     raise QuadratureError("quadrature window did not close")
 

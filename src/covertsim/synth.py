@@ -32,6 +32,10 @@ FADE_AB = 7
 FADE_JB = 8
 BOUNDARY = 9
 
+# The trial index whose substreams each hypothesis's sampled block powers
+# are drawn from, also part of the contract: H0 and H1 share none.
+_FIRST_TRIAL = {H0: 0, H1: 1 << 32}
+
 _KEY_SALT = 0x9E3779B97F4A7C15
 _U64 = np.uint64
 
@@ -172,18 +176,20 @@ def synthesize_willie_slot(scenario, hypothesis, rng):
     return Observation(samples=samples, M=M, latents=latents)
 
 
-def sample_block_powers(scenario, hypothesis, trials, seed, trial0):
+def sample_block_powers(scenario, hypothesis, trials, seed):
     """Block powers of `trials` warden observations, shape (trials, M), and
     |h_aw|^2 of the same shape when that link fades (drawn under H0 too, for
     genie statistics), else None.
 
     Given the jam power P_t and the fading, Z_m = v_m * Gamma(n/M, 1) exactly,
     with v_m = sigma_w2 + g_jw |h_jw,m|^2 P_t + [H1] g_aw |h_aw,m|^2 P_f.  Each
-    purpose is drawn once from substream(seed, trial0, purpose); row t is
-    trial t.
+    purpose is drawn once from substream(seed, trial0, purpose), with trial0
+    = 0 under H0 and 2**32 under H1 so that the hypotheses share no
+    substream; row t is trial t.
     """
     if hypothesis not in (H0, H1):
         raise ValueError(f"hypothesis must be {H0} or {H1}")
+    trial0 = _FIRST_TRIAL[hypothesis]
     M = scenario.slots.M
     g = scenario.geometry
     shape = (trials, M)

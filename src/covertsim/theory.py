@@ -108,7 +108,7 @@ class GridSpec:
     """Geometric grid in average power per sample (z over sample count),
     from 0.1 to 10."""
 
-    points: int = 1000
+    points: int
 
     def values(self):
         return np.geomspace(0.1, 10.0, self.points)

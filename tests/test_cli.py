@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -151,18 +152,15 @@ class TestErrors:
         ("awgn", ["roc", "--trials", "10", "--grid-points", "-3"],
          "--grid-points must be >= 1, got -3"),
         ("m2", ["boundary", "--draws", "0"], "draws must be >= 1"),
-        *(("m2", ["boundary", "--draws", "10", "--delta", delta],
-           "delta must be positive and finite") for delta in ("-1", "nan", "inf")),
+        ("m2", ["boundary", "--draws", "10", "--eps", "1.5"], "epsilon must lie in (0, 1)"),
         ("bob", ["capacity", "--samples", "10"], "need at least 1000 fading draws"),
         ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"],
          "outage_prob must lie in (0, 1)"),
-        ("bob", ["capacity", "--samples", "2000", "--n", "0"], "n must be >= 1"),
         ("bob", ["capacity", "--samples", "2000", "--pf-list", ","], "P_f list is empty"),
         ("m2", ["check", "--grid-points", "1"],
          "a monotonicity scan needs a grid of at least 2 points"),
     ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "roc_grid_points_negative",
-            "boundary_draws", "boundary_delta", "boundary_delta_nan", "boundary_delta_inf",
-            "capacity_samples", "capacity_outage", "capacity_n_zero",
+            "boundary_draws", "boundary_eps", "capacity_samples", "capacity_outage",
             "capacity_pf_list_empty", "check_grid_points"])
     def test_out_of_range_argument(self, tmp_path, capsys, config, args, message):
         scenario = {
@@ -434,7 +432,7 @@ class TestBoundary:
         out = tmp_path / "bnd"
         assert run_cli(["boundary", cfgp, "--draws", str(draws), "--seed", "4",
                         "--out", str(out)]) == 0
-        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp)[0])
         delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
         region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, draws, 4)
         rows = [(i, *x, int(hit)) for i, (x, hit) in
@@ -448,7 +446,7 @@ class TestBoundary:
         # about 0.14 MB and peak memory grows with the slice, so the bound
         # holds one slice but not a 4096-draw one (1.08 MB)
         cfgp = Path(__file__).resolve().parents[1] / "configs" / "fading_m2.json"
-        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp)[0])
         delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
         region = theory.estimate_boundary_mass(cfg, delta, cfg.log_gamma, 20_000, 1)
 
@@ -526,7 +524,7 @@ class TestArtifactsMatchLibrary:
         assert run_cli(["covertness", cfgp, "--eps", "0.1", "--n-list", "64,128",
                         "--trials", "200", "--seed", "3", "--out", str(out)]) == 0
         rows = [line.split(",") for line in (out / "curve.csv").read_text().splitlines()[1:]]
-        scenario = model.load_scenario(cfgp)
+        scenario, _ = model.load_scenario(cfgp)
         base = model.with_updates(
             scenario, P_f=model.select_covert_params(scenario, 0.1).P_f)
         for n, row in zip([64, 128], rows, strict=True):
@@ -540,7 +538,7 @@ class TestArtifactsMatchLibrary:
         assert run_cli(["boundary", cfgp, "--draws", "300", "--seed", "4",
                         "--out", str(out)]) == 0
         report = json.loads((out / "boundary.json").read_text())
-        cfg = detectors.config_for_scenario(model.load_scenario(cfgp))
+        cfg = detectors.config_for_scenario(model.load_scenario(cfgp)[0])
         delta = theory.delta_for_boundary_mass(0.1, cfg.M, cfg.zeta)
         assert [report[k] for k in ("M", "n", "delta", "log_gamma", "draws")] == [
             cfg.M, cfg.n, delta, cfg.log_gamma, 300]
@@ -586,6 +584,17 @@ class TestWriter:
         assert list(manifest) == ["command", "scenario", "seed", "tool_version", "timestamp",
                                   "config_sha256", "outputs"]
         assert manifest["outputs"] == ["a.csv", "b.json"]
+
+    def test_manifest_hashes_the_config_bytes(self, tmp_path):
+        # the bytes on disk, hashed by the one reader the commands share
+        cfgp = write_config(tmp_path, awgn_scenario(n=64))
+        out = tmp_path / "out"
+        assert run_cli(["check", cfgp, "--grid-points", "40", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = hashlib.sha256(Path(cfgp).read_bytes()).hexdigest()
+        assert manifest["config_sha256"] == want == model.load_scenario(cfgp)[1]
+        with pytest.raises(model.ConfigError, match="cannot read config"):
+            model.load_scenario(tmp_path / "missing.json")
 
     @pytest.mark.parametrize("config, args", [
         ("awgn", ["covertness", "--n-list", "64", "--trials", "50"]),

@@ -15,7 +15,6 @@ KEPT = {
     "log_lrt_m1": "C8 imports it",
     "outage_capacity": "C9 calls it",
     "save_scenario": "C10 writes its configs with it",
-    "load_scenario": "perfbench/launch.py loads the config inside the timed setup",
 }
 
 

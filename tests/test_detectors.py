@@ -286,7 +286,7 @@ class TestThresholdInversion:
 
         cfg = m1_cfg(n=50, log_gamma=0.0)
         zs = np.linspace(10.0, 600.0, 4001)
-        vals = np.array([log_lrt_m1(z, cfg) for z in zs])
+        vals = log_lrt_m1(zs, cfg)
         grid_best = zs[np.argmin(np.abs(vals - cfg.log_gamma))]
         root = lrt_power_threshold(cfg, zs[0], zs[-1])
         assert abs(root - grid_best) <= (zs[1] - zs[0])

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from covertsim import detectors, model, synth
 from covertsim.harness import (
-    _H1_TRIAL_OFFSET,
     SampleSet,
     _best_threshold,
     _rates_at,
@@ -226,11 +225,6 @@ class TestCovertnessCurve:
         assert type(n) is int and n == 64
 
 
-def sampled(sc, hypothesis, trials, seed):
-    trial0 = 0 if hypothesis == synth.H0 else _H1_TRIAL_OFFSET
-    return synth.sample_block_powers(sc, hypothesis, trials, seed, trial0)
-
-
 class TestStatisticsCollection:
     """The statistics are the detector evaluated on the sampler's draws."""
 
@@ -239,7 +233,7 @@ class TestStatisticsCollection:
         cfg = detectors.config_for_scenario(sc)
         ss = collect_statistics(sc, cfg, trials=5, seed=16)
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
-            blocks, haw2 = sampled(sc, hyp, 5, 16)
+            blocks, haw2 = synth.sample_block_powers(sc, hyp, 5, 16)
             assert haw2 is None
             assert np.array_equal(stats, blocks[:, 0] / sc.slots.n)
 
@@ -251,7 +245,7 @@ class TestStatisticsCollection:
         assert cfg.variant == detectors.AWGN_UNIFORM and cfg.M == 1
         ss = collect_statistics(sc, cfg, trials=5, seed=16)
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
-            blocks, _ = sampled(sc, hyp, 5, 16)
+            blocks, _ = synth.sample_block_powers(sc, hyp, 5, 16)
             assert blocks.shape == (5, 2)
             want = detectors._ltr_sum(blocks) / sc.slots.n
             assert stats.tobytes() == want.tobytes()
@@ -261,7 +255,7 @@ class TestStatisticsCollection:
         cfg = detectors.config_for_scenario(sc)
         ss = collect_statistics(sc, cfg, trials=30, seed=17)
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
-            blocks, _ = sampled(sc, hyp, 30, 17)
+            blocks, _ = synth.sample_block_powers(sc, hyp, 30, 17)
             assert stats[3] == detectors.log_lrt_mblock(blocks[3], cfg)
 
     def test_mblock_deterministic_for_a_seed(self):
@@ -278,7 +272,7 @@ class TestStatisticsCollection:
         assert cfg.genie and cfg.variant == detectors.MBLOCK_PRODUCT
         ss = collect_statistics(sc, cfg, trials=8, seed=19)
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
-            blocks, haw2 = sampled(sc, hyp, 8, 19)
+            blocks, haw2 = synth.sample_block_powers(sc, hyp, 8, 19)
             direct = detectors.log_lrt_mblock(
                 blocks[2], cfg, sigma_a2=haw2[2] * float(np.asarray(cfg.sigma_a2)),
             )
@@ -288,7 +282,7 @@ class TestStatisticsCollection:
         sc = fading_scenario(n=64, M=1, P_f=0.0125, aw="fading")
         cfg = detectors.config_for_scenario(sc)
         ss = collect_statistics(sc, cfg, trials=8, seed=20)
-        blocks, haw2 = sampled(sc, synth.H1, 8, 20)
+        blocks, haw2 = synth.sample_block_powers(sc, synth.H1, 8, 20)
         direct = detectors.log_lrt_block_term(
             blocks[5, 0], cfg.n, cfg.sigma_w2, haw2[5, 0] * cfg.sigma_a2, cfg.zeta,
         )

@@ -165,7 +165,7 @@ class TestMixtureDensity:
     def test_normalizes_to_one(self):
         n, sw2, zeta = 8, 1.0, 1.0
         zs = np.linspace(1e-6, n * (sw2 + zeta) + 14.0 * math.sqrt(n) * (sw2 + zeta), 6001)
-        dens = np.exp([log_mixture_density_uniform(z, n, sw2, 0.0, zeta, zeta) for z in zs])
+        dens = np.exp(log_mixture_density_uniform(zs, n, sw2, 0.0, zeta, zeta))
         total = np.trapezoid(dens, zs)
         assert total == pytest.approx(1.0, abs=1e-6)
 

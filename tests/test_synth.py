@@ -341,7 +341,7 @@ class TestBlockPowerSampler:
         cfg = detectors.config_for_scenario(sc)
         sides = []
         for blocks, haw2 in (
-            synth.sample_block_powers(sc, hypothesis, trials, seed=41, trial0=0),
+            synth.sample_block_powers(sc, hypothesis, trials, seed=41),
             _waveform_draws(sc, hypothesis, trials, seed=42),
         ):
             assert (haw2 is None) == (sc.channels.aw != model.FADING)
@@ -352,23 +352,30 @@ class TestBlockPowerSampler:
 
     def test_rows_are_trials(self):
         sc = fading_scenario(n=64, M=2, P_f=0.5, aw="fading")
-        blocks, haw2 = synth.sample_block_powers(sc, H1, 10, seed=5, trial0=3)
-        again, haw2_again = synth.sample_block_powers(sc, H1, 10, seed=5, trial0=3)
+        blocks, haw2 = synth.sample_block_powers(sc, H1, 10, seed=5)
+        again, haw2_again = synth.sample_block_powers(sc, H1, 10, seed=5)
         assert blocks.tobytes() == again.tobytes() and haw2.tobytes() == haw2_again.tobytes()
-        prefix, haw2_prefix = synth.sample_block_powers(sc, H1, 4, seed=5, trial0=3)
+        prefix, haw2_prefix = synth.sample_block_powers(sc, H1, 4, seed=5)
         assert np.array_equal(prefix, blocks[:4]) and np.array_equal(haw2_prefix, haw2[:4])
         assert blocks.shape == haw2.shape == (10, 2)
 
-    def test_first_row_pinned(self):
-        # the first trial's draws are part of the reproducibility contract
-        blocks, haw2 = synth.sample_block_powers(awgn_scenario(n=64), H1, 3, seed=5, trial0=3)
+    @pytest.mark.parametrize("hypothesis, awgn_row, fading_row, haw2_row", [
+        (H0, ["0x1.a0b134152acaap+6"], ["0x1.095ac653f510ap+6", "0x1.b44a585477c9bp+5"],
+         ["0x1.a7292dd6bd554p-2", "0x1.a2a038f270ff9p-1"]),
+        (H1, ["0x1.9f28c205acd2fp+6"], ["0x1.231d26a0455f5p+5", "0x1.1277d3beb9aa1p+5"],
+         ["0x1.c3e49f476b0f0p-2", "0x1.546ce016e62f7p+1"]),
+    ], ids=["H0", "H1"])
+    def test_first_row_pinned(self, hypothesis, awgn_row, fading_row, haw2_row):
+        # each hypothesis's first trial, 0 under H0 and 2**32 under H1, is
+        # part of the reproducibility contract
+        blocks, haw2 = synth.sample_block_powers(awgn_scenario(n=64), hypothesis, 3, seed=5)
         assert haw2 is None
-        assert blocks[0, 0] == float.fromhex("0x1.af8665c76efc7p+6")
+        assert [v.hex() for v in blocks[0]] == awgn_row
         sc = fading_scenario(n=64, M=2, aw="fading")
-        blocks, haw2 = synth.sample_block_powers(sc, H1, 3, seed=5, trial0=3)
-        assert [v.hex() for v in blocks[0]] == ["0x1.08346b40a6761p+6", "0x1.cfbb136adf882p+5"]
-        assert [v.hex() for v in haw2[0]] == ["0x1.2bfefb64c358fp+1", "0x1.d22c5edf0614ep-3"]
+        blocks, haw2 = synth.sample_block_powers(sc, hypothesis, 3, seed=5)
+        assert [v.hex() for v in blocks[0]] == fading_row
+        assert [v.hex() for v in haw2[0]] == haw2_row
 
     def test_bad_hypothesis(self):
         with pytest.raises(ValueError):
-            synth.sample_block_powers(awgn_scenario(), "H2", 3, seed=0, trial0=0)
+            synth.sample_block_powers(awgn_scenario(), "H2", 3, seed=0)

@@ -12,7 +12,7 @@ from conftest import awgn_scenario, fading_scenario
 
 def bob_fading():
     configs = Path(__file__).resolve().parent.parent / "configs"
-    return model.load_scenario(configs / "bob_fading.json")
+    return model.load_scenario(configs / "bob_fading.json")[0]
 
 
 def reference_sinr(scenario, samples, seed):
