@@ -152,7 +152,8 @@ class TestErrors:
         ("awgn", ["roc", "--trials", "10", "--grid-points", "-3"],
          "--grid-points must be >= 1, got -3"),
         ("m2", ["boundary", "--draws", "0"], "draws must be >= 1"),
-        ("m2", ["boundary", "--draws", "10", "--eps", "1.5"], "epsilon must lie in (0, 1)"),
+        *(("m2", ["boundary", "--draws", "10", "--eps", eps],
+           "epsilon must lie in (0, 1)") for eps in ("1.5", "nan", "inf")),
         ("bob", ["capacity", "--samples", "10"], "need at least 1000 fading draws"),
         ("bob", ["capacity", "--samples", "2000", "--outage", "1.5"],
          "outage_prob must lie in (0, 1)"),
@@ -160,7 +161,8 @@ class TestErrors:
         ("m2", ["check", "--grid-points", "1"],
          "a monotonicity scan needs a grid of at least 2 points"),
     ], ids=["covertness_trials", "roc_trials", "roc_grid_points", "roc_grid_points_negative",
-            "boundary_draws", "boundary_eps", "capacity_samples", "capacity_outage",
+            "boundary_draws", "boundary_eps", "boundary_eps_nan", "boundary_eps_inf",
+            "capacity_samples", "capacity_outage",
             "capacity_pf_list_empty", "check_grid_points"])
     def test_out_of_range_argument(self, tmp_path, capsys, config, args, message):
         scenario = {
