@@ -89,7 +89,7 @@ def lrt_power_threshold(cfg, z_lo, z_hi):
     """
     if cfg.M > 1:
         raise ConfigError("the power threshold form applies to one-block configs (M = 1)")
-    f = lambda z: detectors.log_lr(cfg, [[z]])[0]
+    f = lambda z: detectors.log_lr(cfg, z[:, None])
     return bisect_monotone(f, cfg.log_gamma, z_lo, z_hi, tol=1e-9)
 
 

@@ -149,6 +149,9 @@ class Scenario:
     def __post_init__(self):
         if not (math.isfinite(self.P_f) and self.P_f >= 0):
             raise ConfigError("P_f must be nonnegative and finite")
+        for name, product in (("zeta", "jammer.power * d_jw"), ("sigma_a2", "P_f * d_aw")):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} = {product}**-alpha overflows a float")
 
     @property
     def zeta(self):

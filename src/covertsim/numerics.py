@@ -1,6 +1,6 @@
 """Log-domain density evaluation, one batched quadrature kernel for the
-mixture likelihoods, scalar monotone root finding, and binomial confidence
-intervals.
+mixture likelihoods, rowwise bisection for monotone roots, and binomial
+confidence intervals.
 
 Everything here works on logarithms of positive quantities.  The likelihood
 ratios downstream span hundreds of orders of magnitude once the slot length
@@ -294,31 +294,41 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
 
 
 def bisect_monotone(f, target, lo, hi, tol):
-    """Solve f(x) = target for a nondecreasing scalar f on [lo, hi]: f(lo) and
-    f(hi) first, then at most 200 midpoints until |f(x) - target| <= tol.
-    Returns -inf or +inf when the target lies below f(lo) or above f(hi);
-    raises BisectionError when f falls (or is NaN) or the bracket stalls.
+    """Solve f(x) = target row by row, f nondecreasing on each row's [lo, hi];
+    target, lo and hi broadcast to the rows, and f maps one point per row to
+    one value per row, a finished row at its lower end.  Each row: f(lo) and
+    f(hi), then up to 200 midpoints until |f(x) - target| <= tol; -inf or
+    +inf if the target is below f(lo) or above f(hi).  BisectionError names
+    the first row where f falls (or is NaN) or stalls.  Scalars give a float.
     """
-    a, b = float(lo), float(hi)
-    if not a < b:
+    rows = np.broadcast_arrays(target, lo, hi)
+    target, a, b = (np.array(x, dtype=float).reshape(-1) for x in rows)
+    if not (a < b).all():
         raise ValueError("the bracket must satisfy lo < hi")
     fa, fb = f(a), f(b)
-    if not fa <= fb:
-        raise BisectionError(f"f falls across the bracket [{a}, {b}]")
-    if not fa <= target <= fb:
-        return -math.inf if target < fa else math.inf
+    if not (fa <= fb).all():
+        i = np.argmin(fa <= fb)
+        raise BisectionError(f"f falls across the bracket [{a[i]}, {b[i]}] in row {i}")
+    root = np.where(target < fa, -np.inf, np.inf)
+    done, stall = ~((fa <= target) & (target <= fb)), np.zeros(a.shape, bool)
     for x, fx in ((a, fa), (b, fb)):
-        if abs(fx - target) <= tol:
-            return x
+        hit = ~done & (np.abs(fx - target) <= tol)
+        root[hit], done = x[hit], done | hit
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm - target) <= tol:
-            return mid
-        a, b = (mid, b) if fm < target else (a, mid)
-        if b - a <= 1e-15 * max(1.0, abs(a), abs(b)):
+        if done.all() or stall.any():
             break
-    raise BisectionError(f"bisection for f = {target} did not resolve on [{a}, {b}]")
+        mid = np.where(done, a, 0.5 * (a + b))
+        fm = f(mid)
+        hit = ~done & (np.abs(fm - target) <= tol)
+        root[hit], done = mid[hit], done | hit
+        low = ~done & (fm < target)
+        a, b = np.where(low, mid, a), np.where(done | low, b, mid)
+        stall = ~done & (b - a <= 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+    if not done.all():
+        i = np.argmax(stall if stall.any() else ~done)
+        raise BisectionError(
+            f"bisection for f = {target[i]} did not resolve on [{a[i]}, {b[i]}] in row {i}")
+    return root.reshape(rows[0].shape) if rows[0].ndim else float(root[0])
 
 
 # the 0.975 quantile of the standard normal distribution, to double precision

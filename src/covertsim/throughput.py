@@ -34,7 +34,8 @@ def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
     index up by one; an index below 1 reads the smallest draw.  One selection
     of the draws serves every P_f, since x -> log2(1 + P_f x) is
     nondecreasing in floating point: each rate is the one a partition of
-    P_f times the draws gives, bit for bit.
+    P_f times the draws gives, bit for bit.  A rate whose P_f * SINR
+    overflows is inf, with no warning, for covert_bits to reject.
 
     |h_ab|^2 and |h_jb|^2 are synth.power_gains of substream(seed, 0,
     FADE_AB) and substream(seed, 0, FADE_JB), each read from its start
@@ -70,7 +71,7 @@ def outage_capacities(scenario, outage_prob, samples, seed, pf_values):
         sinr /= scratch
         filled += size
     held[:filled].partition(idx - 1)
-    return [float(np.log2(1.0 + pf * held[idx - 1])) for pf in pf_values]
+    return [float(np.log2(1.0 + pf * float(held[idx - 1]))) for pf in pf_values]
 
 
 def outage_capacity(scenario, outage_prob, samples, seed):
@@ -83,6 +84,6 @@ def covert_bits(n, rate):
     """Bits conveyed in n channel uses at the given rate: floor(n * rate)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be nonnegative and finite, got {rate}")
     return int(math.floor(n * rate))

@@ -83,6 +83,29 @@ class TestErrors:
         assert run_cli([command, str(path), "--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
+    # jam power 1e308 and d_jw**-2 = 4 are floats, their product is not
+    @pytest.mark.parametrize("command", ["covertness", "roc", "check"])
+    def test_density_out_of_float_range(self, tmp_path, capsys, command):
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / "fading_m2.json").read_text())
+        data["d_jw"], data["jammer"]["power"] = 0.5, 1e308
+        path = tmp_path / "loud.json"
+        path.write_text(json.dumps(data))
+        assert run_cli([command, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: zeta = jammer.power * d_jw**-alpha overflows a float" in err
+
+    def test_rate_out_of_float_range(self, tmp_path, capsys):
+        # P_f * SINR overflows to an infinite rate, whose bit count is no integer
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / "awgn.json").read_text())
+        data["d_ab"] = 0.5
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(data))
+        argv = ["capacity", str(path), "--pf-list", "1e308", "--out", str(tmp_path / "out")]
+        assert run_cli(argv) == 2
+        assert "config error: rate must be nonnegative and finite, got inf" in capsys.readouterr().err
+
     def test_bad_n_list(self, tmp_path):
         cfgp = write_config(tmp_path, awgn_scenario(n=64))
         assert run_cli(["covertness", cfgp, "--n-list", "64,x", "--trials", "10"]) == 2
@@ -408,6 +431,62 @@ class TestCheck:
         cfgp = tmp_path / "weak.json"
         cfgp.write_text(json.dumps(data))
         assert run_cli(["check", str(cfgp), "--out", str(tmp_path / "check")]) == 0
+
+
+def _sweep_cases():
+    """The domain sweep's runs: the faded-jammer construction (fading_m1.json
+    at M = 1 and 16) and awgn.json's uniform jammer (M = 1 only), each at
+    every jam power, n and sigma_w2 below; covertness and check on each,
+    boundary too when M > 1.  The set was fixed before any run of it."""
+    for base, blocks in (("fading_m1", (1, 16)), ("awgn", (1,))):
+        for power in (1e-9, 1.0, 1e9):
+            for M in blocks:
+                for n in (16, 160_000):
+                    for sigma_w2 in (1.0, 1e-6):
+                        for command in ("covertness", "check", "boundary")[:2 + (M > 1)]:
+                            yield pytest.param(
+                                base, power, M, n, sigma_w2, command,
+                                id=f"{base}-P{power:g}-M{M}-n{n}-w{sigma_w2:g}-{command}")
+
+
+class TestDomainSweep:
+    """Every construction across jam powers 1e-9 to 1e9, one and many blocks,
+    short and long slots and a quiet warden, at the recipe P_f, through the
+    CLI under the suite's warnings-as-errors: each run exits 0 and writes
+    strict JSON whose every number is finite.  The one known failure (jam
+    power 1e-9, M = 1, n = 1600) is TestCheck::test_weak_jammer_single_block."""
+
+    ARGS = {"covertness": ["--trials", "100"], "check": ["--grid-points", "50"],
+            "boundary": ["--draws", "100"]}
+
+    @pytest.mark.parametrize("base, power, M, n, sigma_w2, command", _sweep_cases())
+    def test_run_exits_0_with_finite_json(self, tmp_path, base, power, M, n, sigma_w2, command):
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / f"{base}.json").read_text())
+        data.update(M=M, n=n, sigma_w2=sigma_w2)
+        data["jammer"]["power"] = power
+        data["P_f"] = model.select_covert_params(model.Scenario.from_dict(data), 0.1).P_f
+        cfgp = tmp_path / "sweep.json"
+        cfgp.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = [command, str(cfgp), *self.ARGS[command], "--seed", "1", "--out", str(out)]
+        assert run_cli(argv) == 0
+
+        def refuse(token):
+            raise AssertionError(f"non-strict JSON constant {token}")
+
+        def numbers(node):
+            if isinstance(node, dict):
+                return [x for v in node.values() for x in numbers(v)]
+            if isinstance(node, list):
+                return [x for v in node for x in numbers(v)]
+            return [node] if isinstance(node, (int, float)) else []
+
+        written = sorted(out.glob("*.json"))
+        assert "manifest.json" in [path.name for path in written]
+        for path in written:
+            values = numbers(json.loads(path.read_text(), parse_constant=refuse))
+            assert all(math.isfinite(x) for x in values), path.name
 
 
 class TestBoundary:

@@ -237,6 +237,20 @@ class TestScenario:
         with pytest.raises(ConfigError, match=message):
             model.Scenario.from_dict(data)
 
+    # each factor is a normal float; their product at d = 0.5, alpha = 2 is not
+    @pytest.mark.parametrize("field, distance, density", [
+        ("jammer.power", "d_jw", "zeta = jammer.power * d_jw**-alpha"),
+        ("P_f", "d_aw", "sigma_a2 = P_f * d_aw**-alpha"),
+    ], ids=["zeta", "sigma_a2"])
+    def test_density_out_of_float_range_rejected_at_load(self, field, distance, density):
+        data = fading_scenario().to_dict()
+        owner, _, name = field.rpartition(".")
+        (data[owner] if owner else data)[name] = 1e308
+        assert math.isfinite(getattr(model.Scenario.from_dict(data), density.split()[0]))
+        data[distance] = 0.5
+        with pytest.raises(ConfigError, match=re.escape(f"{density} overflows a float")):
+            model.Scenario.from_dict(data)
+
     # one key per section; a nested key is reported by its own name
     @pytest.mark.parametrize("field", [
         "d_jw", "M", "sigma_b2", "jammer.power", "channels.jb", "P_f",

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import beta as beta_dist
 
-from conftest import mp_log_kernel
+from conftest import awgn_scenario, mp_log_kernel
 
-from covertsim import cli, numerics
+from covertsim import cli, detectors, harness, model, numerics
 from covertsim.numerics import (
     BisectionError,
     LogDensity,
@@ -472,6 +472,16 @@ class TestPowerIntegral:
             log_integral_block(z, 100.0, v0, 1.0)
 
 
+def recording(f):
+    """f, with each point it is called at appended to f.calls as a float."""
+    def g(x):
+        g.calls.extend(float(v) for v in x)
+        return f(x)
+
+    g.calls = []
+    return g
+
+
 class TestBisect:
     def test_identity(self):
         assert bisect_monotone(lambda x: x, 0.5, 0.0, 1.0, 1e-12) == pytest.approx(0.5)
@@ -486,19 +496,15 @@ class TestBisect:
             bisect_monotone(lambda x: -x, 0.5, 0.0, 1.0, 1e-12)
 
     def test_rows_inside_below_and_above(self):
-        roots = [bisect_monotone(lambda x: x ** 3, t, 0.0, 1.0, 1e-12) for t in (0.125, -1.0, 2.0)]
-        assert roots[0] == pytest.approx(0.5) and roots[1:] == [-math.inf, math.inf]
+        roots = bisect_monotone(lambda x: x ** 3, np.array([0.125, -1.0, 2.0]), 0.0, 1.0, 1e-12)
+        assert roots.shape == (3,) and roots[0] == pytest.approx(0.5)
+        assert roots[1:].tolist() == [-math.inf, math.inf]
 
     def test_exact_endpoints(self):
         for target, lo, hi in ((0.0, 0.0, 2.0), (1.0, -1.0, 1.0)):
-            calls = []
-
-            def f(x):
-                calls.append(x)
-                return x
-
+            f = recording(lambda x: x)
             assert bisect_monotone(f, target, lo, hi, 1e-12) == target
-            assert calls == [lo, hi]  # the endpoints only, no midpoint
+            assert f.calls == [lo, hi]  # the endpoints only, no midpoint
 
     def test_non_monotone_row_flagged(self):
         # (x - 1)^2 falls on [0, 0.5] and rises on [1, 2]
@@ -509,7 +515,7 @@ class TestBisect:
 
     def test_nan_endpoint_raises(self):
         with pytest.raises(BisectionError):
-            bisect_monotone(lambda x: math.nan, 0.5, 0.0, 1.0, 1e-12)
+            bisect_monotone(lambda x: np.full(x.shape, math.nan), 0.5, 0.0, 1.0, 1e-12)
 
     def test_stall_flagged(self):
         # float(1/3) is no dyadic midpoint of [0, 1] before the bracket stalls
@@ -518,20 +524,17 @@ class TestBisect:
         assert bisect_monotone(lambda x: x, 0.5, 0.0, 1.0, 0.0) == 0.5
 
     def test_iterate_sequence(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x
-
+        f = recording(lambda x: x)
         root = bisect_monotone(f, 1.0 / 3.0, 0.0, 1.0, 1e-9)
-        assert calls[:5] == [0.0, 1.0, 0.5, 0.25, 0.375]
-        assert calls[-1] == root and abs(root - 1.0 / 3.0) <= 1e-9
+        assert f.calls[:5] == [0.0, 1.0, 0.5, 0.25, 0.375]
+        assert f.calls[-1] == root and abs(root - 1.0 / 3.0) <= 1e-9
 
     def test_bracket_validation(self):
         for lo, hi in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
             with pytest.raises(ValueError):
                 bisect_monotone(lambda x: x, 0.5, lo, hi, 1e-12)
+        with pytest.raises(ValueError):  # one bad row is enough
+            bisect_monotone(lambda x: x, 0.5, [0.0, 1.0], [1.0, 1.0], 1e-12)
 
     @given(
         a=st.floats(-5, 5), width=st.floats(0.1, 10), frac=st.floats(0.01, 0.99),
@@ -543,7 +546,62 @@ class TestBisect:
         target_x = a + frac * width
         f = lambda x: slope * (x - target_x)
         root = bisect_monotone(f, 0.0, a, b, 1e-9)
-        assert abs(f(root)) <= 1e-9
+        assert abs(f(np.array([root]))[0]) <= 1e-9
+
+    @given(rows=st.lists(st.tuples(
+        st.floats(-2, 2), st.floats(0.01, 4), st.floats(-0.5, 1.5), st.floats(0.1, 5),
+        st.integers(0, 2)), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_rowwise_equals_one_row_calls(self, rows):
+        # each row its own increasing function: a line, a cube or an arctan
+        # around its centre; a frac outside (0, 1) puts the target outside the
+        # bracket, so some rows give +-inf; |f'| stays below 1e4, so no row
+        # stalls at tol 1e-9
+        lo, width, frac, slope, kind = (np.array(col) for col in zip(*rows))
+        hi, centre = lo + width, lo + 0.5 * width
+        target = slope * (lo + frac * width - centre)
+
+        def family(rows):
+            def f(x):
+                u = slope[rows] * (x - centre[rows])
+                return np.choose(kind[rows], [u, u ** 3, np.arctan(u)])
+            return f
+
+        batch = bisect_monotone(family(slice(None)), target, lo, hi, 1e-9)
+        alone = [bisect_monotone(family(slice(i, i + 1)), target[i], lo[i], hi[i], 1e-9)
+                 for i in range(len(rows))]
+        assert batch.tobytes() == np.array(alone).tobytes()
+
+    def test_early_finish_moves_no_other_root(self):
+        # row 0 resolves at its first midpoint, row 1 needs about 30 more;
+        # after row 0 finishes f still sees it, at its lower end
+        f = recording(lambda x: x)
+        roots = bisect_monotone(f, [0.5, 1.0 / 3.0], 0.0, 1.0, 1e-9)
+        assert roots[0] == 0.5
+        assert roots[1] == bisect_monotone(lambda x: x, 1.0 / 3.0, 0.0, 1.0, 1e-9)
+        assert f.calls[0::2][3:] == [0.0] * (len(f.calls) // 2 - 3)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda x: np.full(x.shape, math.nan), r"falls across the bracket \[0\.0, 1\.0\] in row 2$"),
+        (lambda x: -x, r"falls across the bracket \[0\.0, 1\.0\] in row 2$"),
+    ], ids=["nan", "falling"])
+    def test_failing_row_named(self, bad, message):
+        f = lambda x: np.where(np.arange(x.size) == 2, bad(x), x)
+        with pytest.raises(BisectionError, match=message):
+            bisect_monotone(f, np.full(4, 0.25), 0.0, 1.0, 1e-12)
+
+    def test_stalled_row_named(self):
+        # row 1 never meets a zero tolerance; row 0 resolves exactly
+        with pytest.raises(BisectionError, match=r"did not resolve on .* in row 1$"):
+            bisect_monotone(lambda x: x, [0.5, 1.0 / 3.0], 0.0, 1.0, 0.0)
+
+    def test_c1_power_threshold_pinned(self):
+        # C1's one-block power threshold, a one-row bisection of the log LRT
+        sc = awgn_scenario(n=1000, P_f=0.0)
+        params = model.select_covert_params_awgn(0.1, sc.zeta, sc.geometry.d_aw, sc.geometry.alpha)
+        scn = model.with_updates(sc, n=10_000, P_f=params.P_f)
+        ss = harness.collect_statistics(scn, detectors.config_for_scenario(scn), 2_000, seed=303)
+        assert ss.lrt_gamma_threshold.hex() == "0x1.664117b0feb30p+0"
 
 
 class TestWilson:

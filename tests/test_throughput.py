@@ -278,3 +278,6 @@ class TestCovertBits:
             throughput.covert_bits(0, 0.5)
         with pytest.raises(ValueError):
             throughput.covert_bits(10, -0.1)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate must be nonnegative and finite"):
+                throughput.covert_bits(10, rate)
