@@ -115,43 +115,7 @@ def cmd_roc(args, scenario, digest):
 
 def cmd_check(args, scenario, digest):
     cfg = detectors.config_for_scenario(scenario)
-    sa = cfg.sigma_a2
-    if sa <= 0:
-        raise ConfigError("structural checks need a positive signal power (set P_f > 0)")
-    zeta, sw2 = cfg.zeta, cfg.sigma_w2
-    results = {}
-
-    grid_theta = np.linspace(1e-6 * zeta, sa + zeta * 1.5, 1501)
-    results["lr_order_uniform_window"] = theory.check_lr_order(
-        theory.uniform_logdensity(0.0, zeta),
-        theory.uniform_logdensity(sa, sa + zeta),
-        grid_theta,
-    )
-    grid_exp = np.linspace(1e-6 * zeta, 10.0 * zeta + sa, 1501)
-    results["lr_order_shifted_exponential"] = theory.check_lr_order(
-        theory.shifted_exponential_logdensity(0.0, zeta),
-        theory.shifted_exponential_logdensity(sa, zeta),
-        grid_exp,
-    )
-    grid_z = np.linspace(1e-3, 40.0, 1501)
-    results["lr_order_gamma_scales"] = theory.check_lr_order(
-        theory.gamma_logdensity(4.0, sw2),
-        theory.gamma_logdensity(4.0, sw2 + sa + 0.5 * zeta),
-        grid_z,
-    )
-    control = theory.check_lr_order(
-        theory.gaussian_logdensity(0.0, 1.0),
-        theory.gaussian_logdensity(0.0, 4.0),
-        np.linspace(-6.0, 6.0, 1201),
-    )
-    results["lr_order_gaussian_control_fails"] = dataclasses.replace(
-        control, passed=not control.passed
-    )
-
-    grid = theory.GridSpec(points=args.grid_points)
-    for axis, rep in enumerate(theory.check_lrt_monotone(cfg, grid)):
-        results[f"lrt_monotone_axis{axis}"] = rep
-
+    results = theory.structural_checks(cfg, theory.GridSpec(points=args.grid_points))
     for name, rep in results.items():
         print(f"{name}: {'PASS' if rep.passed else 'FAIL'}"
               f" (worst {rep.worst_violation:.3e})")

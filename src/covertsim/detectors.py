@@ -76,15 +76,11 @@ def config_for_scenario(scenario):
     )
 
 
-def _ltr_sum(values):
-    # left-to-right summation along the last axis; np.add.accumulate is
-    # sequential by definition, so a row sums alike alone or in a batch.  An
-    # empty row sums to 0; a batch of rows keeps its shape even when empty
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] == 0:
-        out = np.zeros(values.shape[:-1])
-    else:
-        out = np.add.accumulate(values, axis=-1)[..., -1]
+def ltr_sum(values):
+    """Left-to-right sum along the last axis, of at least one column.
+    np.add.accumulate is sequential by definition, so a row sums alike alone
+    or in a batch; a batch of rows keeps its shape even when empty."""
+    out = np.add.accumulate(np.asarray(values, dtype=float), axis=-1)[..., -1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -95,7 +91,7 @@ def block_powers(obs):
     Sums run left to right within each block, so that repeated runs and the
     total/block decomposition are reproducible bit for bit.
     """
-    return _ltr_sum((obs.samples.real**2 + obs.samples.imag**2).reshape(obs.M, -1))
+    return ltr_sum((obs.samples.real**2 + obs.samples.imag**2).reshape(obs.M, -1))
 
 
 def total_power(obs):
@@ -104,7 +100,7 @@ def total_power(obs):
     Defined through the observation's own block structure so that
     sum(block_powers(obs)) == total_power(obs) holds exactly.
     """
-    return _ltr_sum(block_powers(obs))
+    return ltr_sum(block_powers(obs))
 
 
 def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):
@@ -159,7 +155,7 @@ def log_lrt_mblock(Z, cfg, sigma_a2=None):
     if Z.ndim not in (1, 2) or Z.shape[-1] != cfg.M:
         raise ConfigError(f"expected length-{cfg.M} block power vectors, got shape {Z.shape}")
     sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
-    return _ltr_sum(log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta))
+    return ltr_sum(log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta))
 
 
 def log_lr(cfg, blocks, haw2=None):

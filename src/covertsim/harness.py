@@ -105,7 +105,7 @@ def collect_statistics(scenario, cfg, trials, seed):
     if cfg.M > 1 or cfg.genie:
         s0, s1 = detectors.log_lr(cfg, b0, h0), detectors.log_lr(cfg, b1, h1)
         return SampleSet(s0, s1, kind="loglr", cfg=cfg)
-    z0, z1 = detectors._ltr_sum(b0), detectors._ltr_sum(b1)  # total power over every block
+    z0, z1 = detectors.ltr_sum(b0), detectors.ltr_sum(b1)  # total power over every block
     return SampleSet(z0 / cfg.n, z1 / cfg.n, kind="power", cfg=cfg)
 
 

@@ -1,6 +1,5 @@
-"""Log-domain density evaluation, one batched quadrature kernel for the
-mixture likelihoods, rowwise bisection for monotone roots, and binomial
-confidence intervals.
+"""One batched log-domain quadrature kernel for the mixture likelihoods,
+rowwise bisection for monotone roots, and binomial confidence intervals.
 
 Everything here works on logarithms of positive quantities.  The likelihood
 ratios downstream span hundreds of orders of magnitude once the slot length
@@ -11,8 +10,6 @@ an unshifted exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,46 +24,6 @@ class QuadratureError(NumericalError):
 
 class BisectionError(NumericalError):
     pass
-
-
-@dataclass(frozen=True)
-class LogDensity:
-    """A log density with explicit support bounds.
-
-    ``fn`` is only consulted strictly inside (lo, hi); outside, the density
-    is zero and the log density minus infinity.
-    """
-
-    fn: Callable
-    lo: float
-    hi: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, -np.inf)
-        inside = (x > self.lo) & (x < self.hi)
-        if np.any(inside):
-            out[inside] = self.fn(x[inside])
-        return out if out.shape else float(out)
-
-
-def log_gamma_density(z, k, s):
-    """log of the Gamma(shape k, scale s) density at z (z >= 0).
-
-    Vectorized over z and s.  z = 0 gives -inf for k > 1, -log(s) for k = 1.
-    """
-    if k <= 0:
-        raise ValueError(f"shape must be positive, got {k}")
-    z_arr = np.asarray(z, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(z_arr < 0):
-        raise ValueError("z must be nonnegative")
-    if np.any(s_arr <= 0):
-        raise ValueError("scale must be positive")
-    with np.errstate(divide="ignore", invalid="ignore"):  # z**0 = 1 holds at z = 0 too
-        log_z_power = 0.0 if k == 1 else (k - 1.0) * np.log(z_arr)
-        out = log_z_power - z_arr / s_arr - math.lgamma(k) - k * np.log(s_arr)
-    return out if np.ndim(out) else float(out)
 
 
 # Gauss-Legendre panels in t = log v.  Each row climbs a ladder of 3, 6, 12
@@ -188,7 +145,6 @@ def _log_power_integral_rows(z, k, a, w, r, work):
     # the limits in t relative to the peak; c is exact when v0 is near a
     lo_limit, hi_limit = np.log1p(-c / v0), np.log1p((w - c) / v0)
     width = np.minimum(1.0 / np.sqrt(p + q), 1.0 / np.abs((1.0 - k) + p - q))
-    width = np.minimum(width, hi_limit - lo_limit)
     lo, hi = _window_edges(k, p, q, width, lo_limit, hi_limit)
     value = np.empty(len(z))
     # the rows still climbing, their window, and their last estimate

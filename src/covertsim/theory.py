@@ -7,14 +7,14 @@ multi-block detector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import detectors, synth
 from .model import ConfigError
-from .numerics import LogDensity, log_gamma_density, wilson_interval
+from .numerics import wilson_interval
 
 # a step of the log likelihood ratio (relative, for the LRTs) below -_TOL
 # fails an ordering or monotonicity check
@@ -39,6 +39,27 @@ class GridCheck:
     worst_at: Optional[float]
 
 
+@dataclass(frozen=True)
+class LogDensity:
+    """A log density with explicit support bounds.
+
+    ``fn`` is only consulted strictly inside (lo, hi); outside, the density
+    is zero and the log density minus infinity.
+    """
+
+    fn: Callable
+    lo: float
+    hi: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, -np.inf)
+        inside = (x > self.lo) & (x < self.hi)
+        if np.any(inside):
+            out[inside] = self.fn(x[inside])
+        return out if out.shape else float(out)
+
+
 def uniform_logdensity(lo, hi):
     if hi <= lo:
         raise ValueError("need hi > lo")
@@ -55,7 +76,14 @@ def shifted_exponential_logdensity(shift, mean):
 
 
 def gamma_logdensity(k, s):
-    return LogDensity(fn=lambda x: log_gamma_density(x, k, s), lo=0.0, hi=math.inf)
+    if k <= 0:
+        raise ValueError(f"shape must be positive, got {k}")
+    if s <= 0:
+        raise ValueError("scale must be positive")
+    return LogDensity(
+        fn=lambda x: (k - 1.0) * np.log(x) - x / s - math.lgamma(k) - k * np.log(s),
+        lo=0.0, hi=math.inf,
+    )
 
 
 def gaussian_logdensity(mu, var):
@@ -136,6 +164,38 @@ def check_lrt_monotone(cfg, grid):
     scan = _statistic(cfg, X)
     scale = np.maximum(1.0, np.maximum(np.abs(scan[:-1]), np.abs(scan[1:])))
     return [_verdict(xs, np.diff(scan) / scale)] * cfg.M
+
+
+def structural_checks(cfg, grid):
+    """Every structural check of one detector configuration, by name: the
+    likelihood-ratio order of each density pair in the table, then one
+    ``check_lrt_monotone`` entry per axis.  The Gaussian control pair is not
+    ordered, so its entry passes when its order check fails."""
+    sa, zeta, sw2 = cfg.sigma_a2, cfg.zeta, cfg.sigma_w2
+    if sa <= 0:
+        raise ConfigError("structural checks need a positive signal power (set P_f > 0)")
+    # (name, density0, density1, grid, ordered)
+    table = (
+        ("lr_order_uniform_window",
+         uniform_logdensity(0.0, zeta), uniform_logdensity(sa, sa + zeta),
+         np.linspace(1e-6 * zeta, sa + zeta * 1.5, 1501), True),
+        ("lr_order_shifted_exponential",
+         shifted_exponential_logdensity(0.0, zeta), shifted_exponential_logdensity(sa, zeta),
+         np.linspace(1e-6 * zeta, 10.0 * zeta + sa, 1501), True),
+        ("lr_order_gamma_scales",
+         gamma_logdensity(4.0, sw2), gamma_logdensity(4.0, sw2 + sa + 0.5 * zeta),
+         np.linspace(1e-3, 40.0, 1501), True),
+        ("lr_order_gaussian_control_fails",
+         gaussian_logdensity(0.0, 1.0), gaussian_logdensity(0.0, 4.0),
+         np.linspace(-6.0, 6.0, 1201), False),
+    )
+    results = {}
+    for name, density0, density1, xs, ordered in table:
+        rep = check_lr_order(density0, density1, xs)
+        results[name] = replace(rep, passed=rep.passed == ordered)
+    for axis, rep in enumerate(check_lrt_monotone(cfg, grid)):
+        results[f"lrt_monotone_axis{axis}"] = rep
+    return results
 
 
 # ---------------------------------------------------------------------------

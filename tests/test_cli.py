@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertsim import cli, detectors, harness, model, theory
-from covertsim.numerics import LogDensity, NumericalError
+from covertsim.numerics import NumericalError
 
 from conftest import awgn_scenario, fading_scenario
 
@@ -389,6 +389,20 @@ class TestCheck:
             assert (entry["worst_at"] is None) == (entry["worst_violation"] == 0.0)
 
 
+    @pytest.mark.parametrize("config, digest", [
+        ("awgn", "d1af0f75ee3f0c03e4c4ae1d9a1152d6d0bb16ba58d7215bf5d332ee2e02f846"),
+        ("bob_fading", "f316f4eab5d558ed93101c15389042a21f0405bbbb1951f54dd5e67e831d43d5"),
+        ("fading_m1", "f316f4eab5d558ed93101c15389042a21f0405bbbb1951f54dd5e67e831d43d5"),
+        ("fading_m2", "40aab6c1d6fd2da90aa285451d9c35cb761a7071b4f0afa7316dbca5ea7e336f"),
+        ("fading_m4", "9b897b228f7ba0fbd65ce428b2398275311fd32e02b07c4c373428cea7bf0a5c"),
+    ])
+    def test_report_pinned(self, tmp_path, config, digest):
+        # check.json's SHA-256 on each shipped config at the default grid, so
+        # a change to a density, a grid or the order of the entries shows
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert run_cli(["check", str(cfgp), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "check.json").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
     def test_non_finite_step_written_as_null(self, tmp_path, monkeypatch, capsys, bad):
         # one value of the unshifted density is broken; strict JSON refuses
@@ -404,7 +418,7 @@ class TestCheck:
                 v = np.array(d.fn(x), dtype=float)
                 v[v.size // 2] = bad
                 return v
-            return LogDensity(fn=fn, lo=d.lo, hi=d.hi)
+            return theory.LogDensity(fn=fn, lo=d.lo, hi=d.hi)
 
         monkeypatch.setattr(theory, "shifted_exponential_logdensity", broken)
         cfgp = Path(__file__).resolve().parents[1] / "configs" / "awgn.json"
@@ -553,7 +567,7 @@ class TestBoundary:
             bodies.append((out / "boundary.csv").read_bytes())
         assert bodies[0] == bodies[1]
 
-    def test_unresolved_spot_check_root_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_falling_statistic_exits_3(self, tmp_path, monkeypatch, capsys):
         # a per-block term that falls along every axis breaks every spot
         # check; the corner test reads it too and finds no draw in the region
         monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)

@@ -61,3 +61,31 @@ def test_every_private_name_has_a_caller():
     # a helper left behind by a deleted path has none
     _, private, referenced = _definitions_and_references()
     assert {name: module for name, module in private.items() if name not in referenced} == {}
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a helper one module needs from another is public in the other
+    reads = set()
+    for path in sorted(Path(covertsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # names bound to a covertsim module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = node.module
+            elif node.module == "covertsim" or (node.module or "").startswith("covertsim."):
+                source = node.module.partition(".")[2] or None
+            else:
+                continue
+            for alias in node.names:
+                if source is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    reads.add((path.name, f"{source}.{alias.name}"))
+        reads.update(
+            (path.name, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+        )
+    assert reads == set()

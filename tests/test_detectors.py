@@ -74,9 +74,6 @@ class TestSufficientStats:
     def test_zero_block_vector(self):
         assert block_powers(make_obs(np.zeros(12), M=3)).tolist() == [0.0, 0.0, 0.0]
 
-    def test_empty_rows_sum_to_zero(self):
-        assert np.array_equal(detectors._ltr_sum(np.empty((3, 0))), np.zeros(3))
-
     def test_conditional_power_scaling(self):
         # known slot power: E[z] = n * (sigma_w2 + u * zeta)
         sc = awgn_scenario(n=200, P_f=0.0)
@@ -226,7 +223,7 @@ class TestMBlockLrt:
         haw2 = rng.exponential(size=(50, M))
         sa = haw2 * cfg.sigma_a2 if genie else cfg.sigma_a2
         terms = log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta)
-        assert detectors.log_lr(cfg, Z, haw2).tobytes() == detectors._ltr_sum(terms).tobytes()
+        assert detectors.log_lr(cfg, Z, haw2).tobytes() == detectors.ltr_sum(terms).tobytes()
 
     def test_per_block_signal_powers(self):
         cfg = mblock_cfg(n=200, M=2, sigma_a2=0.0125)

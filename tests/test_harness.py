@@ -247,7 +247,7 @@ class TestStatisticsCollection:
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
             blocks, _ = synth.sample_block_powers(sc, hyp, 5, 16)
             assert blocks.shape == (5, 2)
-            want = detectors._ltr_sum(blocks) / sc.slots.n
+            want = detectors.ltr_sum(blocks) / sc.slots.n
             assert stats.tobytes() == want.tobytes()
 
     def test_mblock_statistic_matches_direct_lrt(self):

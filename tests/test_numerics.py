@@ -12,14 +12,12 @@ from scipy.stats import beta as beta_dist
 
 from conftest import awgn_scenario, mp_log_kernel
 
-from covertsim import cli, detectors, harness, model, numerics
+from covertsim import cli, detectors, harness, model, numerics, theory
 from covertsim.numerics import (
     BisectionError,
-    LogDensity,
     NumericalError,
     QuadratureError,
     bisect_monotone,
-    log_gamma_density,
     log_integral_block,
     log_mixture_density_uniform,
     wilson_interval,
@@ -75,47 +73,6 @@ def trapezoid_log_integral(z, k, v0, zeta, points=1_000_000, v_hi=None):
     return m + math.log(np.trapezoid(np.exp(log_f - m), v))
 
 
-class TestLogGammaDensity:
-    def test_exponential_at_one(self):
-        assert log_gamma_density(1.0, 1.0, 1.0) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_against_high_precision(self):
-        mp.mp.dps = 40
-        expected = float(mp.log(mp.mpf(5) ** 2 * mp.e ** mp.mpf("-2.5") / (mp.gamma(3) * 2**3)))
-        assert log_gamma_density(5.0, 3.0, 2.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_mode_location(self):
-        k, s = 3.0, 2.0
-        mode = s * (k - 1.0)
-        eps = 1e-4
-        at_mode = log_gamma_density(mode, k, s)
-        assert at_mode > log_gamma_density(mode - eps, k, s)
-        assert at_mode > log_gamma_density(mode + eps, k, s)
-
-    def test_zero_argument(self):
-        assert log_gamma_density(0.0, 2.0, 1.0) == -math.inf
-        assert log_gamma_density(0.0, 1.0, 2.0) == pytest.approx(-math.log(2.0))
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            log_gamma_density(-1.0, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            log_gamma_density(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            log_gamma_density(1.0, 2.0, 0.0)
-
-    @given(
-        z=st.floats(0.01, 50.0), k=st.floats(0.5, 30.0), s=st.floats(0.05, 20.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_mpmath(self, z, k, s):
-        mp.mp.dps = 30
-        expected = float(
-            (k - 1) * mp.log(z) - mp.mpf(z) / s - mp.log(mp.gamma(k)) - k * mp.log(s)
-        )
-        assert log_gamma_density(z, k, s) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
 class TestLogIntegralBlock:
     def test_exponential_integral_reduction(self):
         # z = 0, k = 1 collapses to the exponential integral E1(v0/zeta)
@@ -160,7 +117,7 @@ class TestMixtureDensity:
         z, n, sw2, lo = 12.0, 10, 1.0, 0.2
         width = 1e-9
         got = log_mixture_density_uniform(z, n, sw2, lo, lo + width, width)
-        assert got == pytest.approx(log_gamma_density(z, n, sw2 + lo), abs=1e-6)
+        assert got == pytest.approx(theory.gamma_logdensity(n, sw2 + lo)(z), abs=1e-6)
 
     def test_normalizes_to_one(self):
         n, sw2, zeta = 8, 1.0, 1.0
@@ -638,14 +595,3 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 4)
-
-
-class TestLogDensity:
-    def test_support_mask(self):
-        d = LogDensity(fn=lambda x: np.zeros(np.shape(x)), lo=0.0, hi=2.0)
-        out = d(np.array([-1.0, 1.0, 3.0]))
-        assert out[0] == -math.inf and out[1] == 0.0 and out[2] == -math.inf
-
-    def test_scalar_call(self):
-        d = LogDensity(fn=lambda x: -x, lo=0.0, hi=math.inf)
-        assert d(2.0) == -2.0

@@ -2,14 +2,61 @@ import dataclasses
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertsim import detectors, theory
 from covertsim.model import ConfigError
-from covertsim.numerics import LogDensity, NumericalError, QuadratureError
+from covertsim.numerics import NumericalError, QuadratureError
+from covertsim.theory import LogDensity
 
 from test_detectors import awgn_cfg, m1_cfg, mblock_cfg
+
+
+class TestLogDensity:
+    def test_support_mask(self):
+        d = LogDensity(fn=lambda x: np.zeros(np.shape(x)), lo=0.0, hi=2.0)
+        out = d(np.array([-1.0, 1.0, 3.0]))
+        assert out[0] == -math.inf and out[1] == 0.0 and out[2] == -math.inf
+
+    def test_scalar_call(self):
+        d = LogDensity(fn=lambda x: -x, lo=0.0, hi=math.inf)
+        assert d(2.0) == -2.0
+
+
+class TestGammaLogDensity:
+    def test_against_high_precision(self):
+        with mp.workdps(40):
+            expected = float(mp.log(mp.mpf(5) ** 2 * mp.e ** mp.mpf("-2.5") / (mp.gamma(3) * 2**3)))
+        assert theory.gamma_logdensity(3.0, 2.0)(5.0) == pytest.approx(expected, rel=1e-14)
+
+    def test_mode_location(self):
+        k, s = 3.0, 2.0
+        mode = s * (k - 1.0)
+        eps = 1e-4
+        d = theory.gamma_logdensity(k, s)
+        assert d(mode) > d(mode - eps)
+        assert d(mode) > d(mode + eps)
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            theory.gamma_logdensity(0.0, 1.0)
+        with pytest.raises(ValueError):
+            theory.gamma_logdensity(2.0, 0.0)
+
+    @given(
+        z=st.floats(0.01, 50.0), k=st.floats(0.5, 30.0), s=st.floats(0.05, 20.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_mpmath(self, z, k, s):
+        with mp.workdps(30):
+            expected = float(
+                (k - 1) * mp.log(z) - mp.mpf(z) / s - mp.log(mp.gamma(k)) - k * mp.log(s)
+            )
+        got = theory.gamma_logdensity(k, s)(z)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestLrOrder:
@@ -187,7 +234,7 @@ def scalar_boundary_root(cfg, x_others, log_gamma, tol=1e-10, max_expand=25):
     def term(z):
         return detectors.log_lrt_block_term(z, k, cfg.sigma_w2, sa, cfg.zeta)
 
-    offset = detectors._ltr_sum(term(k * np.asarray(x_others, dtype=float)))
+    offset = detectors.ltr_sum(term(k * np.asarray(x_others, dtype=float)))
 
     def f(x):
         return term(k * x) + offset
