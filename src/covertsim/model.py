@@ -65,12 +65,11 @@ class Geometry:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 2):
-            raise ConfigError("alpha must be finite and >= 2")
         for name in ("d_aw", "d_ab", "d_jw", "d_jb"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ConfigError(f"{name} must be positive and finite")
-            path_gain(getattr(self, name), self.alpha)  # rejects a gain out of float range
+            # rejects a bad alpha, and a gain out of float range
+            path_gain(getattr(self, name), self.alpha)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ BOUNDARY = 9
 _FIRST_TRIAL = {H0: 0, H1: 1 << 32}
 
 _KEY_SALT = 0x9E3779B97F4A7C15
-_U64 = np.uint64
 
 
 def substream(seed, trial, purpose):
@@ -46,41 +45,26 @@ def substream(seed, trial, purpose):
     The pair goes into the high words of the 256-bit Philox counter, with
     the word between them held at 0 so that every stream keeps its values
     across releases; the generator itself only ever advances the low word,
-    so substreams cannot overlap.
+    so substreams cannot overlap.  Seed and trial are taken modulo 2**64.
+    Each call builds a new generator, so no two calls share state.
     """
     bitgen = np.random.Philox(
-        counter=[_U64(0), _U64(int(trial) % 2**64), _U64(0), _U64(purpose)],
-        key=[_U64(int(seed) % 2**64), _U64(_KEY_SALT)],
+        counter=np.array([0, int(trial) % 2**64, 0, purpose], dtype=np.uint64),
+        key=np.array([int(seed) % 2**64, _KEY_SALT], dtype=np.uint64),
     )
     return np.random.Generator(bitgen)
 
 
 @dataclass(frozen=True)
 class TrialRng:
-    """Hands out the per-purpose substreams of one Monte Carlo trial.
-
-    Every stream is the same owned generator, built on the first call and
-    re-keyed in place after that, drawing what ``substream(seed, trial,
-    purpose)`` draws.  So a stream is valid only until the next ``stream()``
-    call on the same TrialRng: consume one purpose before asking for the next.
-    """
+    """The (seed, trial) pair of one Monte Carlo trial; ``stream(purpose)``
+    is a new ``substream(seed, trial, purpose)`` on every call."""
 
     seed: int
     trial: int
-    _gen: Optional[np.random.Generator] = field(default=None, init=False, compare=False,
-                                                repr=False)
-    _fresh: Optional[dict] = field(default=None, init=False, compare=False, repr=False)
 
     def stream(self, purpose):
-        if self._gen is None:
-            gen = substream(self.seed, self.trial, purpose)
-            object.__setattr__(self, "_gen", gen)
-            # its counter, key and empty buffer; only the purpose word changes
-            object.__setattr__(self, "_fresh", gen.bit_generator.state)
-        else:
-            self._fresh["state"]["counter"][3] = purpose
-            self._gen.bit_generator.state = self._fresh
-        return self._gen
+        return substream(self.seed, self.trial, purpose)
 
 
 def power_gains(kind, rng, out):
@@ -102,12 +86,11 @@ def _complex_normal(rng, variance, size):
     """
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    if variance == 0.0:
-        return np.zeros(size, dtype=np.complex128)
-    scale = math.sqrt(variance / 2.0)
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return scale * (re + 1j * im)
+    out = np.empty(size, dtype=np.complex128)
+    out.real = rng.standard_normal(size)
+    out.imag = rng.standard_normal(size)
+    out *= math.sqrt(variance / 2.0)
+    return out
 
 
 @dataclass
@@ -152,12 +135,13 @@ def synthesize_willie_slot(scenario, hypothesis, rng):
         p_t = float(scenario.jammer.power)
     jam = _complex_normal(jam_rng, p_t, n)
     latents.jam_power = p_t
-    jam_amp = math.sqrt(path_gain(g.d_jw, g.alpha))
+    g_jw = path_gain(g.d_jw, g.alpha)
+    jam_amp = math.sqrt(g_jw)
     if scenario.channels.jw == FADING:
         h_jam = _complex_normal(rng.stream(FADE_JW), 1.0, M)
         latents.fading["jw"] = h_jam
         samples += jam_amp * np.repeat(h_jam, n // M) * jam
-        latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * path_gain(g.d_jw, g.alpha)
+        latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * g_jw
     else:
         samples += jam_amp * jam
 

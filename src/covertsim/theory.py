@@ -55,8 +55,7 @@ class LogDensity:
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -np.inf)
         inside = (x > self.lo) & (x < self.hi)
-        if np.any(inside):
-            out[inside] = self.fn(x[inside])
+        out[inside] = self.fn(x[inside])
         return out if out.shape else float(out)
 
 

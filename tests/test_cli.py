@@ -638,6 +638,19 @@ class TestArtifactsMatchLibrary:
         assert [report[k] for k in ("M", "n", "delta", "log_gamma", "draws")] == [
             cfg.M, cfg.n, delta, cfg.log_gamma, 300]
 
+    @pytest.mark.parametrize("args, artifact", [
+        (["covertness", "awgn.json", "--n-list", "100,1000", "--trials", "200"], "curve.csv"),
+        (["boundary", "fading_m2.json", "--draws", "300"], "boundary.csv"),
+    ], ids=["covertness", "boundary"])
+    def test_seed_taken_modulo_2_64(self, tmp_path, args, artifact):
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / args[1]
+        bodies = []
+        for seed in ("-1", str(2**64 - 1)):
+            out = tmp_path / seed
+            assert run_cli([args[0], str(cfgp), *args[2:], "--seed", seed, "--out", str(out)]) == 0
+            bodies.append((out / artifact).read_bytes())
+        assert bodies[0] == bodies[1]
+
 
 def write_artifacts(out, artifacts):
     args = argparse.Namespace(out=str(out), command="test", seed=0)
@@ -765,11 +778,14 @@ class TestConsoleEntry:
     def test_import_leaves_scipy_out(self):
         # scipy is a test-only dependency; importing it would add about a
         # fifth of a second and 18 MB to every CLI process.  numpy.polynomial
-        # would add 1.35 MB: the quadrature rule is a literal table instead
+        # would add 1.35 MB: the quadrature rule is a literal table instead.
+        # numpy.random would add 7-10 ms and 2.6 MB to a command that draws
+        # nothing (check): only the first draw may load it
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, covertsim.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"],
+             " if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')"
+             " or m.startswith('numpy.random')))"],
             capture_output=True, text=True, check=True, env=child_env(),
         )
         assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Every random draw in the package comes from synth.substream: it alone
-builds a Philox generator or reduces a seed modulo 2**64, and no two
-substream purposes share a value."""
+builds a Philox generator or reduces a seed modulo 2**64, no generator is
+re-keyed by assigning its bit generator's state, and no two substream
+purposes share a value."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,14 @@ def test_only_substream_builds_a_philox_generator():
 
 def test_only_substream_reduces_a_seed():
     assert _sites(_is_mod_2_64) == {("synth.py", "substream")}
+
+
+def test_no_bit_generator_state_is_assigned():
+    def assigns_state(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "state"
+                and isinstance(node.ctx, ast.Store))
+
+    assert _sites(assigns_state) == set()
 
 
 def test_purposes_are_distinct():

@@ -266,14 +266,14 @@ class TestDeterminism:
         fading_scenario(n=64, M=4),
         fading_scenario(n=64, M=4, aw="fading"),
     ], ids=["awgn", "fading_m4", "genie"])
-    def test_reused_generator_matches_fresh_substreams(self, sc, hypothesis):
-        # TrialRng re-keys one generator; a build from fresh substreams is
-        # the oracle, byte for byte, with every word of seed and trial in use
+    def test_trial_rng_matches_fresh_substreams(self, sc, hypothesis):
+        # a build from fresh substreams is the oracle, byte for byte, with
+        # every word of seed and trial in use
         seed, trial = 2**63 + 5, 2**40
         fresh = types.SimpleNamespace(stream=lambda purpose: synth.substream(seed, trial, purpose))
         want = synth.synthesize_willie_slot(sc, hypothesis, fresh)
         rng = TrialRng(seed, trial)
-        for _ in range(2):  # the second build starts from a used generator
+        for _ in range(2):  # a second build from the same TrialRng repeats the first
             got = synth.synthesize_willie_slot(sc, hypothesis, rng)
             assert got.samples.tobytes() == want.samples.tobytes()
             assert got.latents.jam_power == want.latents.jam_power
@@ -281,26 +281,31 @@ class TestDeterminism:
                 k: v.tobytes() for k, v in want.latents.fading.items()}
             assert np.array_equal(got.latents.sigma_j2, want.latents.sigma_j2)
 
-    def test_stream_after_buffered_uint32_is_fresh(self):
+    def test_streams_of_one_trial_are_independent(self):
         seed, trial = 2**63 + 5, 2**40
         rng = TrialRng(seed, trial)
-        g = rng.stream(synth.JAMMER)
-        g.standard_normal(3)
-        g.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count leaves half a word
-        assert g.bit_generator.state["has_uint32"] == 1
-        for purpose in (synth.NOISE_W, synth.JAMMER):
-            got, want = rng.stream(purpose), synth.substream(seed, trial, purpose)
+        jam, noise = rng.stream(synth.JAMMER), rng.stream(synth.NOISE_W)
+        assert jam is not noise and jam.bit_generator is not noise.bit_generator
+        jam.standard_normal(3)
+        jam.integers(0, 2**32, size=3, dtype=np.uint32)  # an odd count leaves half a word
+        assert jam.bit_generator.state["has_uint32"] == 1
+        # drawing from one stream moves neither the other nor a later one
+        for got, purpose in ((noise, synth.NOISE_W), (rng.stream(synth.JAMMER), synth.JAMMER)):
+            want = synth.substream(seed, trial, purpose)
             for draw in (lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32),
                          lambda r: r.standard_normal(3)):
                 assert draw(got).tobytes() == draw(want).tobytes()
+        # the value is the (seed, trial) pair alone
+        assert rng == TrialRng(seed, trial) and hash(rng) == hash(TrialRng(seed, trial))
+        assert repr(TrialRng(1, 2)) == "TrialRng(seed=1, trial=2)"
 
-    def test_streams_of_one_trial_alias(self):
-        # a stream is valid only until the next stream() call on its TrialRng
-        rng = TrialRng(1, 2)
-        assert rng.stream(synth.NOISE_W) is rng.stream(synth.JAMMER)
-        # the owned generator is not part of the value
-        assert rng == TrialRng(1, 2) and hash(rng) == hash(TrialRng(1, 2))
-        assert repr(rng) == "TrialRng(seed=1, trial=2)"
+    @pytest.mark.parametrize("purpose", [synth.CODEWORD, synth.JAMMER, synth.FADE_AW,
+                                         synth.FADE_JW, synth.NOISE_W, synth.FADE_AB,
+                                         synth.FADE_JB, synth.BOUNDARY])
+    def test_negative_seed_and_trial_wrap_modulo_2_64(self, purpose):
+        got = synth.substream(-1, -3, purpose).standard_normal(4)
+        want = synth.substream(2**64 - 1, 2**64 - 3, purpose).standard_normal(4)
+        assert got.tobytes() == want.tobytes()
 
     def test_stream_values_pinned(self):
         # the first draws of every purpose are part of the reproducibility
