@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AWGN, AWGN_UNIFORM, MBLOCK_PRODUCT, ConfigError, detector_variant
-from .numerics import log_integral_block, log_mixture_density_uniform
+from .numerics import log_integral_block, log_power_integral
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,14 @@ def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):
 def log_lrt_awgn(z, cfg):
     """Log LRT for the uniform jam-power construction over AWGN links.
 
-    Both hypothesis densities are uniform mixtures of Gamma(n, sigma_w2 +
-    theta) laws for the total power; the signal shifts the mixing window from
-    [0, zeta] to [sigma_a2, sigma_a2 + zeta].  Vectorized over z.
+    Both hypotheses mix Gamma(n, sigma_w2 + theta) laws of the total power
+    over a uniform theta, on [0, zeta] or, with the signal, on [sigma_a2,
+    sigma_a2 + zeta]; the normalisers cancel in the ratio.  Vectorized over z.
     """
     if cfg.variant != AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected {AWGN_UNIFORM}")
-    sa = cfg.sigma_a2
-    num = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, sa, sa + cfg.zeta, cfg.zeta)
-    den = log_mixture_density_uniform(z, cfg.n, cfg.sigma_w2, 0.0, cfg.zeta, cfg.zeta)
-    return num - den
+    return (log_power_integral(z, cfg.n, cfg.sigma_w2 + cfg.sigma_a2, cfg.zeta, 0.0)
+            - log_power_integral(z, cfg.n, cfg.sigma_w2, cfg.zeta, 0.0))
 
 
 def log_lrt_m1(z, cfg):

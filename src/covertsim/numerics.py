@@ -1,5 +1,5 @@
-"""One batched log-domain quadrature kernel for the mixture likelihoods,
-rowwise bisection for monotone roots, and binomial confidence intervals.
+"""The checked log-domain quadrature kernel ``log_power_integral`` and its two
+density adapters, rowwise bisection for monotone roots, binomial intervals.
 
 Everything here works on logarithms of positive quantities.  The likelihood
 ratios downstream span hundreds of orders of magnitude once the slot length
@@ -42,16 +42,7 @@ class BisectionError(NumericalError):
 # _TAIL_DROP nats below the peak.  Nodes measure the concave exponent from its
 # maximum on the limits (the peak, clipped to them), so it is at most 0 up to
 # rounding and a rule sums its exp times the weights with no other shift.
-# Rows go through in batches of _BATCH, set-up (peak, limits, width, window
-# edges) and ladder on the same rows, enough to spread numpy's per-call cost.
-# Every rule streams its panels one at a time, in place, through a call's one
-# node workspace, three buffers of _BATCH x 15 doubles (138 KB, far inside a
-# 2 MB L2 cache) viewed as 15 x rows, so every level and climbing subset fits
-# and no batch faults in fresh pages.  A panel sums its nodes in a fixed tree
-# and adds to a running total, left to right, not by numpy's pairwise sum,
-# whose order follows the array's shape, so a row's bytes do not depend on its
-# batch or on _BATCH.  The 15-point rule
-# is written out as literals, each the shortest repr of
+# The 15-point rule is written out as literals, each the shortest repr of
 # np.polynomial.legendre.leggauss(15) and so the same bits (a test holds them
 # to it): computing it at import would load numpy.polynomial and run an
 # eigensolve in every process, about 1.35 MB of resident memory and 3 ms, for
@@ -170,22 +161,27 @@ def _log_power_integral_rows(z, k, a, w, r, work):
                           f" k={k:g}, a={a[i]:g}, w={w[i]:g}, r={r:g})")
 
 
-def _log_power_integral(z, k, a, w, r):
+def log_power_integral(z, k, a, w, r):
     """log of int_a^(a+w) v**-k * exp(-z/v - r*v) dv, elementwise over z, a and w.
 
-    z >= 0, k >= 1, a > 0, w >= 0 (finite when r = 0), r >= 0; a narrow range
-    keeps its accuracy as no rounded a + w enters the limits, and w = 0 gives
-    -inf.  With v = e^t
-    the exponent is strictly concave; panels sit around its analytic peak.
-    Rows go through in batches of _BATCH, each row still computed alone, so
-    a z gives the same bytes in any batch; one node workspace of three
-    _BATCH x 15 buffers, which each rule fills one panel at a time, serves
-    every batch and ladder level, so working memory does not grow with the
-    batch beyond the output.  It
-    silences floating-point warnings once: infinite limits, z = 0 and
-    overflowing tails are handled by value, and a NaN row raises.
+    ValueError unless z >= 0, k >= 1, a >= 0, w >= 0 and r >= 0, checked
+    before broadcasting; a NaN row or a divergent one (z = a = 0, or w = inf
+    at r = 0 and k = 1) raises QuadratureError.  w = 0 gives -inf; no rounded
+    a + w enters the limits, so narrow ranges stay accurate.  Scalars give a
+    float.  In t = log v the exponent is concave, and panels sit around its
+    peak.  Rows go in batches of _BATCH to spread numpy's per-call cost, each
+    rule streaming its panels one at a time through one 138 KB workspace
+    (three _BATCH x 15 buffers, inside a 2 MB L2 cache) that fits every level
+    and climbing subset, so memory does not grow with the batch; a panel adds
+    its nodes in a fixed tree to a left-to-right total, not numpy's
+    shape-dependent pairwise sum, so a row gives the same bytes alone, in any
+    batch and under any _BATCH.  Floating-point warnings are silenced once:
+    infinite limits, z = 0 and overflowing tails are handled by value.
     """
-    z, a, w = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (z, a, w)))
+    z, a, w = (np.asarray(x, dtype=float) for x in (z, a, w))
+    if (z < 0).any() or not k >= 1 or (a < 0).any() or (w < 0).any() or not r >= 0:
+        raise ValueError(f"need z >= 0, k >= 1, a >= 0, w >= 0 and r >= 0, got k={k}, r={r}")
+    z, a, w = np.broadcast_arrays(z, a, w)
     out = np.empty(z.shape)
     # reshape keeps a broadcast scalar a view where ravel would copy it
     flat_z, flat_a, flat_w, flat_out = (x.reshape(-1) for x in (z, a, w, out))
@@ -196,7 +192,7 @@ def _log_power_integral(z, k, a, w, r):
             flat_out[part] = _log_power_integral_rows(
                 flat_z[part], float(k), flat_a[part], flat_w[part], float(r), work
             )
-    return out
+    return out if out.ndim else float(out)
 
 
 def log_integral_block(z, k, v0, zeta, width=math.inf):
@@ -208,17 +204,9 @@ def log_integral_block(z, k, v0, zeta, width=math.inf):
     v0 and width broadcast against z, and width = 0 gives -inf.  k up to 1e6
     is fine.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if (z_arr < 0).any():
-        raise ValueError(f"z must be nonnegative, got {z}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if (np.asarray(v0) <= 0).any() or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
-    if (np.asarray(width) < 0).any():
-        raise ValueError("width must be nonnegative")
-    out = _log_power_integral(z_arr, k, v0, width, 1.0 / zeta)
-    return out if out.ndim else float(out)
+    return log_power_integral(z, k, v0, width, 1.0 / zeta)
 
 
 def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
@@ -236,17 +224,11 @@ def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
         raise ValueError("zeta_width must be positive")
     if sigma_w2 <= 0:
         raise ValueError("sigma_w2 must be positive")
-    z_arr = np.asarray(z, dtype=float)
-    if (z_arr < 0).any():
-        raise ValueError("z must be nonnegative")
+    log_v = log_power_integral(z, n, sigma_w2 + theta_lo, theta_hi - theta_lo, 0.0)
     # GammaPdf(z; n, v) = z**(n-1) v**-n exp(-z/v) / Gamma(n), with v = sigma_w2 + theta
     with np.errstate(divide="ignore"):  # z**0 = 1 holds at z = 0 too
-        log_z_power = 0.0 if n == 1 else (n - 1.0) * np.log(z_arr)
-    out = (
-        log_z_power - math.lgamma(n) - math.log(zeta_width)
-        + _log_power_integral(z_arr, n, sigma_w2 + theta_lo, theta_hi - theta_lo, 0.0)
-    )
-    return out if out.ndim else float(out)
+        log_z_power = 0.0 if n == 1 else (n - 1.0) * np.log(z)
+    return log_z_power - math.lgamma(n) - math.log(zeta_width) + log_v
 
 
 def bisect_monotone(f, target, lo, hi, tol):

@@ -275,6 +275,15 @@ class TestCovertness:
                         "--out", str(tmp_path)]) == 0
         assert calls == []
 
+    def test_curve_pinned(self, tmp_path):
+        # curve.csv's SHA-256 on the faded M = 4 config at --seed 1, so a
+        # byte that moves in the block-term statistic or its threshold shows
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / "fading_m4.json"
+        assert run_cli(["covertness", str(cfgp), "--n-list", "400,1600", "--trials", "300",
+                        "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest() == (
+            "0f2e77f32cccf1d3cfc331956b78e9f615e70d15f7a9badbce2a87c258410b18")
+
 
 class TestRoc:
     def test_collects_statistics_once(self, tmp_path, monkeypatch):
@@ -355,6 +364,18 @@ class TestRoc:
         md = [r[2] for r in rows]
         assert all(a >= b for a, b in zip(fa, fa[1:]))
         assert all(a <= b for a, b in zip(md, md[1:]))
+
+    @pytest.mark.parametrize("config, digest", [
+        ("fading_m2", "1ba69dbda3c3dc100a20768977e2d286f63ff4884eacb2d9e25dc0ea2519c11a"),
+        ("fading_m4", "59d4e3dd5af2af01352f6f4c08be146fcaa6d5766caf35cd413f0ff086f6d59a"),
+    ])
+    def test_table_pinned(self, tmp_path, config, digest):
+        # roc.csv's SHA-256 on the multi-block configs at --seed 1, so a
+        # threshold that moves by one ulp shows
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / f"{config}.json"
+        assert run_cli(["roc", str(cfgp), "--trials", "300", "--seed", "1",
+                        "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "roc.csv").read_bytes()).hexdigest() == digest
 
 
 class TestCheck:
@@ -608,6 +629,19 @@ class TestBoundary:
         report = json.loads((out / "boundary.json").read_text())
         assert report["spot_mismatches"] > 0 and report["failures"] == 0
         assert len((out / "boundary.csv").read_text().splitlines()) == 51
+
+    def test_report_pinned(self, tmp_path):
+        # boundary.csv's and boundary.json's SHA-256 on the M = 2 config at
+        # --seed 1, so a moved draw, statistic or spot check shows
+        cfgp = Path(__file__).resolve().parents[1] / "configs" / "fading_m2.json"
+        assert run_cli(["boundary", str(cfgp), "--draws", "1000", "--seed", "1",
+                        "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("boundary.csv", "boundary.json")}
+        assert digests == {
+            "boundary.csv": "67e62b5742820ae2e8bf5956c36fd3b20c556175be74ea06df382a8ca6427e05",
+            "boundary.json": "5aa21b3cb341870b7f230b2bb84ee9e8ac4204ce75dd76369fcde2948d1a0dae",
+        }
 
 
 class TestArtifactsMatchLibrary:

@@ -13,6 +13,7 @@ KEPT = {
     "synthesize_willie_slot": "C8's reference waveform, the oracle of sample_block_powers",
     "total_power": "C8 reduces the reference waveforms with it",
     "log_lrt_m1": "C8 imports it",
+    "log_mixture_density_uniform": "C8 imports it",
     "outage_capacity": "C9 calls it",
     "save_scenario": "C10 writes its configs with it",
 }

@@ -116,6 +116,26 @@ class TestAwgnLrt:
         got = log_lrt_awgn(z, awgn_cfg(n=n, sigma_a2=sa, zeta=zeta, sigma_w2=sw2))
         assert got == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+    def test_large_n_matches_mpmath(self, n):
+        # the ratio of the two window integrals of v^-n e^(-z/v), each by
+        # mp quadrature, where the oracles above stop at n = 4 and C8's at 12
+        cfg = awgn_cfg(n=n)
+        sw2, sa, zeta = cfg.sigma_w2, cfg.sigma_a2, cfg.zeta
+        for ratio in (1.0, 1.2, 1.6, 1.9):
+            z = ratio * n
+            want = float(mp_log_kernel(z, n, sw2 + sa, zeta, 0.0)
+                         - mp_log_kernel(z, n, sw2, zeta, 0.0))
+            assert abs(log_lrt_awgn(z, cfg) - want) <= 1e-10 * max(1.0, abs(want)), ratio
+
+    def test_zero_power_is_the_ratio_of_power_laws(self):
+        # z = 0 leaves int v^-n dv over each window; no log z term is formed
+        # to cancel, so the ratio is finite
+        n, lo = 100, 1.025
+        want = (-(n - 1) * math.log(lo) + math.log1p(-(lo / (lo + 1.0)) ** (n - 1))
+                - math.log1p(-(2.0 ** -(n - 1))))
+        assert log_lrt_awgn(0.0, awgn_cfg(n=n)) == pytest.approx(want, rel=1e-12)
+
     def test_variant_guard(self):
         with pytest.raises(ConfigError):
             log_lrt_awgn(1.0, m1_cfg())

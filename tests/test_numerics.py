@@ -20,6 +20,7 @@ from covertsim.numerics import (
     bisect_monotone,
     log_integral_block,
     log_mixture_density_uniform,
+    log_power_integral,
     wilson_interval,
 )
 
@@ -221,18 +222,43 @@ class TestPowerIntegral:
             a = float(rng.choice([0.0, 0.2, 1.0, 1.0125]))
             w = float(rng.choice([1.0, 0.00625, 1e-9] + ([math.inf] if r > 0 else [])))
             z = 0.0 if a > 0 and rng.random() < 0.2 else k * 10.0 ** rng.uniform(-1.3, 1.3)
-            got = numerics._log_power_integral(z, k, a, w, r)
+            got = log_power_integral(z, k, a, w, r)
             want = float(mp_log_kernel(z, k, a, w, r))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (z, k, a, w, r)
 
     def test_incomplete_gamma_row(self):
         # a = 0 and r = 0: z^(1-k) Gamma(k - 1, z/w), the oracle's closed form
         for z, k, w in [(3.0, 1.0, 1.0), (50.0, 10.0, 2.0), (900.0, 1000.0, 1.0), (1e6, 1e6, 0.9)]:
-            got = numerics._log_power_integral(z, k, 0.0, w, 0.0)
+            got = log_power_integral(z, k, 0.0, w, 0.0)
             with mp.workdps(50):
                 want = float((1 - k) * mp.log(z) + mp.log(mp.gammainc(k - 1, z / w)))
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
             assert abs(float(mp_log_kernel(z, k, 0.0, w, 0.0)) - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("z, k, a, w, r", [
+        (-1.0, 2.0, 1.0, 1.0, 1.0), ([1.0, -1e-300], 2.0, 1.0, 1.0, 1.0), (1.0, 0.5, 1.0, 1.0, 1.0),
+        (1.0, 2.0, -1.0, 1.0, 1.0), (1.0, 2.0, 1.0, -1e-3, 1.0), (1.0, 2.0, 1.0, 1.0, -1.0),
+        (1.0, 2.0, 1.0, 1.0, math.nan),
+    ], ids=["z", "z-row", "k", "a", "w", "r", "r-nan"])
+    def test_domain_errors(self, z, k, a, w, r):
+        with pytest.raises(ValueError):
+            log_power_integral(z, k, a, w, r)
+
+    @pytest.mark.parametrize("z, k, a, w, r", [
+        (math.nan, 2.0, 1.0, 1.0, 1.0), ([1.0, math.nan], 2.0, 1.0, 1.0, 1.0),
+        (1.0, 2.0, math.nan, 1.0, 1.0), (1.0, 2.0, 1.0, math.nan, 1.0),
+        # divergent integrals: 1/v near v = 0 and toward v = inf
+        (0.0, 1.0, 0.0, 1.0, 0.0), (0.0, 3.0, 0.0, 1.0, 1.0), (1.0, 1.0, 1.0, math.inf, 0.0),
+    ], ids=["z", "z-row", "a", "w", "a0-z0", "a0-z0-r1", "w-inf-r0"])
+    def test_unresolvable_rows_raise(self, z, k, a, w, r):
+        # a NaN passes the domain check and the kernel refuses the row
+        with pytest.raises(NumericalError):
+            log_power_integral(z, k, a, w, r)
+
+    def test_scalars_give_a_float(self):
+        assert type(log_power_integral(2.0, 3.0, 1.0, 1.0, 1.0)) is float
+        got = log_power_integral(2.0, 3.0, np.array([1.0, 2.0]), 1.0, 1.0)
+        assert got.shape == (2,) and got[0] > got[1]
 
     def test_empty_window_is_minus_infinity(self):
         # width 0 integrates nothing; the row resolves at once instead of climbing
