@@ -1,11 +1,10 @@
 """The warden's detectors: sufficient statistics and the mixture likelihood
-ratio tests.  Over AWGN links the statistic is a uniform-window mixture of
-the total power; over a faded jammer link with M >= 1 blocks it is the
-left-to-right sum of the per-block terms ``log_lrt_block_term``.
-
-All likelihood ratios are handled as logarithms and compared against
-log(gamma) with gamma = P(H0)/P(H1); the raw ratio overflows for slot lengths
-beyond a hundred samples or so.
+ratio test, kept as a logarithm against log(gamma), gamma = P(H0)/P(H1), as
+the raw ratio overflows beyond a hundred samples or so.  Both constructions
+mix over one truncated exponential jam-power law TE(r, w) per block, whose
+term is ``block_lr``: TE(0, zeta) over AWGN links, the total power being the
+one block, and TE(1/zeta, inf) in each block of a faded jammer link.
+``log_lr`` sums the blocks; the four ``log_lrt_*`` are adapters over it.
 """
 
 from __future__ import annotations
@@ -16,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AWGN, AWGN_UNIFORM, MBLOCK_PRODUCT, ConfigError, detector_variant
-from .numerics import log_integral_block, log_power_integral
+from .numerics import log_power_integral
 
 
 @dataclass(frozen=True)
 class LrtConfig:
-    """Parameters of one detector instance.
-
-    ``sigma_a2`` is the common per-block signal power; the genie
-    configuration scales it by per-trial |h_aw|^2 gains (see ``log_lr``).
-    """
+    """Parameters of one detector instance.  ``sigma_a2`` is the common
+    per-block signal power, which the genie configuration scales by per-trial
+    |h_aw|^2 gains (see ``log_lr``)."""
 
     variant: str
     n: int
@@ -53,6 +50,11 @@ class LrtConfig:
     @property
     def block_size(self):
         return self.n // self.M
+
+    @property
+    def jam_law(self):
+        """(scale, w) of ``block_lr``'s law: TE(0, zeta) or TE(1/zeta, inf)."""
+        return (math.inf, self.zeta) if self.variant == AWGN_UNIFORM else (self.zeta, math.inf)
 
 
 def config_for_scenario(scenario):
@@ -103,72 +105,65 @@ def total_power(obs):
     return ltr_sum(block_powers(obs))
 
 
+def block_lr(z, k, sigma_w2, sigma_a2, scale, w):
+    """Per-block log LR under the jam-power law TE(1/scale, w), density
+    e^(-theta/scale) on [0, w]: sigma_a2/scale + K(sigma_w2 + sigma_a2, w) -
+    K(sigma_w2, w) with K(a, w) = log_power_integral(z, k, a, w, 1/scale).  On
+    w = inf it is sigma_a2/scale - softplus(log J - log I), J = K(sigma_w2,
+    sigma_a2) and I = K(sigma_w2 + sigma_a2, inf), so never above sigma_a2/scale
+    (a quotient, as sigma_a2/zeta is) and 0 at sigma_a2 = 0.  Vectorized over
+    z; sigma_a2 broadcasts against z."""
+    if sigma_w2 <= 0 or scale <= 0:
+        raise ValueError("sigma_w2 and scale must be positive")
+    r = 1.0 / scale
+    if w == math.inf:
+        log_j = log_power_integral(z, k, sigma_w2, sigma_a2, r)
+        log_i = log_power_integral(z, k, sigma_w2 + sigma_a2, w, r)
+        return sigma_a2 / scale - np.logaddexp(0.0, log_j - log_i)
+    return sigma_a2 / scale + (log_power_integral(z, k, sigma_w2 + sigma_a2, w, r)
+                               - log_power_integral(z, k, sigma_w2, w, r))
+
+
 def log_lrt_block_term(z, k, sigma_w2, sigma_a2, zeta):
-    """Per-block log likelihood ratio under the exponential jam-power prior.
-
-    sigma_a2/zeta + log I - log (J + I) = sigma_a2/zeta - softplus(log J - log I)
-
-    with I = int_{sigma_w2+sigma_a2}^inf and J = int_{sigma_w2}^{sigma_w2+sigma_a2}
-    of v^-k e^{-z/v} e^{-v/zeta} dv.  The softplus is nonnegative, so the term
-    never exceeds its supremum sigma_a2/zeta, and sigma_a2 = 0 gives exactly
-    0.  Vectorized over z; sigma_a2 broadcasts against z.
-    """
-    log_j = log_integral_block(z, k, sigma_w2, zeta, width=sigma_a2)
-    log_i = log_integral_block(z, k, sigma_w2 + sigma_a2, zeta)
-    return sigma_a2 / zeta - np.logaddexp(0.0, log_j - log_i)
+    """``block_lr`` under a faded jammer link's law TE(1/zeta, inf)."""
+    return block_lr(z, k, sigma_w2, sigma_a2, zeta, math.inf)
 
 
 def log_lrt_awgn(z, cfg):
-    """Log LRT for the uniform jam-power construction over AWGN links.
-
-    Both hypotheses mix Gamma(n, sigma_w2 + theta) laws of the total power
-    over a uniform theta, on [0, zeta] or, with the signal, on [sigma_a2,
-    sigma_a2 + zeta]; the normalisers cancel in the ratio.  Vectorized over z.
-    """
+    """``block_lr`` of the total power z under AWGN links' law TE(0, zeta)."""
     if cfg.variant != AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected {AWGN_UNIFORM}")
-    return (log_power_integral(z, cfg.n, cfg.sigma_w2 + cfg.sigma_a2, cfg.zeta, 0.0)
-            - log_power_integral(z, cfg.n, cfg.sigma_w2, cfg.zeta, 0.0))
+    return block_lr(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, *cfg.jam_law)
 
 
 def log_lrt_m1(z, cfg):
-    """Log LRT for the faded jammer link with M = 1: its one block term at
-    the configured signal power.  Vectorized over z."""
+    """``block_lr`` of the one block of a faded jammer link with M = 1."""
     if cfg.variant != MBLOCK_PRODUCT or cfg.M != 1:
         raise ConfigError(f"expected {MBLOCK_PRODUCT} with M = 1, got {cfg.variant} with M = {cfg.M}")
-    return log_lrt_block_term(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, cfg.zeta)
+    return block_lr(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, *cfg.jam_law)
 
 
 def log_lrt_mblock(Z, cfg, sigma_a2=None):
-    """Log LRT for the faded jammer link over cfg.M blocks, M = 1 included.
-
-    The likelihoods factor over blocks, so the log ratio is the left-to-right
-    sum over blocks of ``log_lrt_block_term``, each block with shape n/M.
-    ``Z`` is one length-M block power vector or a (trials, M) array of them,
-    with one statistic per row; ``sigma_a2`` broadcasts against ``Z``.
-    """
+    """``log_lr``'s block sum over a faded jammer link, for one length-M block
+    power vector or a (trials, M) array; ``sigma_a2`` broadcasts against Z."""
     if cfg.variant == AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected a faded jammer link")
     Z = np.asarray(Z, dtype=float)
     if Z.ndim not in (1, 2) or Z.shape[-1] != cfg.M:
         raise ConfigError(f"expected length-{cfg.M} block power vectors, got shape {Z.shape}")
     sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
-    return ltr_sum(log_lrt_block_term(Z, cfg.block_size, cfg.sigma_w2, sa, cfg.zeta))
+    return ltr_sum(block_lr(Z, cfg.block_size, cfg.sigma_w2, sa, *cfg.jam_law))
 
 
 def log_lr(cfg, blocks, haw2=None):
     """Per-row log LRT of a (rows, cfg.M) array of block powers: the
-    uniform-window mixture of the total power over AWGN links, the block-term
-    sum of ``log_lrt_mblock`` over a faded jammer link.
-
-    ``haw2`` holds the matching |h_aw|^2 gains.  It is read only under the
-    genie configuration, which scales sigma_a2 by it, and must then be given.
-    """
+    left-to-right sum of ``block_lr`` under ``cfg.jam_law``.  ``haw2`` holds
+    the matching |h_aw|^2 gains; only the genie configuration reads them, to
+    scale sigma_a2, and then they must be given."""
     if cfg.genie and haw2 is None:
         raise ConfigError("the genie configuration needs the |h_aw|^2 gains")
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 2 or blocks.shape[1] != cfg.M:
         raise ConfigError(f"expected a (rows, {cfg.M}) block power array, got shape {blocks.shape}")
-    if cfg.variant == AWGN_UNIFORM:
-        return log_lrt_awgn(blocks[:, 0], cfg)
-    return log_lrt_mblock(blocks, cfg, sigma_a2=haw2 * cfg.sigma_a2 if cfg.genie else None)
+    sa = haw2 * cfg.sigma_a2 if cfg.genie else cfg.sigma_a2
+    return ltr_sum(block_lr(blocks, cfg.block_size, cfg.sigma_w2, sa, *cfg.jam_law))

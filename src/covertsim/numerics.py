@@ -196,28 +196,17 @@ def log_power_integral(z, k, a, w, r):
 
 
 def log_integral_block(z, k, v0, zeta, width=math.inf):
-    """log of int_{v0}^{v0+width} v**(-k) * exp(-z/v) * exp(-v/zeta) dv.
-
-    This is the building block of the fading-jammer likelihoods: the scale
-    variable v is the per-sample received power, averaged over an exponential
-    jam-power prior with mean zeta, above the floor v0.  Vectorized over z;
-    v0 and width broadcast against z, and width = 0 gives -inf.  k up to 1e6
-    is fine.
-    """
+    """log of int_{v0}^{v0+width} v**(-k) * exp(-z/v) * exp(-v/zeta) dv, the
+    kernel at r = 1/zeta; v0 and width broadcast against z."""
     if (np.asarray(v0) <= 0).any() or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
     return log_power_integral(z, k, v0, width, 1.0 / zeta)
 
 
 def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):
-    """log mixture density of the total power z under a uniform power prior.
-
-    Computes log[(1/zeta_width) * int_{theta_lo}^{theta_hi}
-    GammaPdf(z; shape n, scale sigma_w2 + theta) dtheta]: the density of a
-    total-power statistic over n complex samples whose extra per-sample
-    power theta is uniform on [theta_lo, theta_hi] with density
-    1/zeta_width.  Vectorized over z.
-    """
+    """log[(1/zeta_width) * int_{theta_lo}^{theta_hi} GammaPdf(z; n, sigma_w2 +
+    theta) dtheta]: the density of the total power of n complex samples whose
+    extra power theta has density 1/zeta_width on [theta_lo, theta_hi]."""
     if not theta_hi > theta_lo >= 0:
         raise ValueError("need theta_hi > theta_lo >= 0")
     if zeta_width <= 0:

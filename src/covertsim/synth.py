@@ -10,6 +10,7 @@ purpose) pair owns a Philox substream of the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +40,19 @@ _FIRST_TRIAL = {H0: 0, H1: 1 << 32}
 _KEY_SALT = 0x9E3779B97F4A7C15
 
 
+@functools.cache
+def _key_seed():
+    # a seed sequence handing Philox its key, so that a build gathers no OS
+    # entropy; made on first use, as naming numpy.random at import loads it
+    class KeySeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+    return KeySeed
+
+
 def substream(seed, trial, purpose):
     """Independent Generator for one (trial, purpose) pair.
 
@@ -49,8 +63,8 @@ def substream(seed, trial, purpose):
     Each call builds a new generator, so no two calls share state.
     """
     bitgen = np.random.Philox(
+        _key_seed()(np.array([int(seed) % 2**64, _KEY_SALT], dtype=np.uint64)),
         counter=np.array([0, int(trial) % 2**64, 0, purpose], dtype=np.uint64),
-        key=np.array([int(seed) % 2**64, _KEY_SALT], dtype=np.uint64),
     )
     return np.random.Generator(bitgen)
 

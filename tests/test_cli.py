@@ -591,7 +591,7 @@ class TestBoundary:
     def test_falling_statistic_exits_3(self, tmp_path, monkeypatch, capsys):
         # a per-block term that falls along every axis breaks every spot
         # check; the corner test reads it too and finds no draw in the region
-        monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
+        monkeypatch.setattr(detectors, "block_lr", lambda z, *args: -z)
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"
         assert run_cli(["boundary", cfgp, "--draws", "50", "--seed", "3",
@@ -604,7 +604,7 @@ class TestBoundary:
     def test_nan_statistic_exits_3(self, tmp_path, monkeypatch, capsys):
         # a NaN statistic neither rises nor falls along an axis; the spot
         # checks count it as broken, as a NaN step fails a monotone scan
-        monkeypatch.setattr(detectors, "log_lrt_block_term",
+        monkeypatch.setattr(detectors, "block_lr",
                             lambda z, *args: np.full(np.shape(z), np.nan))
         cfgp = write_config(tmp_path, fading_scenario(n=64, M=2, P_f=0.0125))
         out = tmp_path / "bnd"

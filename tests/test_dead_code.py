@@ -12,7 +12,11 @@ KEPT = {
     "TrialRng": "C8 synthesizes reference waveforms with it",
     "synthesize_willie_slot": "C8's reference waveform, the oracle of sample_block_powers",
     "total_power": "C8 reduces the reference waveforms with it",
+    "log_lrt_awgn": "C4 and C8 import it",
+    "log_lrt_block_term": "C5 imports it",
     "log_lrt_m1": "C8 imports it",
+    "log_lrt_mblock": "C5 imports it",
+    "log_integral_block": "C8 imports it",
     "log_mixture_density_uniform": "C8 imports it",
     "outage_capacity": "C9 calls it",
     "save_scenario": "C10 writes its configs with it",

@@ -10,6 +10,7 @@ from covertsim.detectors import (
     AWGN_UNIFORM,
     MBLOCK_PRODUCT,
     LrtConfig,
+    block_lr,
     block_powers,
     config_for_scenario,
     log_lrt_awgn,
@@ -19,6 +20,7 @@ from covertsim.detectors import (
     total_power,
 )
 from covertsim.model import ConfigError
+from covertsim.numerics import log_integral_block, log_power_integral
 from covertsim.synth import H0, Latents, Observation, TrialRng
 
 from conftest import awgn_scenario, fading_scenario, mp_log_kernel
@@ -211,6 +213,34 @@ class TestBlockTerm:
         assert abs(got / want - 1.0) <= 1e-12
 
 
+class TestBlockLr:
+    """block_lr on the truncated exponential family TE(1/scale, w)."""
+
+    @pytest.mark.parametrize("scale, w", [(math.inf, 1.0), (1.0, math.inf), (0.5, 2.0)],
+                             ids=["uniform", "exponential", "truncated"])
+    @pytest.mark.parametrize("x", [0.5, 1.5, 4.0])
+    def test_matches_the_mixture_ratio_in_mpmath(self, scale, w, x):
+        # the ratio of the two hypotheses' mixtures over the jam power theta,
+        # their Gamma(k) factors in z cancelled
+        k, sw2, sa = 8, 1.0, 0.3
+        z = k * x
+
+        def log_mixture(floor):
+            def f(theta):
+                v = floor + theta
+                return mp.exp(-theta / scale - z / v) * v**-k
+            return mp.log(mp.quad(f, [0, 1, 4, w] if w == math.inf else [0, w]))
+
+        with mp.workdps(30):
+            want = float(log_mixture(sw2 + sa) - log_mixture(sw2))
+        assert block_lr(z, k, sw2, sa, scale, w) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("sw2, scale", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    def test_rejects_a_nonpositive_floor_or_scale(self, sw2, scale):
+        with pytest.raises(ValueError):
+            block_lr(10.0, 8, sw2, 0.1, scale, math.inf)
+
+
 class TestMBlockLrt:
     def test_single_block_reduces_exactly(self):
         c1 = m1_cfg(n=100)
@@ -265,27 +295,48 @@ def _genie(cfg):
     return dataclasses.replace(cfg, genie=True)
 
 
+def _two_path_reference(cfg, Z, sa):
+    """The statistic as the two variant paths formed it before ``block_lr``:
+    the uniform window's two kernel rows of the total power, or the
+    left-to-right sum of the exponential prior's J/I softplus terms."""
+    if cfg.variant == AWGN_UNIFORM:
+        return (log_power_integral(Z[:, 0], cfg.n, cfg.sigma_w2 + sa, cfg.zeta, 0.0)
+                - log_power_integral(Z[:, 0], cfg.n, cfg.sigma_w2, cfg.zeta, 0.0))
+    log_j = log_integral_block(Z, cfg.block_size, cfg.sigma_w2, cfg.zeta, width=sa)
+    log_i = log_integral_block(Z, cfg.block_size, cfg.sigma_w2 + sa, cfg.zeta)
+    return detectors.ltr_sum(sa / cfg.zeta - np.logaddexp(0.0, log_j - log_i))
+
+
 class TestLogLr:
-    """log_lr is each variant's own log LRT, bit for bit."""
+    """log_lr is each variant's own log LRT, and the formula its variant
+    path used before the one block_lr, bit for bit."""
 
     @pytest.mark.parametrize("rows", [7, 0])
     @pytest.mark.parametrize("cfg, direct", [
         (awgn_cfg(n=100), lambda Z, g, cfg: log_lrt_awgn(Z[:, 0], cfg)),
+        (awgn_cfg(n=100, sigma_a2=0.0), lambda Z, g, cfg: log_lrt_awgn(Z[:, 0], cfg)),
         (m1_cfg(n=100), lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg)),
-        (_genie(m1_cfg(n=100)),
+        (m1_cfg(n=100, sigma_a2=0.0), lambda Z, g, cfg: log_lrt_m1(Z[:, 0], cfg)),
+        (_genie(m1_cfg(n=100, zeta=0.7)),
          lambda Z, g, cfg: log_lrt_block_term(
              Z[:, 0], cfg.n, cfg.sigma_w2, g[:, 0] * cfg.sigma_a2, cfg.zeta)),
         (mblock_cfg(n=200, M=2), lambda Z, g, cfg: log_lrt_mblock(Z, cfg)),
-        (_genie(mblock_cfg(n=200, M=2)),
+        (_genie(mblock_cfg(n=200, M=2, zeta=0.7)),
          lambda Z, g, cfg: log_lrt_mblock(Z, cfg, sigma_a2=g * cfg.sigma_a2)),
-    ], ids=["awgn", "m1", "m1_genie", "mblock", "mblock_genie"])
+    ], ids=["awgn", "awgn_no_signal", "m1", "m1_no_signal", "m1_genie", "mblock",
+            "mblock_genie"])
     def test_matches_variant(self, cfg, direct, rows):
         rng = np.random.default_rng(23)
         Z = cfg.block_size * rng.uniform(0.5, 3.0, size=(rows, cfg.M))
         haw2 = rng.exponential(size=(rows, cfg.M))
+        if rows:
+            Z[0, 0] = 0.0  # z = 0
+            haw2[1, 0] = 0.0  # a genie row with no signal in its first block
         got = detectors.log_lr(cfg, Z, haw2)
         want = direct(Z, haw2, cfg)
-        assert got.shape == (rows,) and got.tobytes() == want.tobytes()
+        before = _two_path_reference(cfg, Z, haw2 * cfg.sigma_a2 if cfg.genie else cfg.sigma_a2)
+        assert got.shape == (rows,) and got.tobytes() == want.tobytes() == before.tobytes()
+        assert np.isfinite(got).all()
 
     def test_genie_needs_gains(self):
         with pytest.raises(ConfigError):

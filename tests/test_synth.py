@@ -9,6 +9,9 @@ from covertsim.synth import H0, H1, TrialRng
 
 from conftest import awgn_scenario, fading_scenario
 
+PURPOSES = [synth.CODEWORD, synth.JAMMER, synth.FADE_AW, synth.FADE_JW, synth.NOISE_W,
+            synth.FADE_AB, synth.FADE_JB, synth.BOUNDARY]
+
 
 def _quiet_waveform(n, hypothesis, jammer=None, P_f=0.0, seed=7, trial=0):
     """One synthesized slot over AWGN links with the noise floor all but off
@@ -299,13 +302,28 @@ class TestDeterminism:
         assert rng == TrialRng(seed, trial) and hash(rng) == hash(TrialRng(seed, trial))
         assert repr(TrialRng(1, 2)) == "TrialRng(seed=1, trial=2)"
 
-    @pytest.mark.parametrize("purpose", [synth.CODEWORD, synth.JAMMER, synth.FADE_AW,
-                                         synth.FADE_JW, synth.NOISE_W, synth.FADE_AB,
-                                         synth.FADE_JB, synth.BOUNDARY])
+    @pytest.mark.parametrize("purpose", PURPOSES)
     def test_negative_seed_and_trial_wrap_modulo_2_64(self, purpose):
         got = synth.substream(-1, -3, purpose).standard_normal(4)
         want = synth.substream(2**64 - 1, 2**64 - 3, purpose).standard_normal(4)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("purpose", PURPOSES)
+    def test_matches_a_philox_built_from_counter_and_key(self, purpose):
+        # numpy's own build from the counter and the key, which first seeds a
+        # SeedSequence from OS entropy and then replaces its key: the same
+        # state and the same draws, for seeds and trials that wrap
+        for seed, trial in ((0, 0), (5, 3), (-1, -3), (2**63 + 5, 2**40),
+                            (2**64 + 7, 2**65 + 1), (-2**70, 2**64)):
+            want = np.random.Generator(np.random.Philox(
+                counter=np.array([0, trial % 2**64, 0, purpose], dtype=np.uint64),
+                key=np.array([seed % 2**64, 0x9E3779B97F4A7C15], dtype=np.uint64)))
+            got = synth.substream(seed, trial, purpose)
+            assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+            for draw in (lambda r: r.standard_normal(5), lambda r: r.gamma(2.5, size=5),
+                         lambda r: r.integers(0, 2**62, size=5),
+                         lambda r: r.integers(0, 2**32, size=3, dtype=np.uint32)):
+                assert draw(got).tobytes() == draw(want).tobytes()
 
     def test_stream_values_pinned(self):
         # the first draws of every purpose are part of the reproducibility

@@ -183,12 +183,11 @@ class TestLrtMonotone:
     @pytest.mark.parametrize("wavy", [False, True], ids=["shipped", "wavy"])
     def test_matches_pointwise_reference(self, cfg, wavy, monkeypatch):
         # the relative-step scan, one point at a time; "wavy" swaps in a block
-        # term (and an AWGN statistic) that falls between its rises
+        # term, the AWGN statistic's one block included, that falls between
+        # its rises
         if wavy:
-            monkeypatch.setattr(detectors, "log_lrt_block_term",
+            monkeypatch.setattr(detectors, "block_lr",
                                 lambda z, k, *args: np.sin(4.0 * z / k) + z / k)
-            monkeypatch.setattr(detectors, "log_lrt_awgn",
-                                lambda z, cfg: np.sin(4.0 * z / cfg.n) + z / cfg.n)
         grid = theory.GridSpec(points=150)
         xs = grid.values()
         if cfg.variant == detectors.AWGN_UNIFORM:
@@ -398,7 +397,7 @@ class TestBoundaryMass:
         # check; the corner test reads the same term, and with it falling no
         # lower corner lies below an upper one, so nothing is in the region
         cfg = mblock_cfg(n=200, M=2)
-        monkeypatch.setattr(detectors, "log_lrt_block_term", lambda z, *args: -z)
+        monkeypatch.setattr(detectors, "block_lr", lambda z, *args: -z)
         region = theory.estimate_boundary_mass(
             cfg, 0.025, cfg.log_gamma, draws=50, seed=3, spot_checks=8
         )
@@ -424,7 +423,7 @@ class TestBoundaryMass:
     def test_kernel_failure_in_spot_checks_raises(self, monkeypatch):
         # the kernel fails only when the spot checks call it: the corner test
         # evaluates both corners, then the spot checks' error propagates
-        real, calls = detectors.log_lrt_block_term, []
+        real, calls = detectors.block_lr, []
 
         def failing(*args):
             frame = sys._getframe(1)
@@ -435,7 +434,7 @@ class TestBoundaryMass:
                 raise QuadratureError("quadrature window did not close")
             return real(*args)
 
-        monkeypatch.setattr(detectors, "log_lrt_block_term", failing)
+        monkeypatch.setattr(detectors, "block_lr", failing)
         with pytest.raises(NumericalError):
             theory.estimate_boundary_mass(
                 mblock_cfg(n=200, M=2), 0.025, 0.0, draws=20, seed=1, spot_checks=5
