@@ -143,16 +143,15 @@ def log_lrt_m1(z, cfg):
     return block_lr(z, cfg.n, cfg.sigma_w2, cfg.sigma_a2, *cfg.jam_law)
 
 
-def log_lrt_mblock(Z, cfg, sigma_a2=None):
-    """``log_lr``'s block sum over a faded jammer link, for one length-M block
-    power vector or a (trials, M) array; ``sigma_a2`` broadcasts against Z."""
+def log_lrt_mblock(Z, cfg):
+    """``log_lr``'s block sum over a faded jammer link at cfg.sigma_a2, for
+    one length-M block power vector or a (trials, M) array."""
     if cfg.variant == AWGN_UNIFORM:
         raise ConfigError(f"config variant is {cfg.variant}, expected a faded jammer link")
     Z = np.asarray(Z, dtype=float)
     if Z.ndim not in (1, 2) or Z.shape[-1] != cfg.M:
         raise ConfigError(f"expected length-{cfg.M} block power vectors, got shape {Z.shape}")
-    sa = np.asarray(cfg.sigma_a2 if sigma_a2 is None else sigma_a2, dtype=float)
-    return ltr_sum(block_lr(Z, cfg.block_size, cfg.sigma_w2, sa, *cfg.jam_law))
+    return ltr_sum(block_lr(Z, cfg.block_size, cfg.sigma_w2, cfg.sigma_a2, *cfg.jam_law))
 
 
 def log_lr(cfg, blocks, haw2=None):

@@ -195,12 +195,12 @@ def log_power_integral(z, k, a, w, r):
     return out if out.ndim else float(out)
 
 
-def log_integral_block(z, k, v0, zeta, width=math.inf):
-    """log of int_{v0}^{v0+width} v**(-k) * exp(-z/v) * exp(-v/zeta) dv, the
-    kernel at r = 1/zeta; v0 and width broadcast against z."""
+def log_integral_block(z, k, v0, zeta):
+    """log of int_{v0}^inf v**(-k) * exp(-z/v) * exp(-v/zeta) dv, the kernel
+    at r = 1/zeta; v0 broadcasts against z."""
     if (np.asarray(v0) <= 0).any() or zeta <= 0:
         raise ValueError("v0 and zeta must be positive")
-    return log_power_integral(z, k, v0, width, 1.0 / zeta)
+    return log_power_integral(z, k, v0, math.inf, 1.0 / zeta)
 
 
 def log_mixture_density_uniform(z, n, sigma_w2, theta_lo, theta_hi, zeta_width):

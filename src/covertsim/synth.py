@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -112,12 +111,13 @@ class Latents:
     """Hidden channel state recorded for oracle checks only.
 
     Detectors must never read these; they exist so tests can condition on
-    the true jam power and fading draws.
+    the true jam power P_t and the fading draws by link ("jw", "aw").  The
+    per-block jam power at the warden is P_t |h_jw|^2 d_jw**-alpha, which a
+    test forms from the two.
     """
 
     jam_power: float = 0.0
     fading: dict = field(default_factory=dict)
-    sigma_j2: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -149,13 +149,11 @@ def synthesize_willie_slot(scenario, hypothesis, rng):
         p_t = float(scenario.jammer.power)
     jam = _complex_normal(jam_rng, p_t, n)
     latents.jam_power = p_t
-    g_jw = path_gain(g.d_jw, g.alpha)
-    jam_amp = math.sqrt(g_jw)
+    jam_amp = math.sqrt(path_gain(g.d_jw, g.alpha))
     if scenario.channels.jw == FADING:
         h_jam = _complex_normal(rng.stream(FADE_JW), 1.0, M)
         latents.fading["jw"] = h_jam
         samples += jam_amp * np.repeat(h_jam, n // M) * jam
-        latents.sigma_j2 = p_t * np.abs(h_jam) ** 2 * g_jw
     else:
         samples += jam_amp * jam
 

@@ -20,7 +20,7 @@ from covertsim.detectors import (
     total_power,
 )
 from covertsim.model import ConfigError
-from covertsim.numerics import log_integral_block, log_power_integral
+from covertsim.numerics import log_power_integral
 from covertsim.synth import H0, Latents, Observation, TrialRng
 
 from conftest import awgn_scenario, fading_scenario, mp_log_kernel
@@ -276,11 +276,13 @@ class TestMBlockLrt:
         assert detectors.log_lr(cfg, Z, haw2).tobytes() == detectors.ltr_sum(terms).tobytes()
 
     def test_per_block_signal_powers(self):
+        # per-block signal powers reach the statistic as the genie's gains
         cfg = mblock_cfg(n=200, M=2, sigma_a2=0.0125)
-        uniform = log_lrt_mblock([100.0, 120.0], cfg)
-        vector = log_lrt_mblock([100.0, 120.0], cfg, sigma_a2=np.array([0.0125, 0.0125]))
+        Z = np.array([[100.0, 120.0]])
+        uniform = log_lrt_mblock(Z[0], cfg)
+        vector = detectors.log_lr(_genie(cfg), Z, np.ones((1, 2)))[0]
         assert vector == pytest.approx(uniform, abs=1e-14)
-        skew = log_lrt_mblock([100.0, 120.0], cfg, sigma_a2=np.array([0.05, 0.0]))
+        skew = detectors.log_lr(_genie(cfg), Z, np.array([[4.0, 0.0]]))[0]
         assert skew != pytest.approx(uniform, abs=1e-6)
 
     def test_shape_guard(self):
@@ -302,8 +304,9 @@ def _two_path_reference(cfg, Z, sa):
     if cfg.variant == AWGN_UNIFORM:
         return (log_power_integral(Z[:, 0], cfg.n, cfg.sigma_w2 + sa, cfg.zeta, 0.0)
                 - log_power_integral(Z[:, 0], cfg.n, cfg.sigma_w2, cfg.zeta, 0.0))
-    log_j = log_integral_block(Z, cfg.block_size, cfg.sigma_w2, cfg.zeta, width=sa)
-    log_i = log_integral_block(Z, cfg.block_size, cfg.sigma_w2 + sa, cfg.zeta)
+    r = 1.0 / cfg.zeta
+    log_j = log_power_integral(Z, cfg.block_size, cfg.sigma_w2, sa, r)
+    log_i = log_power_integral(Z, cfg.block_size, cfg.sigma_w2 + sa, math.inf, r)
     return detectors.ltr_sum(sa / cfg.zeta - np.logaddexp(0.0, log_j - log_i))
 
 
@@ -322,7 +325,8 @@ class TestLogLr:
              Z[:, 0], cfg.n, cfg.sigma_w2, g[:, 0] * cfg.sigma_a2, cfg.zeta)),
         (mblock_cfg(n=200, M=2), lambda Z, g, cfg: log_lrt_mblock(Z, cfg)),
         (_genie(mblock_cfg(n=200, M=2, zeta=0.7)),
-         lambda Z, g, cfg: log_lrt_mblock(Z, cfg, sigma_a2=g * cfg.sigma_a2)),
+         lambda Z, g, cfg: detectors.ltr_sum(log_lrt_block_term(
+             Z, cfg.block_size, cfg.sigma_w2, g * cfg.sigma_a2, cfg.zeta))),
     ], ids=["awgn", "awgn_no_signal", "m1", "m1_no_signal", "m1_genie", "mblock",
             "mblock_genie"])
     def test_matches_variant(self, cfg, direct, rows):

@@ -273,9 +273,9 @@ class TestStatisticsCollection:
         ss = collect_statistics(sc, cfg, trials=8, seed=19)
         for hyp, stats in ((synth.H0, ss.stats_h0), (synth.H1, ss.stats_h1)):
             blocks, haw2 = synth.sample_block_powers(sc, hyp, 8, 19)
-            direct = detectors.log_lrt_mblock(
-                blocks[2], cfg, sigma_a2=haw2[2] * float(np.asarray(cfg.sigma_a2)),
-            )
+            direct = detectors.ltr_sum(detectors.block_lr(
+                blocks[2], cfg.block_size, cfg.sigma_w2, haw2[2] * cfg.sigma_a2, *cfg.jam_law,
+            ))
             assert stats[2] == direct
 
     def test_m1_genie_statistic_scales_signal_power(self):

@@ -37,6 +37,12 @@ def _latents(sc, trials, seed=13):
             for t in range(trials)]
 
 
+def _jam_power_at_warden(sc, lat):
+    # the per-block jam power P_t |h_jw|^2 g_jw, in the synthesizer's order
+    return lat.jam_power * np.abs(lat.fading["jw"]) ** 2 * model.path_gain(
+        sc.geometry.d_jw, sc.geometry.alpha)
+
+
 def _jammer_fading(M, trials):
     # the jammer link's coefficients of `trials` slots, one row per slot
     return np.array([lat.fading["jw"] for lat in _latents(fading_scenario(n=M, M=M), trials)])
@@ -162,7 +168,7 @@ class TestWillieSlot:
         for t in range(trials):
             obs = synth.synthesize_willie_slot(sc, H0, TrialRng(23, t))
             bp = detectors.block_powers(obs)
-            cond = sc.noise.sigma_w2 + obs.latents.sigma_j2
+            cond = sc.noise.sigma_w2 + _jam_power_at_warden(sc, obs.latents)
             ratios.extend(bp / (sc.slots.n / 2) / cond)
         assert abs(np.mean(ratios) - 1.0) < 4.0 / math.sqrt(trials * sc.slots.n)
 
@@ -238,7 +244,8 @@ class TestWillieSlot:
         assert (obs.samples[0].real.hex(), obs.samples[0].imag.hex()) == want[hypothesis]
         assert lat.jam_power.hex() == want["jam_power"]
         assert {k: (v[0].real.hex(), v[0].imag.hex()) for k, v in lat.fading.items()} == want["fading"]
-        assert (None if lat.sigma_j2 is None else lat.sigma_j2[0].hex()) == want["sigma_j2"]
+        sigma_j2 = _jam_power_at_warden(sc, lat)[0].hex() if "jw" in lat.fading else None
+        assert sigma_j2 == want["sigma_j2"]
 
     def test_bad_hypothesis(self):
         with pytest.raises(ValueError):
@@ -252,7 +259,8 @@ class TestDeterminism:
         b = synth.synthesize_willie_slot(sc, H1, TrialRng(99, 1))
         assert np.array_equal(a.samples, b.samples)
         assert a.latents.jam_power == b.latents.jam_power
-        assert np.array_equal(a.latents.sigma_j2, b.latents.sigma_j2)
+        assert {k: v.tobytes() for k, v in a.latents.fading.items()} == {
+            k: v.tobytes() for k, v in b.latents.fading.items()}
 
     def test_streams_distinct_across_trials_and_purposes(self):
         g1 = synth.substream(1, 0, synth.NOISE_W).standard_normal(4)
@@ -282,7 +290,6 @@ class TestDeterminism:
             assert got.latents.jam_power == want.latents.jam_power
             assert {k: v.tobytes() for k, v in got.latents.fading.items()} == {
                 k: v.tobytes() for k, v in want.latents.fading.items()}
-            assert np.array_equal(got.latents.sigma_j2, want.latents.sigma_j2)
 
     def test_streams_of_one_trial_are_independent(self):
         seed, trial = 2**63 + 5, 2**40
